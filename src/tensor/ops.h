@@ -5,12 +5,25 @@
 // dilated separable convolutions). Shapes are NCHW.
 #pragma once
 
+#include <cmath>
 #include <utility>
 #include <vector>
 
 #include "src/tensor/tensor.h"
 
 namespace fms {
+
+// a * b + c as one fused step where the target has FMA (what the compiler
+// contracts a scalar `acc += a * b` to under -O3 -march=native), else
+// unfused. The conv kernels accumulate through this so that vectorizing
+// them cannot change a single result bit; the test oracle uses it too.
+inline float fmadd(float a, float b, float c) {
+#ifdef __FP_FAST_FMAF
+  return std::fma(a, b, c);
+#else
+  return a * b + c;
+#endif
+}
 
 struct Conv2dSpec {
   int stride = 1;

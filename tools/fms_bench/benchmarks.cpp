@@ -117,6 +117,49 @@ std::vector<Benchmark> default_benchmarks() {
                       conv->backward(*g);
                     };
                   }});
+  list.push_back({"nn.dwconv3x3_fwd_bwd", 40, []() -> std::function<void()> {
+                    Rng rng(12);
+                    auto conv = std::make_shared<Conv2d>(
+                        8, 8, 3, Conv2dSpec{1, 1, 1, 8}, rng);
+                    auto x = std::make_shared<Tensor>(
+                        Tensor::randn({4, 8, 8, 8}, rng));
+                    auto g = std::make_shared<Tensor>(
+                        Tensor::randn({4, 8, 8, 8}, rng));
+                    return [conv, x, g] {
+                      conv->forward(*x, /*train=*/true);
+                      conv->backward(*g);
+                    };
+                  }});
+  // Batch 1 on the 2x2 (C=12) and 1x1 (C=24) planes a 4x4-image search
+  // runs after its reduction cells: a depthwise 3x3 then a pointwise conv
+  // on each. Per-tap and per-call overheads dominate at these sizes.
+  list.push_back({"nn.conv_tiny_fwd_bwd", 200, []() -> std::function<void()> {
+                    Rng rng(13);
+                    struct Layer {
+                      Conv2d conv;
+                      Tensor x;
+                      Tensor g;
+                    };
+                    auto layers = std::make_shared<std::vector<Layer>>();
+                    for (const auto& [c, hw] : {std::pair{12, 2},
+                                               std::pair{24, 1}}) {
+                      for (const int groups : {c, 1}) {
+                        const int k = groups == 1 ? 1 : 3;
+                        Conv2d conv(c, c, k,
+                                    Conv2dSpec{1, k / 2, 1, groups}, rng);
+                        Tensor x = Tensor::randn({1, c, hw, hw}, rng);
+                        Tensor g = Tensor::randn({1, c, hw, hw}, rng);
+                        layers->push_back(
+                            {std::move(conv), std::move(x), std::move(g)});
+                      }
+                    }
+                    return [layers] {
+                      for (Layer& l : *layers) {
+                        l.conv.forward(l.x, /*train=*/true);
+                        l.conv.backward(l.g);
+                      }
+                    };
+                  }});
   list.push_back({"nn.bn_fwd", 60, []() -> std::function<void()> {
                     Rng rng(3);
                     auto bn = std::make_shared<BatchNorm2d>(8);
