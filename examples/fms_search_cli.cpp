@@ -67,11 +67,13 @@ const char* kUsage =
     "                        continue; requires --journal and --checkpoint\n"
     "\n"
     "observability flags:\n"
-    "  --profile             enable the in-process profiler + allocation\n"
-    "                        ledger; prints the merged self-time table and\n"
-    "                        allocation totals after the run (adds per-zone\n"
-    "                        \"profile\" events to --trace-jsonl). Off by\n"
-    "                        default: results are bit-identical either way\n"
+    "  --profile             enable the in-process profiler (per-op time,\n"
+    "                        FLOPs and bytes) + allocation ledger; prints\n"
+    "                        the merged self-time table and allocation\n"
+    "                        totals after the run (adds per-zone \"profile\"\n"
+    "                        and per-op \"work\" events to --trace-jsonl).\n"
+    "                        Off by default: results are bit-identical\n"
+    "                        either way\n"
     "  --trace-chrome PATH   export the per-participant round lifecycle as\n"
     "                        Chrome trace-event JSON (sim-time ticks; load\n"
     "                        at ui.perfetto.dev). '=PATH' form also accepted\n"
@@ -83,7 +85,7 @@ const char* kUsage =
     "  --flight-dump PATH    flight-recorder dump target\n"
     "                        (default fms_flight.jsonl)\n"
     "  --report PATH         write a self-contained HTML run report; forces\n"
-    "                        --profile plus the work ledger, defaults\n"
+    "                        --profile, defaults\n"
     "                        --trace-jsonl/--metrics-csv/--health-report to\n"
     "                        PATH-derived sidecars when unset, and prints a\n"
     "                        roofline summary line (bit-identical search)\n"
@@ -282,9 +284,9 @@ int main(int argc, char** argv) {
                  kUsage);
     return 2;
   }
-  // --report needs the profiler + work ledger on and the run's artifacts
-  // on disk; derive sidecar paths for any the user didn't name. Both
-  // ledgers observe only — the search trajectory stays bit-identical.
+  // --report needs the profiler on and the run's artifacts on disk;
+  // derive sidecar paths for any the user didn't name. The profiler
+  // observes only — the search trajectory stays bit-identical.
   if (!report_path.empty()) {
     profile = true;
     if (trace_jsonl.empty()) trace_jsonl = report_path + ".trace.jsonl";
@@ -319,7 +321,6 @@ int main(int argc, char** argv) {
   cfg.telemetry.trace_jsonl_path = trace_jsonl;
   cfg.telemetry.metrics_csv_path = metrics_csv;
   cfg.telemetry.profile = profile;
-  cfg.telemetry.work = !report_path.empty();
   cfg.telemetry.trace_chrome_path = trace_chrome;
   // The health monitor is always on in the CLI: it only observes the
   // round stream (bit-identical results) and the exit summary below is
@@ -547,8 +548,8 @@ int main(int argc, char** argv) {
     // gauges before finish() so they land in the metrics CSV snapshot.
     const obs::MachinePeak peak = obs::load_or_calibrate(peak_cache);
     obs::emit_roofline_telemetry(peak);
-    const obs::WorkReport work = obs::collect_work();
     const obs::ProfileReport prof = obs::collect_profile();
+    const obs::WorkReport work = obs::collect_work(prof);
     const obs::WorkRow* top = nullptr;
     for (const obs::WorkRow& row : work.rows) {
       if (top == nullptr || row.cost.flops > top->cost.flops) top = &row;

@@ -75,14 +75,11 @@ struct TelemetryConfig {
   std::string metrics_csv_path;  // registry snapshot written at end of run
   bool console = false;          // per-round progress one-liner
   int console_every = 25;        // console line cadence in rounds
-  // Scoped-zone profiler + tensor allocation accounting (src/obs/profile).
-  // Off by default: the disabled path is one relaxed atomic load per zone
+  // Scoped-op profiler with its per-op FLOP/byte work ledger
+  // (src/obs/profile, src/obs/work) + tensor allocation accounting.
+  // Off by default: the disabled path is one relaxed atomic load per op
   // and search output is bit-identical either way.
   bool profile = false;
-  // Per-op FLOP/byte work ledger (src/obs/work). Same contract as the
-  // profiler: one relaxed atomic load per site when off, bit-identical
-  // search output either way.
-  bool work = false;
   // Causal round tracing (src/obs/trace_ctx): a non-empty path exports the
   // per-participant lifecycle as Chrome trace-event JSON (sim-time ticks;
   // load at ui.perfetto.dev). Bit-identical on/off, like the profiler.

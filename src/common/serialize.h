@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "src/common/check.h"
-#include "src/obs/profile.h"
 
 namespace fms {
 
@@ -29,16 +28,12 @@ class ByteWriter {
   template <typename T>
   void write_vector(const std::vector<T>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    // Bulk payloads dominate serialization cost; attribute them to the
-    // enclosing profiler zone (ckpt.serialize, fed.encode, ...).
-    FMS_PROFILE_BYTES(v.size() * sizeof(T));
     write(static_cast<std::uint64_t>(v.size()));
     const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
     buf_.insert(buf_.end(), p, p + v.size() * sizeof(T));
   }
 
   void write_string(const std::string& s) {
-    FMS_PROFILE_BYTES(s.size());
     write(static_cast<std::uint64_t>(s.size()));
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
@@ -73,7 +68,6 @@ class ByteReader {
     // the bounds check, not wrap the multiplication and pass it.
     FMS_CHECK_MSG(n <= (buf_.size() - pos_) / sizeof(T),
                   "ByteReader underflow");
-    FMS_PROFILE_BYTES(n * sizeof(T));
     std::vector<T> v(static_cast<std::size_t>(n));
     std::memcpy(v.data(), buf_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);

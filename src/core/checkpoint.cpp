@@ -110,7 +110,7 @@ void write_durable_file(const std::string& path,
 }  // namespace
 
 std::vector<std::uint8_t> SearchCheckpoint::serialize() const {
-  FMS_PROFILE_ZONE("ckpt.serialize");
+  FMS_OP("ckpt.serialize", {});
   ByteWriter w;
   w.write(kCheckpointMagic);
   w.write(version);
@@ -129,7 +129,7 @@ std::vector<std::uint8_t> SearchCheckpoint::serialize() const {
 
 SearchCheckpoint SearchCheckpoint::deserialize(
     const std::vector<std::uint8_t>& bytes) {
-  FMS_PROFILE_ZONE("ckpt.restore");
+  FMS_OP("ckpt.restore", {});
   ByteReader r(bytes);
   FMS_CHECK_MSG(r.read<std::uint32_t>() == kCheckpointMagic,
                 "not a checkpoint file");

@@ -14,7 +14,6 @@
 #include "src/nn/optim.h"
 #include "src/obs/alloc.h"
 #include "src/obs/health.h"
-#include "src/obs/profile.h"
 #include "src/obs/span.h"
 #include "src/obs/telemetry.h"
 #include "src/obs/trace_ctx.h"
@@ -788,30 +787,32 @@ RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
         // Eq. 13 exactly, preserving the pre-robustness float-op order:
         // scatter each accepted gradient in arrival order, then scale by
         // 1/m — bit-identical to the legacy in-loop scatter.
-        // The masked scatter is this path's mean estimator, so it books
-        // the agg.mean work: one add per scattered element plus one
-        // scale per theta coordinate.
-        FMS_WORK("agg.mean", [&] {
-          std::uint64_t scattered = 0;
-          for (const std::vector<float>& g : applied_grads) {
-            scattered += g.size();
-          }
-          std::uint64_t dim = 0;
-          for (const Param* p : supernet_->params()) {
-            dim += p->grad.vec().size();
-          }
-          obs::OpCost cost;
-          cost.flops = scattered + dim;
-          cost.bytes_read = 4 * scattered;
-          cost.bytes_written = 4 * dim;
-          cost.elements = dim;
-          return cost;
-        }());
-        for (std::size_t u = 0; u < applied_grads.size(); ++u) {
-          supernet_->scatter_add_grads(applied_ids[u], applied_grads[u]);
-          if (tracing) {
-            trace.record(applied_from[u].first, obs::Stage::kAggregate, 0.0,
-                         0.0, 0.0, "applied", applied_from[u].second);
+        // The masked scatter is this path's mean estimator, so it is the
+        // agg.mean op: one add per scattered element plus one scale per
+        // theta coordinate.
+        {
+          FMS_OP("agg.mean", [&] {
+            std::uint64_t scattered = 0;
+            for (const std::vector<float>& g : applied_grads) {
+              scattered += g.size();
+            }
+            std::uint64_t dim = 0;
+            for (const Param* p : supernet_->params()) {
+              dim += p->grad.vec().size();
+            }
+            obs::OpCost cost;
+            cost.flops = scattered + dim;
+            cost.bytes_read = 4 * scattered;
+            cost.bytes_written = 4 * dim;
+            cost.elements = dim;
+            return cost;
+          }());
+          for (std::size_t u = 0; u < applied_grads.size(); ++u) {
+            supernet_->scatter_add_grads(applied_ids[u], applied_grads[u]);
+            if (tracing) {
+              trace.record(applied_from[u].first, obs::Stage::kAggregate,
+                           0.0, 0.0, 0.0, "applied", applied_from[u].second);
+            }
           }
         }
         if (opts.update_theta) {
@@ -1096,16 +1097,14 @@ void FederatedSearch::record_round_telemetry(const RoundRecord& rec,
   };
   telemetry.emit(std::move(event));
 
-  // With --profile on, flush the zone tree into the sinks each round:
-  // one "profile" trace event per zone plus the fms.prof.* / fms.alloc.*
-  // gauges (cumulative since the last reset_profiler()).
+  // With --profile on, flush the op tree into the sinks each round: one
+  // "profile" trace event per zone plus the fms.prof.* / fms.alloc.*
+  // gauges, then its by-name work fold as one "work" event per op plus
+  // the fms.work.* gauges (cumulative since the last reset_profiler()).
   if (obs::profiling_enabled()) {
-    obs::emit_profile_telemetry(obs::collect_profile());
-  }
-  // Same cadence for the work ledger: one "work" event per op plus the
-  // fms.work.* gauges (cumulative since the last reset_work_ledger()).
-  if (obs::work_tracking_enabled()) {
-    obs::emit_work_telemetry(obs::collect_work());
+    const obs::ProfileReport profile = obs::collect_profile();
+    obs::emit_profile_telemetry(profile);
+    obs::emit_work_telemetry(obs::collect_work(profile));
   }
 }
 

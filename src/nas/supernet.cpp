@@ -1,6 +1,6 @@
 #include "src/nas/supernet.h"
 
-#include "src/obs/profile.h"
+#include "src/obs/work.h"
 #include "src/tensor/ops.h"
 
 namespace fms {
@@ -91,7 +91,7 @@ void Supernet::build_param_index() {
 }
 
 Tensor Supernet::forward(const Tensor& x, const Mask& mask, bool train) {
-  FMS_PROFILE_ZONE("nas.forward");
+  FMS_OP("nas.forward", {});
   FMS_CHECK(static_cast<int>(mask.normal.size()) == num_edges());
   FMS_CHECK(static_cast<int>(mask.reduce.size()) == num_edges());
   mixed_mode_ = false;
@@ -110,7 +110,7 @@ Tensor Supernet::forward(const Tensor& x, const Mask& mask, bool train) {
 }
 
 void Supernet::backward(const Tensor& grad_logits) {
-  FMS_PROFILE_ZONE("nas.backward");
+  FMS_OP("nas.backward", {});
   FMS_CHECK_MSG(has_cache_ && !mixed_mode_,
                 "Supernet::backward without masked train forward");
   Tensor g = classifier_->backward(grad_logits);
@@ -176,7 +176,7 @@ void Supernet::zero_grad() {
 }
 
 std::vector<std::size_t> Supernet::masked_param_ids(const Mask& mask) {
-  FMS_PROFILE_ZONE("nas.mask_ids");
+  FMS_OP("nas.mask_ids", {});
   FMS_CHECK(static_cast<int>(mask.normal.size()) == num_edges());
   FMS_CHECK(static_cast<int>(mask.reduce.size()) == num_edges());
   std::vector<std::size_t> ids;
@@ -194,29 +194,30 @@ std::vector<std::size_t> Supernet::masked_param_ids(const Mask& mask) {
 
 std::vector<float> Supernet::gather_values(
     const std::vector<std::size_t>& ids) {
-  FMS_PROFILE_ZONE("nas.gather");
+  obs::ScopedOp op("nas.gather");
   std::vector<float> flat;
   for (std::size_t id : ids) {
     const auto& v = params_[id]->value.vec();
     flat.insert(flat.end(), v.begin(), v.end());
   }
+  op.add([&] { return obs::copy_cost(flat.size()); });
   return flat;
 }
 
 std::vector<float> Supernet::gather_grads(const std::vector<std::size_t>& ids) {
-  FMS_PROFILE_ZONE("nas.gather");
+  obs::ScopedOp op("nas.gather");
   std::vector<float> flat;
   for (std::size_t id : ids) {
     const auto& g = params_[id]->grad.vec();
     flat.insert(flat.end(), g.begin(), g.end());
   }
+  op.add([&] { return obs::copy_cost(flat.size()); });
   return flat;
 }
 
 void Supernet::scatter_values(const std::vector<std::size_t>& ids,
                               const std::vector<float>& flat) {
-  FMS_PROFILE_ZONE("nas.scatter");
-  FMS_PROFILE_BYTES(flat.size() * sizeof(float));
+  FMS_OP("nas.scatter", obs::copy_cost(flat.size()));
   std::size_t pos = 0;
   for (std::size_t id : ids) {
     auto& v = params_[id]->value.vec();
@@ -231,8 +232,7 @@ void Supernet::scatter_values(const std::vector<std::size_t>& ids,
 
 void Supernet::scatter_add_grads(const std::vector<std::size_t>& ids,
                                  const std::vector<float>& flat) {
-  FMS_PROFILE_ZONE("nas.scatter");
-  FMS_PROFILE_BYTES(flat.size() * sizeof(float));
+  FMS_OP("nas.scatter", obs::copy_cost(flat.size()));
   std::size_t pos = 0;
   for (std::size_t id : ids) {
     auto& g = params_[id]->grad.vec();
@@ -245,7 +245,7 @@ void Supernet::scatter_add_grads(const std::vector<std::size_t>& ids,
 
 std::vector<float> Supernet::gather_from_flat(
     const std::vector<float>& flat, const std::vector<std::size_t>& ids) {
-  FMS_PROFILE_ZONE("nas.gather");
+  obs::ScopedOp op("nas.gather");
   if (offsets_.empty()) {
     offsets_.reserve(params_.size());
     std::size_t pos = 0;
@@ -262,13 +262,13 @@ std::vector<float> Supernet::gather_from_flat(
     out.insert(out.end(), flat.begin() + static_cast<std::ptrdiff_t>(off),
                flat.begin() + static_cast<std::ptrdiff_t>(off + n));
   }
+  op.add([&] { return obs::copy_cost(out.size()); });
   return out;
 }
 
 std::vector<float> Supernet::dense_from_masked(
     const std::vector<std::size_t>& ids, const std::vector<float>& flat) {
-  FMS_PROFILE_ZONE("nas.densify");
-  FMS_PROFILE_BYTES(flat.size() * sizeof(float));
+  FMS_OP("nas.densify", obs::copy_cost(flat.size()));
   if (offsets_.empty()) {
     offsets_.reserve(params_.size());
     std::size_t pos = 0;
@@ -294,7 +294,7 @@ std::vector<float> Supernet::dense_from_masked(
 
 std::vector<std::uint8_t> Supernet::presence_from_masked(
     const std::vector<std::size_t>& ids) {
-  FMS_PROFILE_ZONE("nas.presence");
+  FMS_OP("nas.presence", {});
   if (offsets_.empty()) {
     offsets_.reserve(params_.size());
     std::size_t pos = 0;
@@ -315,8 +315,7 @@ std::vector<std::uint8_t> Supernet::presence_from_masked(
 }
 
 void Supernet::add_flat_grads(const std::vector<float>& flat) {
-  FMS_PROFILE_ZONE("nas.scatter");
-  FMS_PROFILE_BYTES(flat.size() * sizeof(float));
+  FMS_OP("nas.scatter", obs::copy_cost(flat.size()));
   std::size_t pos = 0;
   for (Param* p : params_) {
     auto& g = p->grad.vec();
@@ -328,7 +327,7 @@ void Supernet::add_flat_grads(const std::vector<float>& flat) {
 }
 
 std::vector<float> Supernet::flat_values() {
-  FMS_PROFILE_ZONE("nas.gather");
+  FMS_OP("nas.gather", obs::copy_cost(param_count()));
   std::vector<float> flat;
   flat.reserve(param_count());
   for (Param* p : params_) {
@@ -338,8 +337,7 @@ std::vector<float> Supernet::flat_values() {
 }
 
 void Supernet::set_flat_values(const std::vector<float>& flat) {
-  FMS_PROFILE_ZONE("nas.scatter");
-  FMS_PROFILE_BYTES(flat.size() * sizeof(float));
+  FMS_OP("nas.scatter", obs::copy_cost(flat.size()));
   std::size_t pos = 0;
   for (Param* p : params_) {
     auto& v = p->value.vec();

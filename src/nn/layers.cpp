@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "src/obs/profile.h"
 #include "src/obs/work.h"
 
 namespace fms {
@@ -24,8 +23,7 @@ Conv2d::Conv2d(int in_channels, int out_channels, int kernel, Conv2dSpec spec,
 }
 
 Tensor Conv2d::forward(const Tensor& x, bool train) {
-  FMS_PROFILE_ZONE("nn.conv_fwd");
-  FMS_PROFILE_BYTES(x.numel() * sizeof(float));
+  obs::ScopedOp op("nn.conv_fwd");
   if (train) {
     cached_x_ = x;
     has_cache_ = true;
@@ -33,27 +31,24 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
     has_cache_ = false;
   }
   Tensor y = conv2d_forward(x, w_.value, spec_);
-  FMS_WORK("nn.conv_fwd",
-           obs::conv2d_fwd_cost(sz(x.dim(0)), sz(x.dim(1)), sz(x.dim(2)),
+  op.add([&] {
+    return obs::conv2d_fwd_cost(sz(x.dim(0)), sz(x.dim(1)), sz(x.dim(2)),
                                 sz(x.dim(3)), sz(w_.value.dim(0)),
                                 sz(w_.value.dim(2)), sz(w_.value.dim(3)),
-                                sz(y.dim(2)), sz(y.dim(3)),
-                                sz(spec_.groups)));
+                                sz(y.dim(2)), sz(y.dim(3)), sz(spec_.groups));
+  });
   return y;
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
-  FMS_PROFILE_ZONE("nn.conv_bwd");
-  FMS_PROFILE_BYTES(grad_out.numel() * sizeof(float));
   FMS_CHECK_MSG(has_cache_, "Conv2d::backward without train-mode forward");
+  FMS_OP("nn.conv_bwd",
+         obs::conv2d_bwd_cost(
+             sz(cached_x_.dim(0)), sz(cached_x_.dim(1)),
+             sz(cached_x_.dim(2)), sz(cached_x_.dim(3)), sz(w_.value.dim(0)),
+             sz(w_.value.dim(2)), sz(w_.value.dim(3)), sz(grad_out.dim(2)),
+             sz(grad_out.dim(3)), sz(spec_.groups)));
   Conv2dGrads g = conv2d_backward(cached_x_, w_.value, grad_out, spec_);
-  FMS_WORK("nn.conv_bwd",
-           obs::conv2d_bwd_cost(
-               sz(cached_x_.dim(0)), sz(cached_x_.dim(1)),
-               sz(cached_x_.dim(2)), sz(cached_x_.dim(3)),
-               sz(w_.value.dim(0)), sz(w_.value.dim(2)),
-               sz(w_.value.dim(3)), sz(grad_out.dim(2)),
-               sz(grad_out.dim(3)), sz(spec_.groups)));
   w_.grad += g.grad_w;
   return std::move(g.grad_x);
 }
@@ -68,12 +63,10 @@ BatchNorm2d::BatchNorm2d(int channels, float eps, float momentum)
       running_var_(Tensor::full({channels}, 1.0F)) {}
 
 Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
-  FMS_PROFILE_ZONE("nn.bn_fwd");
-  FMS_PROFILE_BYTES(x.numel() * sizeof(float));
   FMS_CHECK(x.ndim() == 4 && x.dim(1) == channels_);
   const int n = x.dim(0), c = channels_, h = x.dim(2), w = x.dim(3);
-  FMS_WORK("nn.bn_fwd",
-           obs::batchnorm_fwd_cost(sz(n), sz(c), sz(h), sz(w), train));
+  FMS_OP("nn.bn_fwd",
+         obs::batchnorm_fwd_cost(sz(n), sz(c), sz(h), sz(w), train));
   const std::size_t m = static_cast<std::size_t>(n) * h * w;
   Tensor y(x.shape());
   if (train) {
@@ -134,12 +127,10 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
 }
 
 Tensor BatchNorm2d::backward(const Tensor& grad_out) {
-  FMS_PROFILE_ZONE("nn.bn_bwd");
-  FMS_PROFILE_BYTES(grad_out.numel() * sizeof(float));
   FMS_CHECK_MSG(has_cache_, "BatchNorm2d::backward without train forward");
   const Tensor& x = cached_x_;
   const int n = x.dim(0), c = channels_, h = x.dim(2), w = x.dim(3);
-  FMS_WORK("nn.bn_bwd", obs::batchnorm_bwd_cost(sz(n), sz(c), sz(h), sz(w)));
+  FMS_OP("nn.bn_bwd", obs::batchnorm_bwd_cost(sz(n), sz(c), sz(h), sz(w)));
   const double m = static_cast<double>(n) * h * w;
   Tensor grad_x(x.shape());
   for (int ic = 0; ic < c; ++ic) {
@@ -171,8 +162,7 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
 }
 
 Tensor ReLU::forward(const Tensor& x, bool train) {
-  FMS_PROFILE_ZONE("nn.relu_fwd");
-  FMS_WORK("nn.relu_fwd", obs::relu_fwd_cost(x.numel()));
+  FMS_OP("nn.relu_fwd", obs::relu_fwd_cost(x.numel()));
   if (train) {
     cached_x_ = x;
     has_cache_ = true;
@@ -183,17 +173,17 @@ Tensor ReLU::forward(const Tensor& x, bool train) {
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {
-  FMS_PROFILE_ZONE("nn.relu_bwd");
-  FMS_WORK("nn.relu_bwd", obs::relu_bwd_cost(grad_out.numel()));
+  FMS_OP("nn.relu_bwd", obs::relu_bwd_cost(grad_out.numel()));
   FMS_CHECK_MSG(has_cache_, "ReLU::backward without train-mode forward");
   return relu_backward(cached_x_, grad_out);
 }
 
 Tensor MaxPool2d::forward(const Tensor& x, bool train) {
-  FMS_PROFILE_ZONE("nn.maxpool_fwd");
+  obs::ScopedOp op("nn.maxpool_fwd");
   MaxPoolResult res = maxpool2d_forward(x, kernel_, stride_, padding_);
-  FMS_WORK("nn.maxpool_fwd",
-           obs::maxpool_fwd_cost(x.numel(), res.y.numel(), sz(kernel_)));
+  op.add([&] {
+    return obs::maxpool_fwd_cost(x.numel(), res.y.numel(), sz(kernel_));
+  });
   if (train) {
     cached_x_ = x;
     cached_ = res;
@@ -205,15 +195,14 @@ Tensor MaxPool2d::forward(const Tensor& x, bool train) {
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_out) {
-  FMS_PROFILE_ZONE("nn.maxpool_bwd");
-  FMS_WORK("nn.maxpool_bwd",
-           obs::maxpool_bwd_cost(cached_x_.numel(), grad_out.numel()));
+  FMS_OP("nn.maxpool_bwd",
+         obs::maxpool_bwd_cost(cached_x_.numel(), grad_out.numel()));
   FMS_CHECK_MSG(has_cache_, "MaxPool2d::backward without train forward");
   return maxpool2d_backward(cached_x_, cached_, grad_out);
 }
 
 Tensor AvgPool2d::forward(const Tensor& x, bool train) {
-  FMS_PROFILE_ZONE("nn.avgpool_fwd");
+  obs::ScopedOp op("nn.avgpool_fwd");
   if (train) {
     cached_x_ = x;
     has_cache_ = true;
@@ -221,25 +210,24 @@ Tensor AvgPool2d::forward(const Tensor& x, bool train) {
     has_cache_ = false;
   }
   Tensor y = avgpool2d_forward(x, kernel_, stride_, padding_);
-  FMS_WORK("nn.avgpool_fwd",
-           obs::avgpool_fwd_cost(x.numel(), y.numel(), sz(kernel_)));
+  op.add([&] {
+    return obs::avgpool_fwd_cost(x.numel(), y.numel(), sz(kernel_));
+  });
   return y;
 }
 
 Tensor AvgPool2d::backward(const Tensor& grad_out) {
-  FMS_PROFILE_ZONE("nn.avgpool_bwd");
-  FMS_WORK("nn.avgpool_bwd",
-           obs::avgpool_bwd_cost(cached_x_.numel(), grad_out.numel(),
-                                 sz(kernel_)));
+  FMS_OP("nn.avgpool_bwd",
+         obs::avgpool_bwd_cost(cached_x_.numel(), grad_out.numel(),
+                               sz(kernel_)));
   FMS_CHECK_MSG(has_cache_, "AvgPool2d::backward without train forward");
   return avgpool2d_backward(cached_x_, grad_out, kernel_, stride_, padding_);
 }
 
 Tensor GlobalAvgPool::forward(const Tensor& x, bool train) {
-  FMS_PROFILE_ZONE("nn.gap_fwd");
-  FMS_WORK("nn.gap_fwd",
-           obs::global_avgpool_fwd_cost(sz(x.dim(0)), sz(x.dim(1)),
-                                        sz(x.dim(2)), sz(x.dim(3))));
+  FMS_OP("nn.gap_fwd",
+         obs::global_avgpool_fwd_cost(sz(x.dim(0)), sz(x.dim(1)),
+                                      sz(x.dim(2)), sz(x.dim(3))));
   if (train) {
     cached_x_ = x;
     has_cache_ = true;
@@ -250,12 +238,10 @@ Tensor GlobalAvgPool::forward(const Tensor& x, bool train) {
 }
 
 Tensor GlobalAvgPool::backward(const Tensor& grad_out) {
-  FMS_PROFILE_ZONE("nn.gap_bwd");
   FMS_CHECK_MSG(has_cache_, "GlobalAvgPool::backward without train forward");
-  FMS_WORK("nn.gap_bwd",
-           obs::global_avgpool_bwd_cost(
-               sz(cached_x_.dim(0)), sz(cached_x_.dim(1)),
-               sz(cached_x_.dim(2)), sz(cached_x_.dim(3))));
+  FMS_OP("nn.gap_bwd", obs::global_avgpool_bwd_cost(
+                          sz(cached_x_.dim(0)), sz(cached_x_.dim(1)),
+                          sz(cached_x_.dim(2)), sz(cached_x_.dim(3))));
   return global_avgpool_backward(cached_x_, grad_out);
 }
 
@@ -266,11 +252,9 @@ Linear::Linear(int in_features, int out_features, Rng& rng) {
 }
 
 Tensor Linear::forward(const Tensor& x, bool train) {
-  FMS_PROFILE_ZONE("nn.linear_fwd");
   FMS_CHECK(x.ndim() == 2 && x.dim(1) == w_.value.dim(1));
-  FMS_WORK("nn.linear_fwd",
-           obs::linear_fwd_cost(sz(x.dim(0)), sz(x.dim(1)),
-                                sz(w_.value.dim(0))));
+  FMS_OP("nn.linear_fwd", obs::linear_fwd_cost(sz(x.dim(0)), sz(x.dim(1)),
+                                               sz(w_.value.dim(0))));
   if (train) {
     cached_x_ = x;
     has_cache_ = true;
@@ -286,11 +270,10 @@ Tensor Linear::forward(const Tensor& x, bool train) {
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {
-  FMS_PROFILE_ZONE("nn.linear_bwd");
   FMS_CHECK_MSG(has_cache_, "Linear::backward without train-mode forward");
-  FMS_WORK("nn.linear_bwd",
-           obs::linear_bwd_cost(sz(grad_out.dim(0)), sz(w_.value.dim(1)),
-                                sz(w_.value.dim(0))));
+  FMS_OP("nn.linear_bwd", obs::linear_bwd_cost(sz(grad_out.dim(0)),
+                                               sz(w_.value.dim(1)),
+                                               sz(w_.value.dim(0))));
   // grad_w = grad_out^T [N,out] x cached_x [N,in] -> [out,in]
   w_.grad += matmul_tn(grad_out, cached_x_);
   const int n = grad_out.dim(0), out = grad_out.dim(1);

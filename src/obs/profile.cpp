@@ -51,7 +51,7 @@ struct Node {
   std::uint64_t calls = 0;
   std::uint64_t incl_ns = 0;
   std::uint64_t child_ns = 0;
-  std::uint64_t bytes = 0;
+  OpCost cost;
   std::uint64_t alloc_bytes = 0;
   std::uint64_t allocs = 0;
 };
@@ -125,7 +125,7 @@ struct MergedNode {
   std::uint64_t calls = 0;
   std::uint64_t incl_ns = 0;
   std::uint64_t child_ns = 0;
-  std::uint64_t bytes = 0;
+  OpCost cost;
   std::uint64_t alloc_bytes = 0;
   std::uint64_t allocs = 0;
   std::map<std::string, MergedNode> children;
@@ -137,7 +137,7 @@ void merge_thread_tree(const ThreadProfile& tp, int idx, MergedNode* into)
   into->calls += node.calls;
   into->incl_ns += node.incl_ns;
   into->child_ns += node.child_ns;
-  into->bytes += node.bytes;
+  into->cost += node.cost;
   into->alloc_bytes += node.alloc_bytes;
   into->allocs += node.allocs;
   for (const auto& [child_name, child_idx] : node.children) {
@@ -147,10 +147,10 @@ void merge_thread_tree(const ThreadProfile& tp, int idx, MergedNode* into)
 
 // reset_profiler zeroes counters but keeps each thread's tree shape (so
 // open frames stay valid), which leaves husks of earlier measurement
-// windows behind. Drop subtrees that saw no activity since the reset.
+// windows behind. Drop subtrees that saw no activity since the reset
+// (costs are booked only inside a call, so calls == 0 implies no cost).
 bool merged_node_is_empty(const MergedNode& node) {
-  if (node.calls != 0 || node.bytes != 0 || node.alloc_bytes != 0 ||
-      node.allocs != 0) {
+  if (node.calls != 0 || node.alloc_bytes != 0 || node.allocs != 0) {
     return false;
   }
   for (const auto& [child_name, child] : node.children) {
@@ -171,7 +171,7 @@ void flatten_merged(const MergedNode& node, const std::string& path,
     z.incl_ns = node.incl_ns;
     z.excl_ns = node.incl_ns > node.child_ns ? node.incl_ns - node.child_ns
                                              : 0;
-    z.bytes = node.bytes;
+    z.cost = node.cost;
     z.alloc_bytes = node.alloc_bytes;
     z.allocs = node.allocs;
     out->push_back(std::move(z));
@@ -188,14 +188,17 @@ void flatten_merged(const MergedNode& node, const std::string& path,
 
 namespace detail {
 
-void zone_enter(const char* name) {
+int zone_enter(const char* name, const OpCost& cost) {
   ThreadProfile& tp = thread_profile();
   const fms::MutexLock lock(tp.mu);
   const int parent = tp.stack.empty() ? 0 : tp.stack.back().node;
   const int idx = child_index(tp, parent, name);
-  tp.nodes[static_cast<std::size_t>(idx)].calls += 1;
+  Node& node = tp.nodes[static_cast<std::size_t>(idx)];
+  node.calls += 1;
+  node.cost += cost;
   // Clock read last: zone time excludes the bookkeeping above.
   tp.stack.push_back(Frame{idx, thread_cpu_ns()});
+  return idx;
 }
 
 void zone_exit() {
@@ -212,11 +215,12 @@ void zone_exit() {
   tp.nodes[static_cast<std::size_t>(node.parent)].child_ns += dur;
 }
 
-void zone_add_bytes(std::uint64_t bytes) {
+void zone_add_cost(int node, const OpCost& cost) {
   ThreadProfile& tp = thread_profile();
   const fms::MutexLock lock(tp.mu);
-  const int idx = tp.stack.empty() ? 0 : tp.stack.back().node;
-  tp.nodes[static_cast<std::size_t>(idx)].bytes += bytes;
+  // Nodes are never erased (reset keeps the tree), so the index that
+  // zone_enter returned stays valid for the op's lifetime.
+  tp.nodes[static_cast<std::size_t>(node)].cost += cost;
 }
 
 }  // namespace detail
@@ -244,7 +248,7 @@ void reset_profiler() {
       node.calls = 0;
       node.incl_ns = 0;
       node.child_ns = 0;
-      node.bytes = 0;
+      node.cost = OpCost{};
       node.alloc_bytes = 0;
       node.allocs = 0;
     }
@@ -272,12 +276,11 @@ ProfileReport collect_profile() {
   flatten_merged(root, "", "", -1, &report.zones);
   // Allocations that happened outside any zone live on the root; surface
   // them so the ledger in the report always sums to the global one.
-  if (root.allocs > 0 || root.bytes > 0) {
+  if (root.allocs > 0) {
     ZoneStats unzoned;
     unzoned.path = "(unzoned)";
     unzoned.name = "(unzoned)";
     unzoned.depth = 0;
-    unzoned.bytes = root.bytes;
     unzoned.alloc_bytes = root.alloc_bytes;
     unzoned.allocs = root.allocs;
     report.zones.push_back(std::move(unzoned));
@@ -337,7 +340,6 @@ void emit_profile_telemetry(const ProfileReport& report) {
     event.fields.emplace_back("calls", static_cast<double>(z.calls));
     event.fields.emplace_back("incl_ns", static_cast<double>(z.incl_ns));
     event.fields.emplace_back("excl_ns", static_cast<double>(z.excl_ns));
-    event.fields.emplace_back("bytes", static_cast<double>(z.bytes));
     event.fields.emplace_back("alloc_bytes",
                               static_cast<double>(z.alloc_bytes));
     event.fields.emplace_back("allocs", static_cast<double>(z.allocs));

@@ -1,20 +1,24 @@
-// In-process scoped profiler: a tree of named zones with inclusive /
-// exclusive CPU time, call counts, bytes-touched attribution, and the
-// tensor-allocation ledger (src/obs/alloc.h) attributed per zone.
+// In-process scoped profiler: a tree of named ops with inclusive /
+// exclusive CPU time, call counts, compute cost (FLOPs and bytes, the
+// work ledger of src/obs/work.h) and the tensor-allocation ledger
+// (src/obs/alloc.h), all attributed per node.
 //
-// FMS_PROFILE_ZONE("nn.conv_fwd") opens a zone for the enclosing scope;
-// nesting builds a per-thread tree (zones entered on ThreadPool workers
-// grow their own trees, merged deterministically at collection time).
-// Time is per-thread CPU time (CLOCK_THREAD_CPUTIME_ID), so a zone's
-// cost is what *it* burned, not what it waited on.
+// FMS_OP("nn.conv_fwd", cost) is the one instrumentation point: it opens
+// a zone for the enclosing scope and adds `cost` (an OpCost expression)
+// to that zone's node. Nesting builds a per-thread tree (ops entered on
+// ThreadPool workers grow their own trees, merged deterministically at
+// collection time). Time is per-thread CPU time
+// (CLOCK_THREAD_CPUTIME_ID), so a zone's cost is what *it* burned, not
+// what it waited on.
 //
-// When profiling is disabled the zone constructor reads one relaxed
-// atomic and does nothing else — search results are bit-identical to an
-// uninstrumented build (the profiler only ever observes; it never
-// touches RNG streams, float accumulation order, or iteration order).
+// When profiling is disabled an op reads one relaxed atomic and does
+// nothing else; the cost expression is not even evaluated. Search
+// results are bit-identical to an uninstrumented build (the profiler
+// only ever observes; it never touches RNG streams, float accumulation
+// order, or iteration order).
 //
-// Zone names must be string literals (or otherwise outlive the
-// profiler): nodes store the pointer, not a copy.
+// Op names must be string literals (or otherwise outlive the profiler):
+// nodes store the pointer, not a copy.
 #pragma once
 
 #include <atomic>
@@ -25,6 +29,24 @@
 
 namespace fms::obs {
 
+// One invocation's compute cost. Additive: recording twice doubles
+// everything. Conventions and the cost models live in src/obs/work.h.
+struct OpCost {
+  std::uint64_t flops = 0;
+  std::uint64_t bytes_read = 0;
+  std::uint64_t bytes_written = 0;
+  std::uint64_t elements = 0;
+
+  OpCost& operator+=(const OpCost& o) {
+    flops += o.flops;
+    bytes_read += o.bytes_read;
+    bytes_written += o.bytes_written;
+    elements += o.elements;
+    return *this;
+  }
+  bool operator==(const OpCost&) const = default;
+};
+
 namespace detail {
 inline std::atomic<bool>& profiling_flag() {
   static std::atomic<bool> flag{false};
@@ -32,9 +54,11 @@ inline std::atomic<bool>& profiling_flag() {
 }
 
 // Out-of-line slow paths (profile.cpp); called only when profiling is on.
-void zone_enter(const char* name);
+// zone_enter books `cost` on the zone's node and returns that node, which
+// zone_add_cost books any late cost into.
+int zone_enter(const char* name, const OpCost& cost);
 void zone_exit();
-void zone_add_bytes(std::uint64_t bytes);
+void zone_add_cost(int node, const OpCost& cost);
 }  // namespace detail
 
 inline bool profiling_enabled() {
@@ -57,7 +81,7 @@ struct ZoneStats {
   std::uint64_t calls = 0;
   std::uint64_t incl_ns = 0;  // CPU ns inside the zone, children included
   std::uint64_t excl_ns = 0;  // incl_ns minus child zones' inclusive time
-  std::uint64_t bytes = 0;    // bytes-touched, via FMS_PROFILE_BYTES
+  OpCost cost;                // summed FMS_OP costs; zero for time-only
   std::uint64_t alloc_bytes = 0;  // tensor bytes allocated inside the zone
   std::uint64_t allocs = 0;       // tensor allocations inside the zone
 };
@@ -86,36 +110,44 @@ void emit_profile_telemetry(const ProfileReport& report);
 // Process peak resident set size in bytes (0 when unavailable).
 std::int64_t peak_rss_bytes();
 
-// RAII zone handle. `name` must outlive the profiler (string literal).
-class ScopedZone {
+// RAII op handle: a zone for its lifetime plus the cost booked on it.
+// `name` must outlive the profiler (string literal). Costs are callables
+// returning OpCost, invoked only when profiling is on.
+class ScopedOp {
  public:
-  explicit ScopedZone(const char* name) : active_(profiling_enabled()) {
-    if (active_) detail::zone_enter(name);
+  explicit ScopedOp(const char* name)
+      : ScopedOp(name, [] { return OpCost{}; }) {}
+  template <typename CostFn>
+  ScopedOp(const char* name, CostFn&& cost) : active_(profiling_enabled()) {
+    if (active_) node_ = detail::zone_enter(name, cost());
   }
 
-  ScopedZone(const ScopedZone&) = delete;
-  ScopedZone& operator=(const ScopedZone&) = delete;
+  ScopedOp(const ScopedOp&) = delete;
+  ScopedOp& operator=(const ScopedOp&) = delete;
 
-  ~ScopedZone() {
+  ~ScopedOp() {
     if (active_) detail::zone_exit();
+  }
+
+  // For costs known only once the op has done its work (an encoded
+  // payload's size): books onto this op's node, wherever it sits.
+  template <typename CostFn>
+  void add(CostFn&& cost) {
+    if (active_) detail::zone_add_cost(node_, cost());
   }
 
  private:
   bool active_;
+  int node_ = 0;
 };
-
-// Attributes `bytes` of touched data (payload moved, coordinates
-// scanned) to the innermost open zone on this thread.
-inline void profile_add_bytes(std::uint64_t bytes) {
-  if (profiling_enabled()) detail::zone_add_bytes(bytes);
-}
 
 }  // namespace fms::obs
 
-#define FMS_PROFILE_CONCAT_INNER(a, b) a##b
-#define FMS_PROFILE_CONCAT(a, b) FMS_PROFILE_CONCAT_INNER(a, b)
-#define FMS_PROFILE_ZONE(name)                                     \
-  ::fms::obs::ScopedZone FMS_PROFILE_CONCAT(fms_scoped_zone_,      \
-                                            __LINE__)(name)
-#define FMS_PROFILE_BYTES(n) \
-  ::fms::obs::profile_add_bytes(static_cast<std::uint64_t>(n))
+#define FMS_OBS_CONCAT_INNER(a, b) a##b
+#define FMS_OBS_CONCAT(a, b) FMS_OBS_CONCAT_INNER(a, b)
+// FMS_OP(name, cost): profile the enclosing scope as op `name` and book
+// `cost` (an OpCost expression; `{}` for a zone that only times) on it.
+// Variadic so a cost expression may contain unparenthesized commas.
+#define FMS_OP(name, ...)                                              \
+  ::fms::obs::ScopedOp FMS_OBS_CONCAT(fms_scoped_op_, __LINE__)(        \
+      name, [&]() -> ::fms::obs::OpCost { return __VA_ARGS__; })

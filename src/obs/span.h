@@ -18,12 +18,17 @@ namespace fms::obs {
 
 class ScopedSpan {
  public:
-  // The embedded ScopedZone mirrors every span into the profiler tree
+  // The embedded ScopedOp mirrors every span into the profiler tree
   // (round -> sample/transmit/.../aggregate), so the --profile self-time
   // table shows the same phase skeleton the span histograms use. It
   // checks its own enable flag: spans and profiling toggle separately.
   explicit ScopedSpan(const char* phase)
-      : phase_(phase), zone_(phase), active_(telemetry_enabled()) {
+      : ScopedSpan(phase, [] { return OpCost{}; }) {}
+  // A span that is also a costed op: `cost` (a callable returning
+  // OpCost) is booked on the span's own zone, as FMS_OP would.
+  template <typename CostFn>
+  ScopedSpan(const char* phase, CostFn&& cost)
+      : phase_(phase), op_(phase, cost), active_(telemetry_enabled()) {
     if (active_) start_ = std::chrono::steady_clock::now();
   }
 
@@ -50,14 +55,12 @@ class ScopedSpan {
 
  private:
   const char* phase_;
-  ScopedZone zone_;
+  ScopedOp op_;
   bool active_;
   std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace fms::obs
 
-#define FMS_SPAN_CONCAT_INNER(a, b) a##b
-#define FMS_SPAN_CONCAT(a, b) FMS_SPAN_CONCAT_INNER(a, b)
 #define FMS_SPAN(phase) \
-  ::fms::obs::ScopedSpan FMS_SPAN_CONCAT(fms_scoped_span_, __LINE__)(phase)
+  ::fms::obs::ScopedSpan FMS_OBS_CONCAT(fms_scoped_span_, __LINE__)(phase)

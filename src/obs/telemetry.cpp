@@ -4,7 +4,6 @@
 #include "src/obs/flight.h"
 #include "src/obs/profile.h"
 #include "src/obs/trace_ctx.h"
-#include "src/obs/work.h"
 
 namespace fms::obs {
 
@@ -49,7 +48,6 @@ void Telemetry::configure(const TelemetryConfig& cfg, std::uint64_t seed) {
   set_telemetry_enabled(cfg.enabled);
   set_profiling_enabled(cfg.profile);
   set_alloc_tracking_enabled(cfg.profile);
-  set_work_tracking_enabled(cfg.work);
   // Causal tracing rides the same config: the trace context is live when
   // either a Chrome export or a flight recorder was asked for. The flight
   // dump needs a destination even when only the default was configured —

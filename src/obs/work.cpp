@@ -2,131 +2,29 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <map>
-#include <memory>
 #include <utility>
 
-#include "src/common/thread_annotations.h"
 #include "src/obs/telemetry.h"
 
 namespace fms::obs {
-namespace {
 
-struct Slot {
-  const char* op = nullptr;
-  std::uint64_t calls = 0;
-  OpCost cost;
-};
-
-// One flat ledger per thread. The mutex is uncontended on the hot path
-// (only the owning thread records); collect/reset from another thread
-// take it briefly. Mirrors the profiler's ThreadProfile exactly.
-struct ThreadLedger {
-  fms::Mutex mu;
-  std::vector<Slot> slots FMS_GUARDED_BY(mu);
-};
-
-struct LedgerRegistry {
-  fms::Mutex mu;
-  // Owned here, never erased: a worker thread may exit while its data is
-  // still wanted for the round report.
-  std::vector<std::unique_ptr<ThreadLedger>> ledgers FMS_GUARDED_BY(mu);
-};
-
-LedgerRegistry& ledger_registry() {
-  static LedgerRegistry* reg = new LedgerRegistry();  // leaked: outlives
-                                                      // worker threads
-  return *reg;
-}
-
-ThreadLedger& thread_ledger() {
-  thread_local ThreadLedger* tl = [] {
-    auto owned = std::make_unique<ThreadLedger>();
-    ThreadLedger* raw = owned.get();
-    LedgerRegistry& reg = ledger_registry();
-    const fms::MutexLock lock(reg.mu);
-    reg.ledgers.push_back(std::move(owned));
-    return raw;
-  }();
-  return *tl;
-}
-
-// Slot lookup by op pointer first (string literals are usually merged per
-// call site), strcmp as the fallback; insertion-ordered — determinism
-// comes from the name-keyed merge at collection.
-Slot& find_slot(ThreadLedger& tl, const char* op) FMS_REQUIRES(tl.mu) {
-  for (Slot& slot : tl.slots) {
-    if (slot.op == op || std::strcmp(slot.op, op) == 0) return slot;
-  }
-  Slot slot;
-  slot.op = op;
-  tl.slots.push_back(slot);
-  return tl.slots.back();
-}
-
-}  // namespace
-
-namespace detail {
-
-void work_record_slow(const char* op, const OpCost& cost) {
-  ThreadLedger& tl = thread_ledger();
-  const fms::MutexLock lock(tl.mu);
-  Slot& slot = find_slot(tl, op);
-  slot.calls += 1;
-  slot.cost.flops += cost.flops;
-  slot.cost.bytes_read += cost.bytes_read;
-  slot.cost.bytes_written += cost.bytes_written;
-  slot.cost.elements += cost.elements;
-}
-
-}  // namespace detail
-
-void set_work_tracking_enabled(bool on) {
-  detail::work_flag().store(on, std::memory_order_relaxed);
-}
-
-void reset_work_ledger() {
-  LedgerRegistry& reg = ledger_registry();
-  const fms::MutexLock reg_lock(reg.mu);
-  for (auto& tl : reg.ledgers) {
-    const fms::MutexLock lock(tl->mu);
-    for (Slot& slot : tl->slots) {
-      slot.calls = 0;
-      slot.cost = OpCost{};
-    }
-  }
-}
-
-WorkReport collect_work() {
-  // Per-op sums are commutative, so a name-keyed map makes the merge
-  // independent of thread registration order.
+WorkReport collect_work(const ProfileReport& profile) {
+  // Per-op sums are commutative, so a name-keyed map makes the fold
+  // independent of thread registration order and of the parent path.
   std::map<std::string, WorkRow> merged;
-  {
-    LedgerRegistry& reg = ledger_registry();
-    const fms::MutexLock reg_lock(reg.mu);
-    for (auto& tl : reg.ledgers) {
-      const fms::MutexLock lock(tl->mu);
-      for (const Slot& slot : tl->slots) {
-        if (slot.calls == 0) continue;  // reset husk
-        WorkRow& row = merged[slot.op];
-        row.op = slot.op;
-        row.calls += slot.calls;
-        row.cost.flops += slot.cost.flops;
-        row.cost.bytes_read += slot.cost.bytes_read;
-        row.cost.bytes_written += slot.cost.bytes_written;
-        row.cost.elements += slot.cost.elements;
-      }
-    }
+  for (const ZoneStats& z : profile.zones) {
+    if (z.cost == OpCost{}) continue;
+    WorkRow& row = merged[z.name];
+    row.op = z.name;
+    row.calls += z.calls;
+    row.cost += z.cost;
   }
   WorkReport report;
   report.rows.reserve(merged.size());
   for (auto& [op, row] : merged) {
     report.total_calls += row.calls;
-    report.total.flops += row.cost.flops;
-    report.total.bytes_read += row.cost.bytes_read;
-    report.total.bytes_written += row.cost.bytes_written;
-    report.total.elements += row.cost.elements;
+    report.total += row.cost;
     report.rows.push_back(std::move(row));
   }
   return report;
@@ -485,6 +383,14 @@ OpCost codec_cost(std::size_t payload_bytes) {
   cost.bytes_read = payload_bytes;
   cost.bytes_written = payload_bytes;
   cost.elements = payload_bytes;
+  return cost;
+}
+
+OpCost copy_cost(std::size_t numel) {
+  OpCost cost;
+  cost.bytes_read = kF * static_cast<std::uint64_t>(numel);
+  cost.bytes_written = kF * static_cast<std::uint64_t>(numel);
+  cost.elements = numel;
   return cost;
 }
 

@@ -1,14 +1,14 @@
 // Per-op compute work ledger: exact FLOPs, bytes moved, and element
-// counts for every hot-path operator, recorded alongside the profiler's
-// time attribution so "where did the nanoseconds go" and "how much math
-// was that" line up call-for-call.
+// counts for every hot-path operator. Each FMS_OP (src/obs/profile.h)
+// books its OpCost on its own profiler zone, so "where did the
+// nanoseconds go" and "how much math was that" share one node, and the
+// ledger is a by-name fold over the profile tree.
 //
 // The ledger is *deterministic by construction*: costs are pure
 // functions of operand shapes (never data content), recorded as integer
-// counters, and merged across threads by op name — so two runs of the
-// same seeded search produce identical ledgers, and a run with the
-// ledger enabled is bit-identical to one without (the ledger only
-// observes; it never touches RNG streams or float accumulation order).
+// counters, and merged across threads and parent paths by op name — so
+// two runs of the same seeded search produce identical ledgers, and a
+// run with profiling on is bit-identical to one without.
 //
 // Conventions (the contract pinned by tests and DESIGN §6.3):
 //   - FLOP: every floating add/sub/mul/div/sqrt/max/compare-select
@@ -19,47 +19,24 @@
 //     traffic, not cache-level traffic); read-modify-write arrays count
 //     on both sides.
 //   - elements: output element count (payload bytes for codecs).
-//
-// Op names must be string literals (or otherwise outlive the ledger):
-// rows store the pointer, not a copy.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "src/obs/profile.h"
+
 namespace fms::obs {
 
-// One invocation's cost. Additive: recording twice doubles everything.
-struct OpCost {
-  std::uint64_t flops = 0;
-  std::uint64_t bytes_read = 0;
-  std::uint64_t bytes_written = 0;
-  std::uint64_t elements = 0;
-};
+// The ledger has no switch or state of its own. These two aliases exist
+// only because fms_benchmark/fms_benchmark.cpp still calls them; new
+// code uses set_profiling_enabled / reset_profiler.
+inline void set_work_tracking_enabled(bool on) { set_profiling_enabled(on); }
+inline void reset_work_ledger() { reset_profiler(); }
 
-namespace detail {
-inline std::atomic<bool>& work_flag() {
-  static std::atomic<bool> flag{false};
-  return flag;
-}
-
-// Out-of-line slow path (work.cpp); called only when the ledger is on.
-void work_record_slow(const char* op, const OpCost& cost);
-}  // namespace detail
-
-inline bool work_tracking_enabled() {
-  return detail::work_flag().load(std::memory_order_relaxed);
-}
-
-void set_work_tracking_enabled(bool on);
-
-// Zeroes every op's counters on every thread.
-void reset_work_ledger();
-
-// One merged row across all threads.
+// One op, merged across threads and parent paths.
 struct WorkRow {
   std::string op;
   std::uint64_t calls = 0;
@@ -74,8 +51,9 @@ struct WorkReport {
   OpCost total;
 };
 
-// Merges every thread's ledger into one deterministic report.
-WorkReport collect_work();
+// Folds the profile's costed zones by op name (across threads and parent
+// paths) into one deterministic report; zones with a zero cost only time.
+WorkReport collect_work(const ProfileReport& profile = collect_profile());
 
 // FLOPs per byte moved (read + written); 0 when no bytes moved.
 double arithmetic_intensity(const OpCost& cost);
@@ -147,6 +125,10 @@ OpCost dc_compensate_cost(std::size_t dim);
 // Message encode/decode: pure data movement, flops = 0.
 OpCost codec_cost(std::size_t payload_bytes);
 
+// Supernet gather/scatter/densify over numel floats: booked as bytes
+// only (read and written once each), flops = 0.
+OpCost copy_cost(std::size_t numel);
+
 // Transmission scheduling over k links: bytes_written is the simulated
 // wire traffic (the sum of scheduled model bytes), elements = k links.
 OpCost net_transmission_cost(std::size_t k, std::uint64_t wire_bytes);
@@ -155,13 +137,3 @@ OpCost net_transmission_cost(std::size_t k, std::uint64_t wire_bytes);
 std::size_t ceil_log2(std::size_t n);
 
 }  // namespace fms::obs
-
-// Records `cost` under `op` when the ledger is enabled. The cost
-// expression is evaluated only when tracking is on, so recording sites
-// are free in the disabled (default) state.
-#define FMS_WORK(op, cost)                                   \
-  do {                                                       \
-    if (::fms::obs::work_tracking_enabled()) {               \
-      ::fms::obs::detail::work_record_slow((op), (cost));    \
-    }                                                        \
-  } while (false)

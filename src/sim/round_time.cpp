@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/common/check.h"
+#include "src/core/deadline.h"
 #include "src/obs/span.h"
 
 namespace fms {
@@ -26,8 +27,6 @@ RoundTimeResult simulate_round_time(const RoundTimeConfig& cfg,
         std::exp(rng.normal(0.0F, static_cast<float>(cfg.speed_jitter_sigma)));
   }
 
-  const int wait_for =
-      std::max(1, static_cast<int>(std::ceil(cfg.wait_fraction * k)));
   constexpr int kMaxTrackedDelay = 4;
 
   RoundTimeResult res;
@@ -51,14 +50,11 @@ RoundTimeResult simulate_round_time(const RoundTimeConfig& cfg,
           compute +
           transfer_seconds(static_cast<std::size_t>(cfg.grad_bytes), bw);
     }
-    std::vector<double> sorted = completion;
-    std::sort(sorted.begin(), sorted.end());
-
-    // Hard sync waits for everyone.
-    res.hard_total_seconds += sorted.back();
-
-    // Soft sync ends when `wait_for` participants have finished.
-    const double soft_round = sorted[static_cast<std::size_t>(wait_for - 1)];
+    // Both rounds close by the search's own commit rule: hard sync is a
+    // full quorum, soft sync the ceil(wait_fraction * K)-th completion.
+    res.hard_total_seconds += quorum_commit(completion, 1.0, k, 0.0).deadline;
+    const double soft_round =
+        quorum_commit(completion, cfg.wait_fraction, k, 0.0).deadline;
     const double round_start = soft_clock;
     soft_clock += soft_round;
     res.soft_total_seconds += soft_round;

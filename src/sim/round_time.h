@@ -12,8 +12,10 @@
 //   completion_k = download(bytes_k / bw_k) + compute(flops_k / speed_k)
 //                + upload(grad_bytes_k / bw_k)
 // Hard sync ends the round at max_k completion_k; soft sync ends it at the
-// ceil(wait_fraction * K)-th completion. Late participants deliver their
-// update in the first later round whose end time exceeds their completion.
+// ceil(wait_fraction * K)-th completion (both by quorum_commit in
+// src/core/deadline.h, the search's own commit rule). Late participants
+// deliver their update in the first later round whose end time exceeds
+// their completion.
 #pragma once
 
 #include <vector>

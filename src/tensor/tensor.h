@@ -143,7 +143,7 @@ class Tensor {
   // --- arithmetic (elementwise, shape-checked) ---
   Tensor& operator+=(const Tensor& o) {
     FMS_CHECK(same_shape(o));
-    FMS_WORK("tensor.axpy", obs::axpy_cost(data_.size()));
+    FMS_OP("tensor.axpy", obs::axpy_cost(data_.size()));
     for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += o.data_[i];
     return *this;
   }

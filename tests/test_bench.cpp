@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <string>
 #include <vector>
@@ -176,6 +178,26 @@ TEST(BenchHarness, AccountingPassReportsExactTensorTraffic) {
   ASSERT_EQ(results.size(), 1U);
   EXPECT_EQ(results[0].allocs, 6U);
   EXPECT_EQ(results[0].bytes_alloc, 6U * 256U * sizeof(float));
+}
+
+TEST(BenchHistory, RowCarriesNonBlankSourceLines) {
+  namespace fs = std::filesystem;
+  const fs::path root = fs::temp_directory_path() / "fms_bench_src_loc";
+  fs::remove_all(root);
+  fs::create_directories(root / "sub");
+  std::ofstream(root / "a.h") << "#pragma once\n\n   \nint a();\n";
+  std::ofstream(root / "sub" / "b.cpp") << "int a() {\n\treturn 1;\n}\n\n";
+  std::ofstream(root / "sub" / "notes.md") << "not source\n";
+  const std::uint64_t loc = fms::bench::count_source_lines(root.string());
+  fs::remove_all(root);
+  EXPECT_EQ(loc, 5U);  // 2 in a.h + 3 in b.cpp; blank and .md skipped
+  EXPECT_THROW(fms::bench::count_source_lines(root.string()),
+               fms::CheckError);
+
+  const std::string row = fms::bench::history_row_json(
+      {make_result("agg.mean", 10.0)}, "abc", 7, loc);
+  EXPECT_NE(row.find("\"src_loc\": 5,"), std::string::npos) << row;
+  EXPECT_EQ(row.find('\n'), std::string::npos);  // one JSONL line
 }
 
 TEST(BenchHarness, DefaultSuiteHasAtLeastTwelveUniqueBenchmarks) {

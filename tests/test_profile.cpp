@@ -80,14 +80,12 @@ TEST_F(ProfileTest, ZoneTreeTracksNestingCallsAndExclusiveTime) {
   obs::set_profiling_enabled(true);
   obs::reset_profiler();
   for (int i = 0; i < 3; ++i) {
-    FMS_PROFILE_ZONE("outer");
-    FMS_PROFILE_BYTES(100);
+    FMS_OP("outer", obs::OpCost{.flops = 7, .bytes_read = 100});
     {
-      FMS_PROFILE_ZONE("inner");
-      FMS_PROFILE_BYTES(10);
+      FMS_OP("inner", obs::OpCost{.bytes_read = 10, .elements = 1});
     }
     {
-      FMS_PROFILE_ZONE("inner");
+      FMS_OP("inner", {});
     }
   }
   const obs::ProfileReport report = obs::collect_profile();
@@ -101,8 +99,13 @@ TEST_F(ProfileTest, ZoneTreeTracksNestingCallsAndExclusiveTime) {
   EXPECT_EQ(inner->calls, 6U);
   EXPECT_EQ(outer->depth, 0);
   EXPECT_EQ(inner->depth, 1);
-  EXPECT_EQ(outer->bytes, 300U);
-  EXPECT_EQ(inner->bytes, 30U);  // only the first inner block adds bytes
+  // Each op's cost lands on its own node, next to its calls and time.
+  EXPECT_EQ(outer->cost.flops, 21U);
+  EXPECT_EQ(outer->cost.bytes_read, 300U);
+  EXPECT_EQ(outer->cost.elements, 0U);
+  EXPECT_EQ(inner->cost.bytes_read, 30U);  // only the first inner op costs
+  EXPECT_EQ(inner->cost.elements, 3U);
+  EXPECT_EQ(inner->cost.flops, 0U);
   // Exclusive time is inclusive minus the children's inclusive, exactly.
   EXPECT_GE(outer->incl_ns, inner->incl_ns);
   EXPECT_EQ(outer->excl_ns, outer->incl_ns - inner->incl_ns);
@@ -113,10 +116,10 @@ TEST_F(ProfileTest, CollectIsDeterministicAndSelfTimeTableRenders) {
   obs::set_profiling_enabled(true);
   obs::reset_profiler();
   {
-    FMS_PROFILE_ZONE("b_zone");
-    { FMS_PROFILE_ZONE("child"); }
+    FMS_OP("b_zone", {});
+    { FMS_OP("child", {}); }
   }
-  { FMS_PROFILE_ZONE("a_zone"); }
+  { FMS_OP("a_zone", {}); }
   const obs::ProfileReport first = obs::collect_profile();
   const obs::ProfileReport second = obs::collect_profile();
   obs::set_profiling_enabled(false);

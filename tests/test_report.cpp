@@ -63,6 +63,26 @@ TEST(ReportTest, GenerationIsDeterministic) {
   EXPECT_EQ(a, b);
 }
 
+TEST(ReportTest, HistoryRowsWithSrcLocRenderLikeRowsWithout) {
+  // fms_bench --history rows carry a src_loc field the committed fixture
+  // predates; the report reads both kinds, and the field changes nothing.
+  std::istringstream rows(slurp(golden_dir() + "/history.jsonl"));
+  std::string with_loc, line;
+  while (std::getline(rows, line)) {
+    const std::size_t at = line.find(", \"benchmarks\"");
+    ASSERT_NE(at, std::string::npos) << line;
+    with_loc += line.substr(0, at) + ", \"src_loc\": 14000" +
+                line.substr(at) + "\n";
+  }
+  const std::string path = "fms_test_history_src_loc.jsonl";
+  write_file(path, with_loc);
+  obs::ReportInputs inputs = fixture_inputs();
+  inputs.history_jsonl_path = path;
+  EXPECT_EQ(obs::generate_report_html(inputs),
+            obs::generate_report_html(fixture_inputs()));
+  std::remove(path.c_str());
+}
+
 TEST(ReportTest, ReportIsSelfContained) {
   const std::string html = obs::generate_report_html(fixture_inputs());
   // No scripts, no external fetches, no file-system paths leaked.

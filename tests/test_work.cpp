@@ -1,13 +1,15 @@
 // Tests for the deterministic work ledger and the machine-peak
 // calibration (src/obs/work.*, src/obs/roofline.*): exact pinned
 // FLOP/byte counts for known shapes, ledger accumulation / merge /
-// reset semantics, coverage of the search hot path, the peak JSON
-// sidecar round-trip, and — the load-bearing guarantee — bit-identical
-// search results with the ledger on versus off.
+// reset semantics, the by-name join of every ledger row to its profiler
+// zones, coverage of the search hot path, the peak JSON sidecar
+// round-trip, and — the load-bearing guarantee — bit-identical search
+// results with profiling (and so the ledger) on versus off.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,14 +25,15 @@
 namespace fms {
 namespace {
 
-// Every test drives the process-global ledger flag; start and end clean
-// so ordering between tests (and other test files) is moot.
+// Every test drives the process-global profiling flag (the ledger has
+// no switch of its own); start and end clean so ordering between tests
+// (and other test files) is moot.
 class WorkTest : public ::testing::Test {
  protected:
   void SetUp() override {
     obs::set_telemetry_enabled(false);
-    obs::set_work_tracking_enabled(false);
-    obs::reset_work_ledger();
+    obs::set_profiling_enabled(false);
+    obs::reset_profiler();
     obs::Telemetry::instance().clear_sinks();
     obs::Telemetry::instance().registry().reset();
   }
@@ -120,6 +123,12 @@ TEST_F(WorkTest, CostModelsArePinnedForKnownShapes) {
   const obs::OpCost med = obs::agg_coordinate_median_cost(10, 7);
   EXPECT_EQ(med.flops, 7U * (10 * 4 + 1));
 
+  const obs::OpCost copy = obs::copy_cost(10);  // gather/scatter: bytes only
+  EXPECT_EQ(copy.flops, 0U);
+  EXPECT_EQ(copy.bytes_read, 40U);
+  EXPECT_EQ(copy.bytes_written, 40U);
+  EXPECT_EQ(copy.elements, 10U);
+
   const obs::OpCost axpy = obs::axpy_cost(64);
   EXPECT_EQ(axpy.flops, 64U);
   EXPECT_EQ(axpy.bytes_read, 512U);   // y read-modify-write + x
@@ -132,14 +141,14 @@ TEST_F(WorkTest, CostModelsArePinnedForKnownShapes) {
 }
 
 TEST_F(WorkTest, LedgerAccumulatesMergesDeterministicallyAndResets) {
-  obs::set_work_tracking_enabled(true);
-  obs::reset_work_ledger();
-  FMS_WORK("test.op_b", obs::matmul_cost(2, 3, 4));
-  FMS_WORK("test.op_a", obs::axpy_cost(10));
-  FMS_WORK("test.op_b", obs::matmul_cost(2, 3, 4));
+  obs::set_profiling_enabled(true);
+  obs::reset_profiler();
+  { FMS_OP("test.op_b", obs::matmul_cost(2, 3, 4)); }
+  { FMS_OP("test.op_a", obs::axpy_cost(10)); }
+  { FMS_OP("test.op_b", obs::matmul_cost(2, 3, 4)); }
   const obs::WorkReport first = obs::collect_work();
   const obs::WorkReport second = obs::collect_work();
-  obs::set_work_tracking_enabled(false);
+  obs::set_profiling_enabled(false);
 
   ASSERT_EQ(first.rows.size(), 2U);
   // Rows come back in lexicographic op order regardless of record order.
@@ -159,9 +168,42 @@ TEST_F(WorkTest, LedgerAccumulatesMergesDeterministicallyAndResets) {
     EXPECT_EQ(first.rows[i].cost.flops, second.rows[i].cost.flops);
   }
 
-  obs::reset_work_ledger();
+  obs::reset_profiler();
   EXPECT_TRUE(obs::collect_work().rows.empty());
   EXPECT_EQ(obs::collect_work().total_calls, 0U);
+}
+
+TEST_F(WorkTest, OneOpUnderTwoParentPathsFoldsIntoOneRow) {
+  obs::set_profiling_enabled(true);
+  obs::reset_profiler();
+  {
+    FMS_OP("test.parent_a", {});
+    FMS_OP("test.shared", obs::axpy_cost(8));
+  }
+  {
+    FMS_OP("test.parent_b", {});
+    FMS_OP("test.shared", obs::axpy_cost(8));
+  }
+  const obs::ProfileReport profile = obs::collect_profile();
+  const obs::WorkReport report = obs::collect_work(profile);
+  obs::set_profiling_enabled(false);
+
+  // Two zones in the tree, one under each parent...
+  int shared_zones = 0;
+  for (const obs::ZoneStats& z : profile.zones) {
+    if (z.name != "test.shared") continue;
+    ++shared_zones;
+    EXPECT_EQ(z.calls, 1U) << z.path;
+    EXPECT_EQ(z.cost.flops, 8U) << z.path;
+  }
+  EXPECT_EQ(shared_zones, 2);
+  // ...one ledger row summing both; the time-only parents are no rows.
+  ASSERT_EQ(report.rows.size(), 1U);
+  EXPECT_EQ(report.rows[0].op, "test.shared");
+  EXPECT_EQ(report.rows[0].calls, 2U);
+  EXPECT_EQ(report.rows[0].cost.flops, 16U);
+  EXPECT_EQ(report.rows[0].cost.bytes_read, 2 * obs::axpy_cost(8).bytes_read);
+  EXPECT_EQ(report.total_calls, 2U);
 }
 
 TEST_F(WorkTest, DisabledLedgerRecordsNothingAndEvaluatesNoCost) {
@@ -170,19 +212,23 @@ TEST_F(WorkTest, DisabledLedgerRecordsNothingAndEvaluatesNoCost) {
     ++evaluations;
     return obs::axpy_cost(8);
   };
-  FMS_WORK("test.never", costed());
+  {
+    FMS_OP("test.never", costed());
+    obs::ScopedOp late("test.never_late");
+    late.add(costed);
+  }
   EXPECT_EQ(evaluations, 0);  // cost expression must not run when off
   EXPECT_TRUE(obs::collect_work().rows.empty());
 }
 
 TEST_F(WorkTest, TensorAxpyIsRecorded) {
-  obs::set_work_tracking_enabled(true);
-  obs::reset_work_ledger();
+  obs::set_profiling_enabled(true);
+  obs::reset_profiler();
   Tensor a({64}, 1.0F);
   const Tensor b({64}, 2.0F);
   a += b;
   const obs::WorkReport report = obs::collect_work();
-  obs::set_work_tracking_enabled(false);
+  obs::set_profiling_enabled(false);
 
   const obs::WorkRow* axpy = find_op(report, "tensor.axpy");
   ASSERT_NE(axpy, nullptr);
@@ -200,13 +246,13 @@ TEST_F(WorkTest, SearchLedgerCoversHotOpsAndOnOffIsBitIdentical) {
   auto run = [&](bool tracked) {
     TinyWorld w = make_tiny_world(55);
     FederatedSearch search(w.cfg, w.data.train, w.partition);
-    obs::set_work_tracking_enabled(tracked);
-    obs::reset_work_ledger();
+    obs::set_profiling_enabled(tracked);
+    obs::reset_profiler();
     search.run_warmup(1);
     std::vector<RoundRecord> records = search.run_search(3, opts);
     const Genotype genotype = search.derive();
     if (tracked) on_report = obs::collect_work();
-    obs::set_work_tracking_enabled(false);
+    obs::set_profiling_enabled(false);
     return std::make_pair(std::move(records), genotype.to_string());
   };
   const auto off = run(false);
@@ -231,6 +277,39 @@ TEST_F(WorkTest, SearchLedgerCoversHotOpsAndOnOffIsBitIdentical) {
   EXPECT_GT(on_report.total.bytes_read, 0U);
 }
 
+TEST_F(WorkTest, EveryLedgerRowJoinsItsSameNamedZones) {
+  // A ledger row and the zones of the same name describe the same calls:
+  // equal call counts and real time. The ops that once booked work with
+  // no zone to match (the default path's agg.mean, net.transmission,
+  // tensor.axpy) must be among the joined rows.
+  SearchOptions opts;
+  TinyWorld w = make_tiny_world(55);
+  FederatedSearch search(w.cfg, w.data.train, w.partition);
+  obs::set_profiling_enabled(true);
+  obs::reset_profiler();
+  search.run_warmup(1);
+  search.run_search(3, opts);
+  const obs::ProfileReport profile = obs::collect_profile();
+  const obs::WorkReport work = obs::collect_work();
+  obs::set_profiling_enabled(false);
+
+  std::map<std::string, obs::ZoneStats> by_name;
+  for (const obs::ZoneStats& z : profile.zones) {
+    obs::ZoneStats& sum = by_name[z.name];
+    sum.calls += z.calls;
+    sum.incl_ns += z.incl_ns;
+  }
+  for (const obs::WorkRow& row : work.rows) {
+    const auto it = by_name.find(row.op);
+    ASSERT_NE(it, by_name.end()) << "no zone for ledger row " << row.op;
+    EXPECT_EQ(it->second.calls, row.calls) << row.op;
+    EXPECT_GT(it->second.incl_ns, 0U) << row.op;
+  }
+  for (const char* op : {"agg.mean", "net.transmission", "tensor.axpy"}) {
+    EXPECT_NE(find_op(work, op), nullptr) << "missing ledger row " << op;
+  }
+}
+
 TEST_F(WorkTest, SearchLedgerIsReproducibleAcrossRuns) {
   // The counts themselves are part of the deterministic surface: two
   // identical searches must produce identical ledgers, exactly.
@@ -239,13 +318,13 @@ TEST_F(WorkTest, SearchLedgerIsReproducibleAcrossRuns) {
   for (int run = 0; run < 2; ++run) {
     TinyWorld w = make_tiny_world(77);
     FederatedSearch search(w.cfg, w.data.train, w.partition);
-    obs::set_work_tracking_enabled(true);
-    obs::reset_work_ledger();
+    obs::set_profiling_enabled(true);
+    obs::reset_profiler();
     search.run_warmup(1);
     search.run_search(2, opts);
     reports.push_back(obs::collect_work());
-    obs::set_work_tracking_enabled(false);
-    obs::reset_work_ledger();
+    obs::set_profiling_enabled(false);
+    obs::reset_profiler();
   }
   ASSERT_EQ(reports[0].rows.size(), reports[1].rows.size());
   for (std::size_t i = 0; i < reports[0].rows.size(); ++i) {
@@ -264,8 +343,8 @@ TEST_F(WorkTest, SearchLedgerIsReproducibleAcrossRuns) {
 TEST_F(WorkTest, MessageCodecsRecordPayloadBytes) {
   // Wire codecs move bytes, not FLOPs: each serialize/deserialize books
   // the payload once on each side of the convention.
-  obs::set_work_tracking_enabled(true);
-  obs::reset_work_ledger();
+  obs::set_profiling_enabled(true);
+  obs::reset_profiler();
   UpdateMsg msg;
   msg.round = 3;
   msg.participant = 1;
@@ -274,7 +353,7 @@ TEST_F(WorkTest, MessageCodecsRecordPayloadBytes) {
   const std::vector<std::uint8_t> wire = msg.serialize();
   const UpdateMsg back = UpdateMsg::deserialize(wire);
   const obs::WorkReport report = obs::collect_work();
-  obs::set_work_tracking_enabled(false);
+  obs::set_profiling_enabled(false);
 
   EXPECT_EQ(back.round, 3);
   const obs::WorkRow* enc = find_op(report, "fed.encode");
@@ -289,12 +368,12 @@ TEST_F(WorkTest, MessageCodecsRecordPayloadBytes) {
 }
 
 TEST_F(WorkTest, WorkTableRendersSortedByFlops) {
-  obs::set_work_tracking_enabled(true);
-  obs::reset_work_ledger();
-  FMS_WORK("test.light", obs::axpy_cost(4));
-  FMS_WORK("test.heavy", obs::matmul_cost(64, 64, 64));
+  obs::set_profiling_enabled(true);
+  obs::reset_profiler();
+  { FMS_OP("test.light", obs::axpy_cost(4)); }
+  { FMS_OP("test.heavy", obs::matmul_cost(64, 64, 64)); }
   const obs::WorkReport report = obs::collect_work();
-  obs::set_work_tracking_enabled(false);
+  obs::set_profiling_enabled(false);
 
   const std::string table = obs::work_table(report);
   EXPECT_NE(table.find("mflops"), std::string::npos);
@@ -306,11 +385,11 @@ TEST_F(WorkTest, WorkTableRendersSortedByFlops) {
 }
 
 TEST_F(WorkTest, EmitWorkTelemetrySetsPerOpGauges) {
-  obs::set_work_tracking_enabled(true);
-  obs::reset_work_ledger();
-  FMS_WORK("test.emit", obs::matmul_cost(2, 3, 4));
+  obs::set_profiling_enabled(true);
+  obs::reset_profiler();
+  { FMS_OP("test.emit", obs::matmul_cost(2, 3, 4)); }
   const obs::WorkReport report = obs::collect_work();
-  obs::set_work_tracking_enabled(false);
+  obs::set_profiling_enabled(false);
 
   obs::set_telemetry_enabled(true);
   obs::emit_work_telemetry(report);

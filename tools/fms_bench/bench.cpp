@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -237,28 +238,25 @@ std::vector<BenchResult> run_benchmarks(
     result.p90_ns = percentile(per_iter_ns, 0.9);
 
     if (opts.accounting_pass) {
-      // Untimed instrumented repetition: alloc ledger + zone tree. Saved
-      // and restored around the pass so the harness composes with
-      // externally enabled profiling.
+      // Untimed instrumented repetition: alloc ledger + op tree (time
+      // and work). Saved and restored around the pass so the harness
+      // composes with externally enabled profiling.
       const bool prof_was = obs::profiling_enabled();
       const bool alloc_was = obs::alloc_tracking_enabled();
-      const bool work_was = obs::work_tracking_enabled();
       const obs::AllocStats before_stats = obs::alloc_stats();
       obs::set_profiling_enabled(true);
       obs::set_alloc_tracking_enabled(true);
-      obs::set_work_tracking_enabled(true);
       obs::reset_profiler();
       obs::reset_alloc_stats();
-      obs::reset_work_ledger();
       for (int i = 0; i < bench.iters; ++i) iteration();
       const obs::AllocStats after = obs::alloc_stats();
       result.bytes_alloc = after.total_bytes;
       result.allocs = after.allocs;
-      const obs::WorkReport work = obs::collect_work();
+      const obs::ProfileReport report = obs::collect_profile();
+      const obs::WorkReport work = obs::collect_work(report);
       result.flops = work.total.flops;
       result.bytes_read = work.total.bytes_read;
       result.bytes_written = work.total.bytes_written;
-      const obs::ProfileReport report = obs::collect_profile();
       for (const obs::ZoneStats& z : report.zones) {
         // reset_profiler keeps the merged tree's shape, so zones from
         // earlier benchmarks reappear with zeroed counters; skip them.
@@ -267,10 +265,8 @@ std::vector<BenchResult> run_benchmarks(
       }
       obs::set_profiling_enabled(prof_was);
       obs::set_alloc_tracking_enabled(alloc_was);
-      obs::set_work_tracking_enabled(work_was);
       obs::restore_alloc_stats(before_stats);
       obs::reset_profiler();
-      obs::reset_work_ledger();
     }
 
     if (log) {
@@ -420,11 +416,13 @@ double bench_arithmetic_intensity(const BenchResult& r) {
 
 std::string history_row_json(const std::vector<BenchResult>& results,
                              const std::string& git_sha,
-                             long long timestamp_unix) {
+                             long long timestamp_unix, std::uint64_t src_loc) {
   std::string out = "{\"schema\": 1, \"git_sha\": ";
   append_json_string(&out, git_sha);
   out += ", \"timestamp_unix\": ";
   append_json_number(&out, static_cast<double>(timestamp_unix));
+  out += ", \"src_loc\": ";
+  append_json_number(&out, static_cast<double>(src_loc));
   out += ", \"benchmarks\": {";
   bool first = true;
   for (const BenchResult& r : results) {
@@ -441,6 +439,22 @@ std::string history_row_json(const std::vector<BenchResult>& results,
   }
   out += "}}";
   return out;
+}
+
+std::uint64_t count_source_lines(const std::string& root) {
+  namespace fs = std::filesystem;
+  FMS_CHECK_MSG(fs::is_directory(root), "not a source directory: " << root);
+  std::uint64_t lines = 0;
+  for (const fs::directory_entry& e : fs::recursive_directory_iterator(root)) {
+    const std::string ext = e.path().extension().string();
+    if (!e.is_regular_file() || (ext != ".h" && ext != ".cpp")) continue;
+    std::ifstream in(e.path());
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.find_first_not_of(" \t\r\f\v") != std::string::npos) ++lines;
+    }
+  }
+  return lines;
 }
 
 void append_history_row(const std::string& path, const std::string& row) {

@@ -122,11 +122,16 @@ std::string format_compare(const CompareOutcome& outcome);
 // --- BENCH_history.jsonl ---
 
 // One appendable history row: {"schema": 1, "git_sha": ..,
-// "timestamp_unix": .., "benchmarks": {name: {"median_ns": ..,
-// "gflops": .., "ai": ..}, ..}} on a single line.
+// "timestamp_unix": .., "src_loc": .., "benchmarks": {name:
+// {"median_ns": .., "gflops": .., "ai": ..}, ..}} on a single line.
+// src_loc is the code-size trajectory next to the speed one.
 std::string history_row_json(const std::vector<BenchResult>& results,
                              const std::string& git_sha,
-                             long long timestamp_unix);
+                             long long timestamp_unix, std::uint64_t src_loc);
+
+// Non-blank lines over every *.h / *.cpp file under `root`, recursively.
+// Throws fms::CheckError when `root` is not a directory.
+std::uint64_t count_source_lines(const std::string& root);
 
 // Appends `row` (newline-terminated) to `path`. Throws fms::CheckError
 // when the file cannot be opened for append.

@@ -35,7 +35,8 @@ options:
   --profile       print the merged self-time table after the run
   --list          list benchmark names and exit
   --gate PCT      regression gate percentage for --compare (default 10)
-  --history PATH  append one {sha, timestamp, per-bench medians} row
+  --history PATH  append one {sha, timestamp, src/ non-blank lines,
+                  per-bench medians} row
   --git-sha SHA   git sha recorded in the history row (default unknown)
   --timestamp T   unix timestamp for the outputs (default: current time)
   --peak PATH     machine-peak sidecar; calibrates + caches when absent,
@@ -157,7 +158,9 @@ int main(int argc, char** argv) {
     if (!history_path.empty()) {
       fms::bench::append_history_row(
           history_path,
-          fms::bench::history_row_json(results, git_sha, stamp));
+          fms::bench::history_row_json(
+              results, git_sha, stamp,
+              fms::bench::count_source_lines(FMS_SOURCE_ROOT)));
       std::printf("appended history row to %s (sha %s)\n",
                   history_path.c_str(), git_sha.c_str());
     }
