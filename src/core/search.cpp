@@ -30,6 +30,23 @@ namespace {
 // instead of misparsing a shifted layout.
 constexpr std::uint32_t kRuntimeMagic = 0x464d5334;  // "FMS4"
 
+// One participant's fate in a round, as plan_round decides it.
+enum class Slot : std::uint8_t {
+  kAbsent,     // churned away: nothing dispatched, nothing booked
+  kShed,       // live, but outside the degraded cohort
+  kOffline,    // crashed or dropped out (fault = kCrash / kDropout)
+  kLinkDead,   // download never landed (faulted link or dead trace)
+  kDispatched  // trains on masks[mask] this round
+};
+
+struct ParticipantPlan {
+  Slot slot = Slot::kAbsent;
+  int mask = -1;         // index into RoundPlan::masks
+  double latency = 0.0;  // download latency after link faults
+  LinkOutcome link;      // download-link outcome (fault plans only)
+  std::optional<FaultKind> fault;  // attached for exactly-once accounting
+};
+
 }  // namespace
 
 FederatedSearch::FederatedSearch(const SearchConfig& cfg,
@@ -152,35 +169,73 @@ void FederatedSearch::journal_round(std::uint8_t phase,
   journal_->append(f);
   if (obs::telemetry_enabled()) {
     const JournalStats& after = journal_->stats();
-    auto& reg = obs::Telemetry::instance().registry();
-    if (after.frames_written > before.frames_written) {
-      reg.counter("fms.journal.frames_written").add(1);
-    }
-    if (after.eio_retries > before.eio_retries) {
-      reg.counter("fms.journal.eio_retries").add(1);
-    }
-    if (after.short_writes > before.short_writes) {
-      reg.counter("fms.journal.short_writes").add(1);
+    for (const auto& [name, field] :
+         {std::pair{"fms.journal.frames_written", &JournalStats::frames_written},
+          std::pair{"fms.journal.eio_retries", &JournalStats::eio_retries},
+          std::pair{"fms.journal.short_writes", &JournalStats::short_writes}}) {
+      if (after.*field > before.*field) {
+        obs::Telemetry::instance().registry().counter(name).add(1);
+      }
     }
   }
 }
 
+// Every serial decision of a round (Alg. 1 lines 4-11), in draw order.
+struct FederatedSearch::RoundPlan {
+  int round = 0;
+  bool soft_sync = false;
+  ClientRegistry::RoundMembership membership;
+  std::vector<Mask> masks;
+  std::vector<ParticipantPlan> participants;
+  double deadline = 0.0;  // quorum commit tick
+};
+
+// What one dispatched participant sends back (Alg. 1 lines 37-42).
+struct FederatedSearch::ExecutedUpdate {
+  UpdateMsg upd;
+  std::size_t shipped = 0;  // values in the SubmodelMsg it trained on
+  float reward = 0.0F;      // training accuracy before any injected lie
+};
+
+// An arrival that survived screening and the stale policy.
+struct FederatedSearch::AppliedUpdate {
+  int participant = 0;
+  int origin_round = 0;
+  std::vector<std::size_t> ids;
+  std::vector<float> grads;
+  float reward = 0.0F;
+  AlphaPair dlogp;
+};
+
 RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
-  const int k = num_participants();
   const bool telemetry = obs::telemetry_enabled();
   if (telemetry) obs::Telemetry::instance().set_round(t);
-  // Causal tracing (src/obs/trace_ctx): every hook below is purely
+  // Causal tracing (src/obs/trace_ctx): every hook in the round is purely
   // observational — no RNG draw, no float op — so the search trajectory is
   // bit-identical with tracing on or off (pinned by test).
-  const bool tracing = obs::tracing_enabled();
-  obs::TraceContext& trace = obs::TraceContext::instance();
-  if (tracing) trace.begin_round(t);
+  obs::TraceContext::instance().begin_round(t);
   FMS_SPAN("round");
   RoundRecord rec;
   rec.round = t;
   const FaultStats stats_before = fault_stats_;
-  const FaultInjector injector(opts.fault_plan, k);
+  const FaultInjector injector(opts.fault_plan, num_participants());
+  const RoundPlan plan = plan_round(t, opts, injector, rec);
+  commit_round(plan, execute_round(plan, opts, injector), opts, injector, rec);
+  if (telemetry) record_round_telemetry(rec, opts, stats_before);
+  return rec;
+}
+
+// Plan (Alg. 1 lines 4-11): every serial decision of the round, in the
+// order the main RNG stream has always been drawn.
+FederatedSearch::RoundPlan FederatedSearch::plan_round(
+    int t, const SearchOptions& opts, const FaultInjector& injector,
+    RoundRecord& rec) {
+  const int k = num_participants();
   const bool faults = injector.active();
+  RoundPlan plan;
+  plan.round = t;
+  plan.soft_sync = opts.stale_policy != StalePolicy::kHardSync;
+  plan.participants.resize(static_cast<std::size_t>(k));
 
   // --- churn membership + degradation mode for the round ---
   // The churn model is a pure function of (seed, client, round); the
@@ -188,7 +243,8 @@ RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
   // Both are observational with an empty plan: live == k, joined == left
   // == 0, and the round proceeds exactly as before the churn layer.
   const ChurnModel churn(opts.churn_plan, k);
-  const ClientRegistry::RoundMembership mem = registry_.begin_round(churn, t);
+  plan.membership = registry_.begin_round(churn, t);
+  const ClientRegistry::RoundMembership& mem = plan.membership;
   rec.live = mem.live;
   rec.joined = mem.joined;
   rec.left = mem.left;
@@ -199,29 +255,22 @@ RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
   rec.degrade_mode = static_cast<int>(mode);
 
   // --- sample masks and snapshot state (Alg. 1 lines 4-9) ---
-  std::vector<Mask> masks;
-  const bool soft_sync = opts.stale_policy != StalePolicy::kHardSync;
   {
     FMS_SPAN("sample");
-    masks.reserve(static_cast<std::size_t>(k));
-    for (int i = 0; i < k; ++i) masks.push_back(policy_.sample(rng_));
-    if (soft_sync) {
+    plan.masks.reserve(static_cast<std::size_t>(k));
+    for (int i = 0; i < k; ++i) plan.masks.push_back(policy_.sample(rng_));
+    if (plan.soft_sync) {
       RoundSnapshot snap;
       snap.theta = supernet_->flat_values();
       snap.alpha = policy_.alpha();
-      snap.masks = masks;
+      snap.masks = plan.masks;
       pool_.save(t, std::move(snap));
     }
   }
 
   // --- adaptive transmission (Alg. 1 lines 10-11, Fig. 7) ---
   // Effective download latency per participant after link faults and the
-  // retransmit-with-backoff defense; infinity marks a dead link.
-  std::vector<int> assignment;
-  std::vector<double> latency(static_cast<std::size_t>(k), 0.0);
-  std::vector<char> offline(static_cast<std::size_t>(k), 0);
-  std::vector<char> link_dead(static_cast<std::size_t>(k), 0);
-  std::vector<LinkOutcome> links(static_cast<std::size_t>(k));
+  // retransmit-with-backoff defense.
   LatencyStats lat;  // raw modeled latencies; cohort selection reads them
   {
     FMS_SPAN("transmit");
@@ -231,38 +280,42 @@ RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
     bandwidths.reserve(static_cast<std::size_t>(k));
     for (int i = 0; i < k; ++i) {
       model_bytes.push_back(
-          supernet_->submodel_bytes(masks[static_cast<std::size_t>(i)]));
+          supernet_->submodel_bytes(plan.masks[static_cast<std::size_t>(i)]));
       // Traces advance for every participant — offline or not — so a faulty
       // run stays on the fault-free run's bandwidth trajectory.
       bandwidths.push_back(traces_[static_cast<std::size_t>(i)].next_bps());
     }
-    assignment = assign_models(model_bytes, bandwidths, opts.assign, rng_);
+    const std::vector<int> assignment =
+        assign_models(model_bytes, bandwidths, opts.assign, rng_);
     lat = transmission_latency(
         model_bytes, bandwidths, assignment,
         opts.assign == AssignStrategy::kAverageSize);
     rec.max_latency_s = lat.max_seconds;
     rec.mean_latency_s = lat.mean_seconds;
     for (int i = 0; i < k; ++i) {
-      const auto ui = static_cast<std::size_t>(i);
+      ParticipantPlan& p = plan.participants[static_cast<std::size_t>(i)];
+      p.mask = assignment[static_cast<std::size_t>(i)];
       if (faults && injector.is_offline(i, t)) {
-        offline[ui] = 1;
+        p.slot = Slot::kOffline;
+        p.fault = injector.is_crashed(i, t) ? FaultKind::kCrash
+                                            : FaultKind::kDropout;
         continue;
       }
-      double li = lat.per_participant[ui];
+      double li = lat.per_participant[static_cast<std::size_t>(i)];
       if (faults) {
-        links[ui] = injector.link_outcome(i, t, opts.max_retransmits,
-                                          opts.retransmit_backoff_s);
-        if (!links[ui].delivered) {
-          link_dead[ui] = 1;
-          continue;
-        }
-        li = li / links[ui].bandwidth_scale + links[ui].extra_seconds;
+        p.link = injector.link_outcome(i, t, opts.max_retransmits,
+                                       opts.retransmit_backoff_s);
+        li = li / p.link.bandwidth_scale + p.link.extra_seconds;
       }
-      if (!std::isfinite(li)) {  // zero-bandwidth link from the trace itself
-        link_dead[ui] = 1;
+      // A dead link — every attempt failed, or the trace itself has zero
+      // bandwidth — never delivers the download.
+      if (!p.link.delivered || !std::isfinite(li)) {
+        p.slot = Slot::kLinkDead;
         continue;
       }
-      latency[ui] = li;
+      p.slot = Slot::kDispatched;
+      p.latency = li;
+      p.fault = injector.update_fault(i, t);
     }
   }
 
@@ -270,37 +323,29 @@ RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
   // only to the fastest cohort_fraction of the live fleet, ranked by the
   // raw modeled download latency (the bandwidth the server just measured),
   // ties broken by id — deterministic, no RNG draw.
-  std::vector<char> in_cohort(static_cast<std::size_t>(k), 0);
-  {
-    for (int i = 0; i < k; ++i) {
-      in_cohort[static_cast<std::size_t>(i)] =
-          mem.live_mask[static_cast<std::size_t>(i)];
-    }
-    if (mode >= DegradeMode::kShrinkCohort && mem.live > 0) {
-      std::vector<std::pair<double, int>> order;
-      order.reserve(static_cast<std::size_t>(mem.live));
-      for (int i = 0; i < k; ++i) {
-        if (mem.live_mask[static_cast<std::size_t>(i)] != 0) {
-          order.emplace_back(lat.per_participant[static_cast<std::size_t>(i)],
-                             i);
-        }
-      }
-      std::sort(order.begin(), order.end());
-      int keep = static_cast<int>(
-          std::ceil(opts.degrade.cohort_fraction *
-                    static_cast<double>(mem.live)));
-      keep = std::max(keep, std::min(opts.degrade.min_cohort, mem.live));
-      keep = std::min(keep, mem.live);
-      for (std::size_t o = static_cast<std::size_t>(keep); o < order.size();
-           ++o) {
-        in_cohort[static_cast<std::size_t>(order[o].second)] = 0;
-      }
-    }
-  }
-  rec.cohort = 0;
+  std::vector<std::pair<double, int>> order;  // the live fleet
   for (int i = 0; i < k; ++i) {
-    if (in_cohort[static_cast<std::size_t>(i)] != 0) ++rec.cohort;
+    const auto ui = static_cast<std::size_t>(i);
+    if (mem.live_mask[ui] == 0) {
+      plan.participants[ui].slot = Slot::kAbsent;
+    } else {
+      order.emplace_back(lat.per_participant[ui], i);
+    }
   }
+  int shed = 0;
+  if (mode >= DegradeMode::kShrinkCohort && mem.live > 0) {
+    std::sort(order.begin(), order.end());
+    int keep = static_cast<int>(std::ceil(opts.degrade.cohort_fraction *
+                                          static_cast<double>(mem.live)));
+    keep = std::max(keep, std::min(opts.degrade.min_cohort, mem.live));
+    keep = std::min(keep, mem.live);
+    for (std::size_t o = static_cast<std::size_t>(keep); o < order.size();
+         ++o, ++shed) {
+      plan.participants[static_cast<std::size_t>(order[o].second)].slot =
+          Slot::kShed;
+    }
+  }
+  rec.cohort = static_cast<int>(order.size()) - shed;
   rec.shed = mem.live - rec.cohort;
 
   // --- quorum commit (defense): close the round at the ceil(q*K)-th
@@ -311,16 +356,12 @@ RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
   // when churn shrank the live set — that erosion is exactly the signal
   // the degradation controller keys on. Mode >= partial_quorum relieves
   // the requirement itself so rounds commit with what arrived.
-  double deadline = std::numeric_limits<double>::infinity();
   {
     FMS_SPAN("quorum");
     std::vector<double> cands;
     cands.reserve(static_cast<std::size_t>(k));
-    for (int i = 0; i < k; ++i) {
-      const auto ui = static_cast<std::size_t>(i);
-      if (in_cohort[ui] != 0 && offline[ui] == 0 && link_dead[ui] == 0) {
-        cands.push_back(latency[ui]);
-      }
+    for (const ParticipantPlan& p : plan.participants) {
+      if (p.slot == Slot::kDispatched) cands.push_back(p.latency);
     }
     // Timeout cap: the adaptive windowed-quantile deadline replaces the
     // static round_timeout_s once warm; degradation mode >= relax_deadline
@@ -337,18 +378,157 @@ RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
     double q = opts.quorum;
     if (mode >= DegradeMode::kPartialQuorum) q *= opts.degrade.quorum_relief;
     const QuorumOutcome qo = quorum_commit(cands, q, k, timeout);
-    deadline = qo.deadline;
+    plan.deadline = qo.deadline;
     rec.partial_quorum = qo.partial;
     rec.commit_latency_s = qo.commit_latency_s;
-    if (tracing) {
-      // Server-track commit event at the deadline tick.
-      trace.record(-1, obs::Stage::kQuorum, rec.commit_latency_s, 0.0,
-                   rec.commit_latency_s,
-                   rec.partial_quorum ? "partial" : "full");
+    // Server-track commit event at the deadline tick.
+    obs::TraceContext::instance().record(
+        -1, obs::Stage::kQuorum, rec.commit_latency_s, 0.0,
+        rec.commit_latency_s, rec.partial_quorum ? "partial" : "full");
+  }
+  return plan;
+}
+
+// Execute (Alg. 1 lines 37-42): each dispatched participant's own work —
+// build its SubmodelMsg, flip the downlink bits, train, run the uplink
+// codec and the injected update transform. const, and the injector is
+// stateless: nothing here writes server state, a ledger, or any RNG but
+// the participant's own.
+std::vector<FederatedSearch::ExecutedUpdate> FederatedSearch::execute_round(
+    const RoundPlan& plan, const SearchOptions& opts,
+    const FaultInjector& injector) const {
+  const int t = plan.round;
+  std::vector<ExecutedUpdate> done(plan.participants.size());
+  for (std::size_t ui = 0; ui < done.size(); ++ui) {
+    const ParticipantPlan& p = plan.participants[ui];
+    if (p.slot != Slot::kDispatched) continue;
+    const int i = static_cast<int>(ui);
+    // Explicit engaged check, not optional==value: GCC -O3 false-fires
+    // -Wmaybe-uninitialized on that operator== (a break under FMS_WERROR).
+    const bool corrupt =
+        p.fault.has_value() && *p.fault == FaultKind::kCorruptPayload;
+    SubmodelMsg msg;
+    msg.round = t;
+    msg.mask = plan.masks[static_cast<std::size_t>(p.mask)];
+    {
+      FMS_SPAN("prune");
+      msg.values =
+          supernet_->gather_values(supernet_->masked_param_ids(msg.mask));
+      if (opts.codec != Codec::kFloat32) {
+        msg.values = codec_round_trip(msg.values, opts.codec);
+      }
+    }
+    // One corruption event flips bits on the wire in both directions:
+    // the SubmodelMsg the client trains on and the UpdateMsg it returns.
+    if (corrupt) injector.corrupt(msg.values, i, t);
+    done[ui].shipped = msg.values.size();
+    UpdateMsg& upd = done[ui].upd;
+    upd = participants_[ui]->train_step(msg);
+    done[ui].reward = upd.reward;
+    if (opts.codec != Codec::kFloat32) {
+      upd.grads = codec_round_trip(upd.grads, opts.codec);
+    }
+    if (!p.fault.has_value()) continue;
+    if (*p.fault == FaultKind::kDivergent) {
+      injector.poison(upd, i, t);
+    } else if (corrupt) {
+      injector.corrupt(upd.grads, i, t);
+    } else {
+      injector.attack(upd, *p.fault, i, t);
+    }
+  }
+  return done;
+}
+
+// Commit (Alg. 1 lines 12-31): everything that writes server state,
+// serially and in participant-index order.
+void FederatedSearch::commit_round(const RoundPlan& plan,
+                                   std::vector<ExecutedUpdate> done,
+                                   const SearchOptions& opts,
+                                   const FaultInjector& injector,
+                                   RoundRecord& rec) {
+  commit_dispatches(plan, std::move(done), opts, injector, rec);
+  total_bytes_down_ += rec.bytes_down;
+  total_bytes_up_ += rec.bytes_up;
+  supernet_->zero_grad();
+  aggregate_round(collect_arrivals(plan.round, opts, injector, rec), opts,
+                  rec);
+  if (plan.soft_sync) pool_.evict(plan.round);
+
+  // --- degradation controller (hysteresis over committed outcomes) ---
+  obs::TraceContext& trace = obs::TraceContext::instance();
+  if (opts.degrade.max_mode > 0) {
+    // Bad round: the quorum was not met on time, or the timeout cap
+    // itself closed the round while stragglers were still inbound
+    // (deadline blow-through).
+    const bool cap_bound = rec.deadline_s > 0.0 &&
+                           std::isfinite(plan.deadline) &&
+                           plan.deadline >= rec.deadline_s - 1e-12 &&
+                           rec.late > 0;
+    const DegradationController::Transition dtr =
+        degrade_.observe(rec.partial_quorum || cap_bound, opts.degrade);
+    if (dtr.changed) {
+      rec.degrade_transition = std::string(degrade_mode_name(dtr.from)) +
+                               "->" + degrade_mode_name(dtr.to);
+      if (static_cast<int>(dtr.to) > static_cast<int>(dtr.from)) {
+        // Stepping deeper into degradation is an incident: snapshot the
+        // per-participant lifecycle ring for the post-mortem.
+        trace.dump_flight(std::string("degrade_enter:") +
+                          degrade_mode_name(dtr.to));
+      }
     }
   }
 
-  // --- dispatch, local training, delayed arrival (lines 12-15) ---
+  // --- search-health monitor + flight-recorder triggers ---
+  if (health_) {
+    obs::HealthSignal sig;
+    sig.participants = num_participants();
+    sig.live = rec.live;
+    sig.joined = rec.joined;
+    sig.left = rec.left;
+    if (obs::alloc_tracking_enabled()) {
+      sig.live_alloc_bytes = obs::alloc_stats().live_bytes;
+    }
+    rec.health = static_cast<int>(health_->observe(rec, sig));
+    for (const obs::DetectorStatus& d : health_->detectors()) {
+      if (d.state >= obs::HealthState::kWarn) {
+        if (!rec.health_trips.empty()) rec.health_trips += ",";
+        rec.health_trips += d.name;
+      }
+    }
+    if (health_->crit_transition()) {
+      trace.dump_flight("health_crit:" + health_->last_crit_detectors()[0]);
+    }
+  }
+  if (rec.partial_quorum) trace.dump_flight("quorum_failure");
+  // Advance the sim clock past this round so the next round's events
+  // render after it (the committed deadline bounds everything recorded at
+  // a latency offset; stragglers surface as kArrive next rounds).
+  trace.end_round(std::max(rec.commit_latency_s, rec.max_latency_s));
+}
+
+void FederatedSearch::drop_update(RoundRecord& rec, int participant,
+                                  int origin_round, bool faulted,
+                                  double offset_s, double value,
+                                  std::string_view reason) {
+  ++rec.dropped;
+  if (faulted) ++fault_stats_.dropped;
+  obs::TraceContext::instance().record(participant, obs::Stage::kDrop,
+                                       offset_s, 0.0, value, reason,
+                                       origin_round);
+}
+
+// Dispatch, delayed arrival (Alg. 1 lines 12-15): books each participant's
+// planned fate and executed update — fault ledger, bytes, lifecycle
+// events, uplink outcome, deadline — and queues the survivors by arrival
+// round.
+void FederatedSearch::commit_dispatches(const RoundPlan& plan,
+                                        std::vector<ExecutedUpdate> done,
+                                        const SearchOptions& opts,
+                                        const FaultInjector& injector,
+                                        RoundRecord& rec) {
+  const int t = plan.round;
+  obs::TraceContext& trace = obs::TraceContext::instance();
   // Serialized mask/header overhead of a message whose values travel
   // through the configured codec.
   auto payload_bytes = [&](const Mask& m, std::size_t num_values) {
@@ -357,7 +537,7 @@ RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
   };
   obs::Histogram* down_hist = nullptr;
   obs::Histogram* up_hist = nullptr;
-  if (telemetry) {
+  if (obs::telemetry_enabled()) {
     auto& reg = obs::Telemetry::instance().registry();
     // Per-participant payload distribution, in bytes (linear-ish coverage
     // from 1KB to 100MB via the default log-spaced buckets scaled by 1e9).
@@ -366,154 +546,83 @@ RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
     down_hist = &reg.histogram("fms.participant.bytes_down", byte_bounds);
     up_hist = &reg.histogram("fms.participant.bytes_up", byte_bounds);
   }
-  // Classifies the outcome of a payload fault attached to an update that
-  // never gets applied (the third outcome, "recovered", is recorded at
-  // apply time in the arrivals loop below).
-  auto account_payload_drop = [&](const std::optional<FaultKind>& pf) {
-    if (pf.has_value()) ++fault_stats_.dropped;
+  // A faulted download or upload: one injection, its retries, a kFault
+  // event, and whether the retries absorbed it (recovered) or not.
+  auto book_link = [&](int i, std::uint64_t& injected, const LinkOutcome& l,
+                       double offset_s, bool lost, std::string_view tag) {
+    ++injected;
+    fault_stats_.retransmits += static_cast<std::uint64_t>(l.retransmits);
+    rec.retransmits += l.retransmits;
+    trace.record(i, obs::Stage::kFault, offset_s, l.extra_seconds,
+                 static_cast<double>(l.retransmits), tag);
+    ++(lost ? fault_stats_.dropped : fault_stats_.recovered);
   };
-  for (int i = 0; i < k; ++i) {
-    const auto ui = static_cast<std::size_t>(i);
+  for (std::size_t ui = 0; ui < done.size(); ++ui) {
+    const int i = static_cast<int>(ui);
+    const ParticipantPlan& p = plan.participants[ui];
     // Staleness draws happen for every participant — even offline or
     // churned-away ones — so faulty/churny and clean runs consume the
     // same staleness stream.
     const int tau_draw =
-        soft_sync ? opts.staleness.sample_traced(staleness_rng_, i) : 0;
-    if (mem.live_mask[ui] == 0) {
-      // Churned away: not a fault. The server never dispatches, charges
-      // no bytes, and books nothing in the fault ledger — the client
-      // simply is not there this round.
-      if (tracing) {
-        trace.record(i, obs::Stage::kDrop, 0.0, 0.0, 0.0, "churn_absent");
-      }
+        plan.soft_sync ? opts.staleness.sample_traced(staleness_rng_, i) : 0;
+    if (p.slot == Slot::kAbsent || p.slot == Slot::kShed) {
+      // Churned away, or shed by cohort shrink (degradation mode >= 2):
+      // not a fault. The server never dispatches, charges no bytes, and
+      // books nothing in the fault ledger.
+      trace.record(i, obs::Stage::kDrop, 0.0, 0.0, 0.0,
+                   p.slot == Slot::kAbsent ? "churn_absent" : "cohort_shed");
       continue;
     }
-    if (in_cohort[ui] == 0) {
-      // Shed by cohort shrink (degradation mode >= 2): live but not
-      // dispatched to this round.
-      if (tracing) {
-        trace.record(i, obs::Stage::kDrop, 0.0, 0.0, 0.0, "cohort_shed");
-      }
-      continue;
-    }
-    if (offline[ui] != 0) {
+    if (p.slot == Slot::kOffline) {
       ++rec.offline;
-      if (injector.is_crashed(i, t)) {
-        ++fault_stats_.injected_crash;
-        if (tracing) trace.record(i, obs::Stage::kDrop, 0.0, 0.0, 0.0, "crash");
-      } else {
-        ++fault_stats_.injected_dropout;
-        if (tracing) {
-          trace.record(i, obs::Stage::kDrop, 0.0, 0.0, 0.0, "dropout");
-        }
-      }
+      const bool crashed =
+          p.fault.has_value() && *p.fault == FaultKind::kCrash;
+      ++(crashed ? fault_stats_.injected_crash
+                 : fault_stats_.injected_dropout);
+      trace.record(i, obs::Stage::kDrop, 0.0, 0.0, 0.0,
+                   crashed ? "crash" : "dropout");
       ++fault_stats_.dropped;  // no reply ever arrives
       continue;
     }
-    if (links[ui].faulted()) {
-      ++fault_stats_.injected_link;
-      fault_stats_.retransmits += static_cast<std::uint64_t>(
-          links[ui].retransmits);
-      rec.retransmits += links[ui].retransmits;
-      if (tracing) {
-        trace.record(i, obs::Stage::kFault, 0.0, links[ui].extra_seconds,
-                     static_cast<double>(links[ui].retransmits),
-                     link_dead[ui] != 0 ? "link:dead" : "link:recovered");
-      }
-      if (link_dead[ui] != 0) {
-        ++fault_stats_.dropped;  // every attempt failed
-      } else {
-        ++fault_stats_.recovered;  // retransmit/collapse absorbed the fault
-      }
+    const bool link_dead = p.slot == Slot::kLinkDead;
+    if (p.link.faulted()) {
+      book_link(i, fault_stats_.injected_link, p.link, 0.0, link_dead,
+                link_dead ? "link:dead" : "link:recovered");
     }
-    if (link_dead[ui] != 0) {
+    if (link_dead) {
       // Dead link: the download never lands, so no payload is built and no
       // bytes are charged — the server simply skips this participant.
       ++rec.dropped;
-      if (tracing) trace.record(i, obs::Stage::kDrop, 0.0, 0.0, 0.0, "link_dead");
+      trace.record(i, obs::Stage::kDrop, 0.0, 0.0, 0.0, "link_dead");
       continue;
     }
-    const std::optional<FaultKind> pf =
-        faults ? injector.payload_fault(i, t) : std::nullopt;
-    // Spelled with an explicit engaged check (not optional==value): GCC's
-    // -Wmaybe-uninitialized false-fires on the operator== template at -O3,
-    // which FMS_WERROR would promote to a build break.
-    const bool pf_corrupt =
-        pf.has_value() && *pf == FaultKind::kCorruptPayload;
-    const bool pf_divergent = pf.has_value() && *pf == FaultKind::kDivergent;
-    // Byzantine attack this client runs, if any. Skipped when a payload
-    // fault already fires: that update is destroyed anyway, and counting
-    // both would double-book an update that resolves exactly once.
-    const std::optional<FaultKind> byz =
-        faults && !pf.has_value() ? injector.byzantine_kind(i, t)
-                                  : std::nullopt;
-    // The fault attached to this update for exactly-once accounting.
-    const std::optional<FaultKind> uf = pf.has_value() ? pf : byz;
 
-    const Mask& mask = masks[static_cast<std::size_t>(assignment[i])];
-    SubmodelMsg msg;
-    msg.round = t;
-    msg.mask = mask;
-    {
-      FMS_SPAN("prune");
-      msg.values =
-          supernet_->gather_values(supernet_->masked_param_ids(mask));
-      if (opts.codec != Codec::kFloat32) {
-        msg.values = codec_round_trip(msg.values, opts.codec);
-      }
-    }
-    if (pf_corrupt) {
-      // One corruption event flips bits on the wire in both directions:
-      // the SubmodelMsg the client trains on and the UpdateMsg it returns.
-      ++fault_stats_.injected_corrupt;
-      injector.corrupt(msg.values, i, t);
-    }
-    const std::size_t down = payload_bytes(mask, msg.values.size());
+    UpdateMsg& upd = done[ui].upd;
+    const bool faulted = p.fault.has_value();
+    const std::size_t down =
+        payload_bytes(plan.masks[static_cast<std::size_t>(p.mask)],
+                      done[ui].shipped);
     rec.bytes_down += down;
     submodel_bytes_sum_ += down;
     ++submodel_count_;
     if (down_hist != nullptr) down_hist->observe(static_cast<double>(down));
-    if (tracing) {
-      trace.record(i, obs::Stage::kDispatch, 0.0, 0.0,
-                   static_cast<double>(down));
-    }
-    registry_.note_dispatch(i, latency[ui]);
-
-    UpdateMsg upd = participants_[ui]->train_step(msg);
-    if (tracing) {
-      // Local training lands at the end of the modeled download window;
-      // value carries the reported training accuracy.
-      trace.record(i, obs::Stage::kLocalTrain, latency[ui], 0.0,
-                   static_cast<double>(upd.reward));
-    }
-    if (opts.codec != Codec::kFloat32) {
-      upd.grads = codec_round_trip(upd.grads, opts.codec);
-    }
-    if (pf_divergent) {
-      ++fault_stats_.injected_divergent;
-      injector.poison(upd, i, t);
-    } else if (pf_corrupt) {
-      injector.corrupt(upd.grads, i, t);
-    } else if (byz.has_value()) {
-      switch (*byz) {
-        case FaultKind::kSignFlip:
-          ++fault_stats_.injected_sign_flip;
-          break;
-        case FaultKind::kGradScale:
-          ++fault_stats_.injected_grad_scale;
-          break;
-        case FaultKind::kCollude:
-          ++fault_stats_.injected_collude;
-          break;
-        default:
-          ++fault_stats_.injected_reward;
-          break;
+    trace.record(i, obs::Stage::kDispatch, 0.0, 0.0, static_cast<double>(down));
+    registry_.note_dispatch(i, p.latency);
+    // Local training lands at the end of the modeled download window;
+    // value carries the reported training accuracy.
+    trace.record(i, obs::Stage::kLocalTrain, p.latency, 0.0,
+                 static_cast<double>(done[ui].reward));
+    if (p.fault.has_value()) {
+      switch (*p.fault) {
+        case FaultKind::kCorruptPayload: ++fault_stats_.injected_corrupt; break;
+        case FaultKind::kDivergent: ++fault_stats_.injected_divergent; break;
+        case FaultKind::kSignFlip: ++fault_stats_.injected_sign_flip; break;
+        case FaultKind::kGradScale: ++fault_stats_.injected_grad_scale; break;
+        case FaultKind::kCollude: ++fault_stats_.injected_collude; break;
+        default: ++fault_stats_.injected_reward; break;
       }
-      injector.attack(upd, *byz, i, t);
-    }
-    if (tracing && uf.has_value()) {
-      trace.record(i, obs::Stage::kFault, latency[ui], 0.0, 0.0,
-                   fault_kind_name(*uf));
+      trace.record(i, obs::Stage::kFault, p.latency, 0.0, 0.0,
+                   fault_kind_name(*p.fault));
     }
     const std::size_t up = payload_bytes(upd.mask, upd.grads.size()) + 8;
     rec.bytes_up += up;
@@ -524,95 +633,68 @@ RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
     // recovered retries push its arrival later (possibly past the
     // deadline, where the soft-sync path absorbs it as stale).
     double up_extra = 0.0;
-    if (faults) {
+    if (injector.active()) {
       const LinkOutcome up_link = injector.upload_outcome(
           i, t, opts.max_retransmits, opts.retransmit_backoff_s);
       if (up_link.faulted()) {
-        ++fault_stats_.injected_uplink;
-        fault_stats_.retransmits +=
-            static_cast<std::uint64_t>(up_link.retransmits);
-        rec.retransmits += up_link.retransmits;
-        if (tracing) {
-          trace.record(i, obs::Stage::kFault, latency[ui],
-                       up_link.extra_seconds,
-                       static_cast<double>(up_link.retransmits),
-                       up_link.delivered ? "uplink:recovered" : "uplink:dead");
-        }
-        if (!up_link.delivered) {
-          ++fault_stats_.dropped;  // the reply never reaches the server
-          ++rec.dropped;
-          account_payload_drop(uf);
-          if (tracing) {
-            trace.record(i, obs::Stage::kDrop, latency[ui], 0.0, 0.0,
-                         "uplink_dead");
-          }
+        book_link(i, fault_stats_.injected_uplink, up_link, p.latency,
+                  !up_link.delivered,
+                  up_link.delivered ? "uplink:recovered" : "uplink:dead");
+        if (!up_link.delivered) {  // the reply never reaches the server
+          drop_update(rec, i, t, faulted, p.latency, 0.0, "uplink_dead");
           continue;
         }
-        ++fault_stats_.recovered;
         up_extra = up_link.extra_seconds;
       }
     }
-    const double arrive_s = latency[ui] + up_extra;
+    const double arrive_s = p.latency + up_extra;
     // Feed the adaptive-deadline window with committed on-time round
     // times (always, so checkpoints carry a warm window whether or not
     // adaptive deadlines are enabled yet). Pure bookkeeping: no RNG, no
     // effect on the trajectory unless adaptive_timeout.enabled.
-    if (arrive_s <= deadline + 1e-12) {
+    if (arrive_s <= plan.deadline + 1e-12) {
       deadline_est_.add_sample(arrive_s, opts.adaptive_timeout.window);
     }
 
     int tau = tau_draw;
-    if (soft_sync && mem.rejoined[ui] != 0 && tau != kExceedsThreshold) {
+    if (plan.soft_sync && plan.membership.rejoined[ui] != 0 &&
+        tau != kExceedsThreshold) {
       // A rejoining client trained against the state it last saw: its
       // first update back flows through the staleness/DC path rather
       // than being applied as fresh.
       tau = std::max(tau, 1);
     }
-    if (arrive_s > deadline + 1e-12) {
+    if (arrive_s > plan.deadline + 1e-12) {
       // Missed the quorum commit: fold into the soft-sync path one round
       // late at minimum; hard sync has no stale path, so the update drops.
       ++rec.late;
-      if (soft_sync) {
-        if (tau != kExceedsThreshold) tau = std::max(tau, 1);
-      } else {
-        ++rec.dropped;
-        account_payload_drop(uf);
-        if (tracing) {
-          trace.record(i, obs::Stage::kDrop, arrive_s, 0.0, 0.0, "late");
-        }
+      if (!plan.soft_sync) {
+        drop_update(rec, i, t, faulted, arrive_s, 0.0, "late");
         continue;
       }
+      if (tau != kExceedsThreshold) tau = std::max(tau, 1);
     }
     if (tau == kExceedsThreshold || tau > pool_.threshold()) {
-      ++rec.dropped;  // beyond the staleness threshold: never applied
-      account_payload_drop(uf);
-      if (tracing) {
-        trace.record(i, obs::Stage::kDrop, latency[ui], 0.0,
-                     static_cast<double>(tau), "stale_overflow");
-      }
+      // Beyond the staleness threshold: never applied.
+      drop_update(rec, i, t, faulted, p.latency, static_cast<double>(tau),
+                  "stale_overflow");
       continue;
     }
     arrivals_[t + tau].push_back(std::move(upd));
   }
-  total_bytes_down_ += rec.bytes_down;
-  total_bytes_up_ += rec.bytes_up;
+}
 
-  // --- process this round's arrivals (lines 16-31) ---
-  supernet_->zero_grad();
-  AlphaPair grad_j = AlphaPair::zeros(policy_.num_edges());
-  std::vector<std::pair<double, AlphaPair>> alpha_terms;  // (reward, dlogp)
-  // Accepted updates, collected (not yet applied) so the aggregate phase
-  // below can choose between the exact Eq. 13 mean and a robust estimator.
-  std::vector<std::vector<std::size_t>> applied_ids;
-  std::vector<std::vector<float>> applied_grads;
-  // (participant, dispatch round) of each accepted update, so the
-  // aggregate phase can attribute estimator verdicts to causal traces.
-  std::vector<std::pair<int, int>> applied_from;
-  double reward_sum = 0.0;
+// Delay compensation (Alg. 1 lines 16-24): screens this round's arrivals,
+// applies the stale policy (DC by Eq. 13 + Eq. 15 under kCompensate) and
+// returns the updates that survive, in arrival order.
+std::vector<FederatedSearch::AppliedUpdate> FederatedSearch::collect_arrivals(
+    int t, const SearchOptions& opts, const FaultInjector& injector,
+    RoundRecord& rec) {
+  std::vector<AppliedUpdate> applied;
   double tau_sum = 0.0;
-  int m = 0;
   {
     FMS_SPAN("compensate");
+    const bool telemetry = obs::telemetry_enabled();
     obs::Histogram* tau_hist =
         telemetry ? &obs::Telemetry::instance().registry().histogram(
                         "fms.staleness.tau",
@@ -639,30 +721,24 @@ RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
             static_cast<double>(opts.screen_max_grad_norm)));
       }
       if (opts.screen_updates) rec.screen_bound = screen_bound;
+      obs::TraceContext& trace = obs::TraceContext::instance();
       for (UpdateMsg& upd : due->second) {
         const int tau = t - upd.round;
         if (tau_hist != nullptr) tau_hist->observe(static_cast<double>(tau));
-        if (tracing) {
-          trace.record(upd.participant, obs::Stage::kArrive, 0.0, 0.0,
-                       static_cast<double>(tau),
-                       tau > 0 ? "stale" : "fresh", upd.round);
-        }
+        trace.record(upd.participant, obs::Stage::kArrive, 0.0, 0.0,
+                     static_cast<double>(tau), tau > 0 ? "stale" : "fresh",
+                     upd.round);
         // The injector is stateless, so the fault attached to this update
-        // (possibly from an earlier round) is re-derived, not stored. Same
-        // precedence as the dispatch site: payload fault, else Byzantine.
-        std::optional<FaultKind> pf =
-            faults ? injector.payload_fault(upd.participant, upd.round)
-                   : std::nullopt;
-        if (faults && !pf.has_value()) {
-          pf = injector.byzantine_kind(upd.participant, upd.round);
-        }
+        // (possibly from an earlier round) is re-derived, not stored.
+        const bool faulted =
+            injector.update_fault(upd.participant, upd.round).has_value();
         if (opts.screen_updates) {
           // Defense: reject poisoned/corrupted updates before they can
           // reach theta, alpha, or the REINFORCE baseline.
           const char* violation = screen_update(upd, screen_bound);
           if (violation != nullptr) {
             ++rec.rejected;
-            if (pf.has_value()) ++fault_stats_.rejected;
+            if (faulted) ++fault_stats_.rejected;
             if (telemetry) {
               obs::Telemetry::instance().registry()
                   .counter(std::string("fms.updates.rejected.") + violation)
@@ -671,73 +747,75 @@ RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
             continue;
           }
         }
-        std::vector<float> grads;
-        AlphaPair dlogp = AlphaPair::zeros(policy_.num_edges());
-        std::vector<std::size_t> ids = supernet_->masked_param_ids(upd.mask);
+        AppliedUpdate a;
+        a.participant = upd.participant;
+        a.origin_round = upd.round;
+        a.reward = upd.reward;
+        a.ids = supernet_->masked_param_ids(upd.mask);
         if (tau == 0) {
-          grads = std::move(upd.grads);
-          dlogp = policy_.log_prob_grad(upd.mask);
+          a.grads = std::move(upd.grads);
+          a.dlogp = policy_.log_prob_grad(upd.mask);
         } else {
-          if (opts.stale_policy == StalePolicy::kDrop) {
-            ++rec.dropped;
-            if (pf.has_value()) ++fault_stats_.dropped;
-            if (tracing) {
-              trace.record(upd.participant, obs::Stage::kDrop, 0.0, 0.0,
-                           static_cast<double>(tau), "stale_policy",
-                           upd.round);
-            }
-            continue;
-          }
-          const RoundSnapshot* snap = pool_.find(upd.round);
-          if (snap == nullptr) {  // evicted: nothing to compensate against
-            ++rec.dropped;
-            if (pf.has_value()) ++fault_stats_.dropped;
-            if (tracing) {
-              trace.record(upd.participant, obs::Stage::kDrop, 0.0, 0.0,
-                           static_cast<double>(tau), "snapshot_evicted",
-                           upd.round);
-            }
+          // kDrop discards every stale update; the other policies need the
+          // snapshot it was trained against, which may have been evicted.
+          const bool policy_drop = opts.stale_policy == StalePolicy::kDrop;
+          const RoundSnapshot* snap =
+              policy_drop ? nullptr : pool_.find(upd.round);
+          if (snap == nullptr) {
+            drop_update(rec, upd.participant, upd.round, faulted, 0.0,
+                        static_cast<double>(tau),
+                        policy_drop ? "stale_policy" : "snapshot_evicted");
             continue;
           }
           if (opts.stale_policy == StalePolicy::kUseStale) {
-            grads = std::move(upd.grads);
-            dlogp = ArchPolicy::log_prob_grad_at(snap->alpha, upd.mask);
+            a.grads = std::move(upd.grads);
+            a.dlogp = ArchPolicy::log_prob_grad_at(snap->alpha, upd.mask);
           } else {  // kCompensate: Eq. 13 + Eq. 15
-            std::vector<float> fresh_w = supernet_->gather_values(ids);
+            std::vector<float> fresh_w = supernet_->gather_values(a.ids);
             std::vector<float> stale_w =
-                supernet_->gather_from_flat(snap->theta, ids);
-            grads = compensate_weight_gradient(upd.grads, fresh_w, stale_w,
-                                               opts.dc_lambda);
+                supernet_->gather_from_flat(snap->theta, a.ids);
+            a.grads = compensate_weight_gradient(upd.grads, fresh_w, stale_w,
+                                                 opts.dc_lambda);
             AlphaPair stale_dlogp =
                 ArchPolicy::log_prob_grad_at(snap->alpha, upd.mask);
-            dlogp = compensate_alpha_gradient(stale_dlogp, policy_.alpha(),
-                                              snap->alpha, opts.dc_lambda);
+            a.dlogp = compensate_alpha_gradient(stale_dlogp, policy_.alpha(),
+                                                snap->alpha, opts.dc_lambda);
             ++rec.compensated;
           }
           ++rec.stale_arrived;
         }
         tau_sum += tau;
         rec.max_tau = std::max(rec.max_tau, tau);
-        applied_ids.push_back(std::move(ids));
-        applied_grads.push_back(std::move(grads));
-        applied_from.emplace_back(upd.participant, upd.round);
-        alpha_terms.emplace_back(upd.reward, std::move(dlogp));
-        reward_sum += upd.reward;
-        ++m;
+        applied.push_back(std::move(a));
         registry_.note_applied(upd.participant, tau);
         // A faulted payload that survived screening and got applied was
         // absorbed by training — the third and final outcome.
-        if (pf.has_value()) ++fault_stats_.recovered;
+        if (faulted) ++fault_stats_.recovered;
       }
       arrivals_.erase(due);
     }
   }
+  rec.arrived = static_cast<int>(applied.size());
+  rec.mean_tau = rec.arrived > 0 ? tau_sum / rec.arrived : 0.0;
+  return applied;
+}
 
-  rec.arrived = m;
-  rec.mean_tau = m > 0 ? tau_sum / m : 0.0;
+// REINFORCE on alpha (Eq. 8-10) and the theta estimator (Eq. 13 or a
+// robust one) over the round's applied updates (Alg. 1 lines 25-31).
+void FederatedSearch::aggregate_round(
+    const std::vector<AppliedUpdate>& applied, const SearchOptions& opts,
+    RoundRecord& rec) {
+  const int m = rec.arrived;
   {
     FMS_SPAN("aggregate");
     if (m > 0) {
+      std::vector<double> rewards;
+      rewards.reserve(applied.size());
+      double reward_sum = 0.0;
+      for (const AppliedUpdate& a : applied) {
+        rewards.push_back(a.reward);
+        reward_sum += rewards.back();
+      }
       rec.mean_reward = reward_sum / m;
       // Robust reward channel (defense): winsorize the round's rewards into
       // the Tukey band before they can reach the moving average, the
@@ -745,13 +823,10 @@ RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
       // then bounded by the band width, not by trust. The defended mean is
       // what the curves and the EMA see.
       if (opts.winsorize_rewards_k > 0.0) {
-        std::vector<double> rewards;
-        rewards.reserve(alpha_terms.size());
-        for (const auto& term : alpha_terms) rewards.push_back(term.first);
         const agg::WinsorBounds wb =
             agg::winsor_bounds(rewards, opts.winsorize_rewards_k);
         double wsum = 0.0;
-        for (auto& [reward, dlogp] : alpha_terms) {
+        for (double& reward : rewards) {
           if (reward < wb.lo) {
             reward = wb.lo;
             ++rec.winsorized;
@@ -768,21 +843,21 @@ RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
       // REINFORCE with moving-average baseline (Eq. 8-10). The median
       // baseline mode feeds the EMA a statistic a lying minority cannot
       // move at all (mean mode reproduces Eq. 9 exactly).
-      double round_stat = rec.mean_reward;
-      if (opts.baseline_mode == BaselineMode::kMedianReward) {
-        std::vector<double> rewards;
-        rewards.reserve(alpha_terms.size());
-        for (const auto& term : alpha_terms) rewards.push_back(term.first);
-        round_stat =
-            ArchPolicy::round_statistic(rewards, BaselineMode::kMedianReward);
-      }
+      const double round_stat =
+          opts.baseline_mode == BaselineMode::kMedianReward
+              ? ArchPolicy::round_statistic(rewards,
+                                            BaselineMode::kMedianReward)
+              : rec.mean_reward;
       const double b = policy_.update_baseline(round_stat);
-      for (auto& [reward, dlogp] : alpha_terms) {
-        grad_j.add_scaled(dlogp, static_cast<float>(reward - b) /
-                                     static_cast<float>(m));
+      AlphaPair grad_j = AlphaPair::zeros(policy_.num_edges());
+      for (std::size_t u = 0; u < applied.size(); ++u) {
+        grad_j.add_scaled(applied[u].dlogp, static_cast<float>(rewards[u] - b) /
+                                                static_cast<float>(m));
       }
       if (opts.update_alpha) policy_.apply_gradient(grad_j);
 
+      // Estimator verdict per update, for the causal traces.
+      std::vector<char> kept(applied.size(), 1);
       if (opts.aggregator.kind == agg::AggregatorKind::kMean) {
         // Eq. 13 exactly, preserving the pre-robustness float-op order:
         // scatter each accepted gradient in arrival order, then scale by
@@ -793,9 +868,7 @@ RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
         {
           FMS_OP("agg.mean", [&] {
             std::uint64_t scattered = 0;
-            for (const std::vector<float>& g : applied_grads) {
-              scattered += g.size();
-            }
+            for (const AppliedUpdate& a : applied) scattered += a.grads.size();
             std::uint64_t dim = 0;
             for (const Param* p : supernet_->params()) {
               dim += p->grad.vec().size();
@@ -807,12 +880,8 @@ RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
             cost.elements = dim;
             return cost;
           }());
-          for (std::size_t u = 0; u < applied_grads.size(); ++u) {
-            supernet_->scatter_add_grads(applied_ids[u], applied_grads[u]);
-            if (tracing) {
-              trace.record(applied_from[u].first, obs::Stage::kAggregate,
-                           0.0, 0.0, 0.0, "applied", applied_from[u].second);
-            }
+          for (const AppliedUpdate& a : applied) {
+            supernet_->scatter_add_grads(a.ids, a.grads);
           }
         }
         if (opts.update_theta) {
@@ -831,12 +900,11 @@ RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
         // the participation-aware notes in src/agg/aggregator.h.
         std::vector<std::vector<float>> dense;
         std::vector<std::vector<std::uint8_t>> presence;
-        dense.reserve(applied_grads.size());
-        presence.reserve(applied_grads.size());
-        for (std::size_t u = 0; u < applied_grads.size(); ++u) {
-          dense.push_back(
-              supernet_->dense_from_masked(applied_ids[u], applied_grads[u]));
-          presence.push_back(supernet_->presence_from_masked(applied_ids[u]));
+        dense.reserve(applied.size());
+        presence.reserve(applied.size());
+        for (const AppliedUpdate& a : applied) {
+          dense.push_back(supernet_->dense_from_masked(a.ids, a.grads));
+          presence.push_back(supernet_->presence_from_masked(a.ids));
         }
         const agg::AggregationOutcome out =
             agg::aggregate(opts.aggregator, dense, presence);
@@ -844,27 +912,26 @@ RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
         rec.agg_clipped_mass = out.clipped_mass;
         rec.agg_trimmed = out.trimmed_values;
         rec.agg_rejected = out.rejected_updates;
-        if (tracing) {
-          // The krum family reports its survivor set; everything else
-          // folds every update into the estimate.
-          std::vector<char> kept(applied_from.size(),
-                                 out.selected.empty() ? 1 : 0);
+        // The krum family reports its survivor set; everything else
+        // folds every update into the estimate.
+        if (!out.selected.empty()) {
+          std::fill(kept.begin(), kept.end(), 0);
           for (const int s : out.selected) {
             if (s >= 0 && static_cast<std::size_t>(s) < kept.size()) {
               kept[static_cast<std::size_t>(s)] = 1;
             }
-          }
-          for (std::size_t u = 0; u < applied_from.size(); ++u) {
-            trace.record(applied_from[u].first, obs::Stage::kAggregate, 0.0,
-                         0.0, 0.0,
-                         kept[u] != 0 ? "applied" : "rejected:estimator",
-                         applied_from[u].second);
           }
         }
         if (opts.update_theta) {
           supernet_->add_flat_grads(out.grad);
           theta_opt_.step(supernet_->params());
         }
+      }
+      obs::TraceContext& trace = obs::TraceContext::instance();
+      for (std::size_t u = 0; u < applied.size(); ++u) {
+        trace.record(applied[u].participant, obs::Stage::kAggregate, 0.0, 0.0,
+                     0.0, kept[u] != 0 ? "applied" : "rejected:estimator",
+                     applied[u].origin_round);
       }
     } else {
       rec.moving_avg = moving_.value();
@@ -879,62 +946,6 @@ RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
       static_cast<std::uint64_t>(rec.winsorized);
   rec.alpha_entropy = policy_.mean_entropy();
   rec.baseline = policy_.baseline();
-
-  if (soft_sync) pool_.evict(t);
-
-  // --- degradation controller (hysteresis over committed outcomes) ---
-  if (opts.degrade.max_mode > 0) {
-    // Bad round: the quorum was not met on time, or the timeout cap
-    // itself closed the round while stragglers were still inbound
-    // (deadline blow-through).
-    const bool cap_bound = rec.deadline_s > 0.0 &&
-                           std::isfinite(deadline) &&
-                           deadline >= rec.deadline_s - 1e-12 && rec.late > 0;
-    const DegradationController::Transition dtr =
-        degrade_.observe(rec.partial_quorum || cap_bound, opts.degrade);
-    if (dtr.changed) {
-      rec.degrade_transition = std::string(degrade_mode_name(dtr.from)) +
-                               "->" + degrade_mode_name(dtr.to);
-      if (static_cast<int>(dtr.to) > static_cast<int>(dtr.from)) {
-        // Stepping deeper into degradation is an incident: snapshot the
-        // per-participant lifecycle ring for the post-mortem.
-        trace.dump_flight(std::string("degrade_enter:") +
-                          degrade_mode_name(dtr.to));
-      }
-    }
-  }
-
-  // --- search-health monitor + flight-recorder triggers ---
-  if (health_) {
-    obs::HealthSignal sig;
-    sig.participants = k;
-    sig.live = rec.live;
-    sig.joined = rec.joined;
-    sig.left = rec.left;
-    if (obs::alloc_tracking_enabled()) {
-      sig.live_alloc_bytes = obs::alloc_stats().live_bytes;
-    }
-    rec.health = static_cast<int>(health_->observe(rec, sig));
-    for (const obs::DetectorStatus& d : health_->detectors()) {
-      if (d.state >= obs::HealthState::kWarn) {
-        if (!rec.health_trips.empty()) rec.health_trips += ",";
-        rec.health_trips += d.name;
-      }
-    }
-    if (health_->crit_transition()) {
-      trace.dump_flight("health_crit:" + health_->last_crit_detectors()[0]);
-    }
-  }
-  if (rec.partial_quorum) trace.dump_flight("quorum_failure");
-  if (tracing) {
-    // Advance the sim clock past this round so the next round's events
-    // render after it (the committed deadline bounds everything recorded
-    // at a latency offset; stragglers surface as kArrive next rounds).
-    trace.end_round(std::max(rec.commit_latency_s, rec.max_latency_s));
-  }
-
-  if (telemetry) record_round_telemetry(rec, opts, stats_before);
-  return rec;
 }
 
 // Feeds the round's outcome into the metrics registry and emits the
@@ -956,83 +967,49 @@ void FederatedSearch::record_round_telemetry(const RoundRecord& rec,
   reg.counter("fms.rounds").add(1);
 
   // Fault-tolerance counters: this round's deltas of the cumulative ledger.
-  auto add_delta = [&reg](const char* name, std::uint64_t now,
-                          std::uint64_t prev) {
-    if (now > prev) reg.counter(name).add(now - prev);
+  static constexpr std::pair<const char*, std::uint64_t FaultStats::*>
+      kLedger[] = {
+          {"fms.fault.injected.crash", &FaultStats::injected_crash},
+          {"fms.fault.injected.dropout", &FaultStats::injected_dropout},
+          {"fms.fault.injected.link", &FaultStats::injected_link},
+          {"fms.fault.injected.corrupt", &FaultStats::injected_corrupt},
+          {"fms.fault.injected.divergent", &FaultStats::injected_divergent},
+          {"fms.fault.injected.sign_flip", &FaultStats::injected_sign_flip},
+          {"fms.fault.injected.grad_scale", &FaultStats::injected_grad_scale},
+          {"fms.fault.injected.collude", &FaultStats::injected_collude},
+          {"fms.fault.injected.reward_attack", &FaultStats::injected_reward},
+          {"fms.fault.rejected", &FaultStats::rejected},
+          {"fms.fault.dropped", &FaultStats::dropped},
+          {"fms.fault.recovered", &FaultStats::recovered},
+          {"fms.fault.injected.uplink", &FaultStats::injected_uplink},
+      };
+  for (const auto& [name, field] : kLedger) {
+    const std::uint64_t now = fault_stats_.*field;
+    if (now > before.*field) reg.counter(name).add(now - before.*field);
+  }
+  // Per-round event counts, registered only once they first occur.
+  const std::pair<const char*, long> events[] = {
+      {"fms.updates.rejected", rec.rejected},
+      {"fms.updates.late", rec.late},
+      {"fms.participants.offline", rec.offline},
+      {"fms.retransmits", rec.retransmits},
+      {"fms.rounds.partial_quorum", rec.partial_quorum ? 1 : 0},
+      {"fms.churn.joined", rec.joined},
+      {"fms.churn.left", rec.left},
+      {"fms.churn.shed", rec.shed},
+      {"fms.degrade.transitions", rec.degrade_transition.empty() ? 0 : 1},
+      // Robust aggregation: how much influence the estimator removed.
+      {"fms.agg.clipped", rec.agg_clipped},
+      {"fms.agg.trimmed", rec.agg_trimmed},
+      {"fms.agg.rejected", rec.agg_rejected},
+      {"fms.rewards.winsorized", rec.winsorized},
   };
-  add_delta("fms.fault.injected.crash", fault_stats_.injected_crash,
-            before.injected_crash);
-  add_delta("fms.fault.injected.dropout", fault_stats_.injected_dropout,
-            before.injected_dropout);
-  add_delta("fms.fault.injected.link", fault_stats_.injected_link,
-            before.injected_link);
-  add_delta("fms.fault.injected.corrupt", fault_stats_.injected_corrupt,
-            before.injected_corrupt);
-  add_delta("fms.fault.injected.divergent", fault_stats_.injected_divergent,
-            before.injected_divergent);
-  add_delta("fms.fault.injected.sign_flip", fault_stats_.injected_sign_flip,
-            before.injected_sign_flip);
-  add_delta("fms.fault.injected.grad_scale", fault_stats_.injected_grad_scale,
-            before.injected_grad_scale);
-  add_delta("fms.fault.injected.collude", fault_stats_.injected_collude,
-            before.injected_collude);
-  add_delta("fms.fault.injected.reward_attack", fault_stats_.injected_reward,
-            before.injected_reward);
-  add_delta("fms.fault.rejected", fault_stats_.rejected, before.rejected);
-  add_delta("fms.fault.dropped", fault_stats_.dropped, before.dropped);
-  add_delta("fms.fault.recovered", fault_stats_.recovered, before.recovered);
-  if (rec.rejected > 0) {
-    reg.counter("fms.updates.rejected")
-        .add(static_cast<std::uint64_t>(rec.rejected));
+  for (const auto& [name, n] : events) {
+    if (n > 0) reg.counter(name).add(static_cast<std::uint64_t>(n));
   }
-  if (rec.late > 0) {
-    reg.counter("fms.updates.late").add(static_cast<std::uint64_t>(rec.late));
-  }
-  if (rec.offline > 0) {
-    reg.counter("fms.participants.offline")
-        .add(static_cast<std::uint64_t>(rec.offline));
-  }
-  if (rec.retransmits > 0) {
-    reg.counter("fms.retransmits")
-        .add(static_cast<std::uint64_t>(rec.retransmits));
-  }
-  if (rec.partial_quorum) reg.counter("fms.rounds.partial_quorum").add(1);
   reg.histogram("fms.round.commit_latency_s").observe(rec.commit_latency_s);
-
-  // Churn + degradation: membership deltas, live population, ladder mode.
-  add_delta("fms.fault.injected.uplink", fault_stats_.injected_uplink,
-            before.injected_uplink);
-  if (rec.joined > 0) {
-    reg.counter("fms.churn.joined").add(static_cast<std::uint64_t>(rec.joined));
-  }
-  if (rec.left > 0) {
-    reg.counter("fms.churn.left").add(static_cast<std::uint64_t>(rec.left));
-  }
-  if (rec.shed > 0) {
-    reg.counter("fms.churn.shed").add(static_cast<std::uint64_t>(rec.shed));
-  }
   reg.gauge("fms.churn.live").set(static_cast<double>(rec.live));
   reg.gauge("fms.degrade.mode").set(static_cast<double>(rec.degrade_mode));
-  if (!rec.degrade_transition.empty()) {
-    reg.counter("fms.degrade.transitions").add(1);
-  }
-
-  // Robust-aggregation counters: how much influence the estimator removed.
-  if (rec.agg_clipped > 0) {
-    reg.counter("fms.agg.clipped").add(static_cast<std::uint64_t>(rec.agg_clipped));
-  }
-  if (rec.agg_trimmed > 0) {
-    reg.counter("fms.agg.trimmed").add(static_cast<std::uint64_t>(rec.agg_trimmed));
-  }
-  if (rec.agg_rejected > 0) {
-    reg.counter("fms.agg.rejected")
-        .add(static_cast<std::uint64_t>(rec.agg_rejected));
-  }
-  if (rec.winsorized > 0) {
-    reg.counter("fms.rewards.winsorized")
-        .add(static_cast<std::uint64_t>(rec.winsorized));
-  }
-
   reg.gauge("fms.policy.baseline").set(rec.baseline);
   reg.gauge("fms.alpha.entropy.mean").set(rec.alpha_entropy);
   reg.gauge("fms.round.moving_avg").set(rec.moving_avg);
@@ -1148,14 +1125,10 @@ FederatedSearch::RecoveryReport FederatedSearch::recover(
     report.used_prev_checkpoint = load.used_prev;
     if (load.used_prev) {
       if (telemetry) {
-        obs::Telemetry::instance()
-            .registry()
-            .counter("fms.checkpoints.prev_fallback")
-            .add(1);
+        obs::Telemetry::instance().registry()
+            .counter("fms.checkpoints.prev_fallback").add(1);
       }
-      if (obs::tracing_enabled()) {
-        obs::TraceContext::instance().dump_flight("checkpoint_prev_fallback");
-      }
+      obs::TraceContext::instance().dump_flight("checkpoint_prev_fallback");
     }
   }
   report.start_round = round_counter_;
@@ -1188,9 +1161,7 @@ FederatedSearch::RecoveryReport FederatedSearch::recover(
       reg.counter("fms.journal.torn_bytes")
           .add(static_cast<std::uint64_t>(live.torn_bytes));
     }
-    if (obs::tracing_enabled()) {
-      obs::TraceContext::instance().dump_flight("journal_torn_tail");
-    }
+    obs::TraceContext::instance().dump_flight("journal_torn_tail");
   }
 
   // 4. Deterministic replay: re-execute every round past the checkpoint

@@ -15,6 +15,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "src/agg/aggregator.h"
@@ -116,9 +117,6 @@ struct SearchOptions {
   int checkpoint_every = 0;  // 0 disables
   std::string checkpoint_path;
 };
-
-// RoundRecord lives in src/core/round_record.h (extracted so the round
-// journal can serialize whole records without pulling in this header).
 
 // Cumulative robustness ledger across all rounds (CLI summary): how much
 // influence the robust estimators and the winsorized reward channel
@@ -224,7 +222,36 @@ class FederatedSearch {
   std::function<void(const RoundRecord&)> on_round;
 
  private:
+  // Round phase types, defined in search.cpp.
+  struct RoundPlan;
+  struct ExecutedUpdate;
+  struct AppliedUpdate;
+
+  // One round as Algorithm 1's three phases (DESIGN.md §5.7): plan draws
+  // and decides, execute trains (const: no server state), commit books.
   RoundRecord run_round(int t, const SearchOptions& opts);
+  RoundPlan plan_round(int t, const SearchOptions& opts,
+                       const FaultInjector& injector, RoundRecord& rec);
+  std::vector<ExecutedUpdate> execute_round(const RoundPlan& plan,
+                                            const SearchOptions& opts,
+                                            const FaultInjector& injector) const;
+  void commit_round(const RoundPlan& plan, std::vector<ExecutedUpdate> done,
+                    const SearchOptions& opts, const FaultInjector& injector,
+                    RoundRecord& rec);
+  // Commit's sub-phases, in call order.
+  void commit_dispatches(const RoundPlan& plan, std::vector<ExecutedUpdate> done,
+                         const SearchOptions& opts,
+                         const FaultInjector& injector, RoundRecord& rec);
+  std::vector<AppliedUpdate> collect_arrivals(int t, const SearchOptions& opts,
+                                              const FaultInjector& injector,
+                                              RoundRecord& rec);
+  void aggregate_round(const std::vector<AppliedUpdate>& applied,
+                       const SearchOptions& opts, RoundRecord& rec);
+  // An update lost after dispatch: a round drop, a fault-ledger drop when
+  // a fault rode on it, and a kDrop lifecycle event.
+  void drop_update(RoundRecord& rec, int participant, int origin_round,
+                   bool faulted, double offset_s, double value,
+                   std::string_view reason);
   void record_round_telemetry(const RoundRecord& rec, const SearchOptions& opts,
                               const FaultStats& before);
   std::vector<std::uint8_t> serialize_runtime_state() const;

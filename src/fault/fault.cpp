@@ -366,6 +366,13 @@ std::optional<FaultKind> FaultInjector::byzantine_kind(
   return std::nullopt;
 }
 
+std::optional<FaultKind> FaultInjector::update_fault(int participant,
+                                                     int round) const {
+  if (!active()) return std::nullopt;
+  const std::optional<FaultKind> pf = payload_fault(participant, round);
+  return pf.has_value() ? pf : byzantine_kind(participant, round);
+}
+
 void FaultInjector::attack(UpdateMsg& upd, FaultKind kind, int /*participant*/,
                            int round) const {
   auto clamp01 = [](double r) {

@@ -219,11 +219,13 @@ class FaultInjector {
   // --- Byzantine adversaries ---
   // The attack this participant runs (persistent selection; precedence
   // sign-flip > grad-scale > collude > reward when a client is selected
-  // by several families). When payload_fault also fires for the same
-  // update, the payload fault wins: the attack is not applied that round
-  // (the update is already destroyed) and the payload fault takes the
-  // exactly-once accounting slot.
+  // by several families).
   std::optional<FaultKind> byzantine_kind(int participant, int round) const;
+  // The one fault an update carries, for exactly-once accounting: a
+  // payload fault wins (the update is already destroyed, so the attack is
+  // not applied that round), else the Byzantine kind; nullopt when the
+  // plan is inactive.
+  std::optional<FaultKind> update_fault(int participant, int round) const;
   // Applies the given Byzantine attack in place. Gradients stay finite
   // and the reward stays in [0, 1], so the result passes screening by
   // construction.

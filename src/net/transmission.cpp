@@ -82,11 +82,9 @@ LatencyStats transmission_latency(const std::vector<std::size_t>& model_bytes,
       stats.per_participant.push_back(
           std::numeric_limits<double>::infinity());
       ++stats.failed_links;
-      if (obs::tracing_enabled()) {
-        obs::TraceContext::instance().record(static_cast<int>(p),
-                                             obs::Stage::kDrop, 0.0, 0.0, 0.0,
-                                             "dead_link");
-      }
+      obs::TraceContext::instance().record(static_cast<int>(p),
+                                           obs::Stage::kDrop, 0.0, 0.0, 0.0,
+                                           "dead_link");
       continue;
     }
     const double bytes =
@@ -98,13 +96,11 @@ LatencyStats transmission_latency(const std::vector<std::size_t>& model_bytes,
     stats.per_participant.push_back(lat);
     stats.max_seconds = std::max(stats.max_seconds, lat);
     stats.mean_seconds += lat;
-    if (obs::tracing_enabled()) {
-      // The modeled download occupies [round_base, round_base + lat) on
-      // this participant's track; value carries the payload bytes.
-      obs::TraceContext::instance().record(static_cast<int>(p),
-                                           obs::Stage::kTransmit, 0.0, lat,
-                                           bytes);
-    }
+    // The modeled download occupies [round_base, round_base + lat) on
+    // this participant's track; value carries the payload bytes.
+    obs::TraceContext::instance().record(static_cast<int>(p),
+                                         obs::Stage::kTransmit, 0.0, lat,
+                                         bytes);
   }
   const std::size_t working = k - static_cast<std::size_t>(stats.failed_links);
   if (working > 0) stats.mean_seconds /= static_cast<double>(working);

@@ -105,6 +105,7 @@ void TraceContext::begin_round(int round) {
 }
 
 void TraceContext::end_round(double round_sim_duration_s) {
+  if (!tracing_enabled()) return;
   fms::MutexLock lock(mu_);
   // A round in which nothing moved (everyone offline) still occupies a
   // nonzero window so successive rounds never collapse onto one tick.
@@ -119,7 +120,7 @@ double TraceContext::round_base_s() const {
 }
 
 void TraceContext::record(int participant, Stage stage, double offset_s,
-                          double dur_s, double value, std::string detail,
+                          double dur_s, double value, std::string_view detail,
                           int origin_round) {
   if (!tracing_enabled()) return;
   LifecycleEvent ev;
@@ -129,7 +130,7 @@ void TraceContext::record(int participant, Stage stage, double offset_s,
   ev.stage = stage;
   ev.dur_s = dur_s;
   ev.value = value;
-  ev.detail = std::move(detail);
+  ev.detail = std::string(detail);
   fms::MutexLock lock(mu_);
   ev.ts_s = base_s_ + (std::isfinite(offset_s) ? offset_s : 0.0);
   ev.trace_id = make_trace_id(seed_, ev.origin_round);

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/thread_annotations.h"
@@ -105,16 +106,16 @@ class TraceContext {
 
   // Round lifecycle (called by FederatedSearch::run_round).
   void begin_round(int round);
-  // Advances the sim clock past the finished round.
+  // Advances the sim clock past the finished round (no-op while tracing
+  // is disabled).
   void end_round(double round_sim_duration_s);
-  int round() const { return round_.load(std::memory_order_relaxed); }
   double round_base_s() const;
 
   // Records one event. `offset_s` is relative to the current round's
   // base; `origin_round` keys the trace id (-1 = the current round).
-  // No-op while tracing is disabled.
+  // No-op while tracing is disabled, so call sites need no guard.
   void record(int participant, Stage stage, double offset_s, double dur_s,
-              double value = 0.0, std::string detail = {},
+              double value = 0.0, std::string_view detail = {},
               int origin_round = -1);
 
   // Chrome trace-event export of everything buffered so far. Called by

@@ -38,11 +38,9 @@ int StalenessDistribution::sample(Rng& rng) const {
 
 int StalenessDistribution::sample_traced(Rng& rng, int participant) const {
   const int tau = sample(rng);
-  if (obs::tracing_enabled()) {
-    obs::TraceContext::instance().record(
-        participant, obs::Stage::kStale, 0.0, 0.0, static_cast<double>(tau),
-        tau == kExceedsThreshold ? "overflow" : "");
-  }
+  obs::TraceContext::instance().record(
+      participant, obs::Stage::kStale, 0.0, 0.0, static_cast<double>(tau),
+      tau == kExceedsThreshold ? "overflow" : "");
   return tau;
 }
 

@@ -177,6 +177,38 @@ TEST(FaultInjector, DivergentWinsOverCorruptPayload) {
   }
 }
 
+TEST(FaultInjector, UpdateFaultIsPayloadFaultElseByzantineKind) {
+  // Every family that can ride on an update is active at once, so the
+  // grid sees payload faults, Byzantine kinds, overlaps and clean updates.
+  const FaultPlan plan = FaultPlan::parse(
+      "corrupt=0.2,divergent=0.3,divergent_p=0.5,sign_flip=0.2,"
+      "grad_scale=0.2,collude=0.2,reward_attack=0.2,seed=41");
+  const FaultInjector inj(plan, 24);
+  int payload = 0;
+  int byzantine = 0;
+  int clean = 0;
+  for (int p = 0; p < 24; ++p) {
+    for (int r = 0; r < 24; ++r) {
+      const auto pf = inj.payload_fault(p, r);
+      const auto expected = pf.has_value() ? pf : inj.byzantine_kind(p, r);
+      EXPECT_EQ(inj.update_fault(p, r), expected) << "p=" << p << " r=" << r;
+      if (pf.has_value()) {
+        ++payload;
+      } else if (expected.has_value()) {
+        ++byzantine;
+      } else {
+        ++clean;
+      }
+    }
+  }
+  EXPECT_GT(payload, 0);
+  EXPECT_GT(byzantine, 0);
+  EXPECT_GT(clean, 0);
+  // An inactive plan attaches nothing.
+  const FaultInjector none(FaultPlan{}, 24);
+  EXPECT_FALSE(none.update_fault(3, 5).has_value());
+}
+
 TEST(FaultInjector, CorruptFlipsBitsDeterministically) {
   FaultPlan plan;
   plan.corrupt_p = 1.0;
