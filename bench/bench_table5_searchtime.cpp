@@ -54,7 +54,11 @@ int main() {
              "paper-scale hours (cost model)", "payload/participant (MB)"});
 
   {  // Ours: measured CPU time + paper-scale cost per participant step.
-    FederatedSearch search(cfg, w.data.train, w.partition);
+    // One thread, as the baselines below run: the column compares
+    // per-round compute, not how many cores a search may take.
+    SearchConfig serial = cfg;
+    serial.threads = 1;
+    FederatedSearch search(serial, w.data.train, w.partition);
     search.run_warmup(3);
     Stopwatch sw;
     search.run_search(probe_rounds, SearchOptions{});

@@ -6,7 +6,7 @@
 //                  [--noniid] [--staleness none|severe|slight]
 //                  [--policy compensate|use|throw]
 //                  [--checkpoint PATH] [--genotype-out PATH] [--seed N]
-//                  [--trace-jsonl PATH] [--metrics-csv PATH]
+//                  [--threads N] [--trace-jsonl PATH] [--metrics-csv PATH]
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -33,7 +33,7 @@ const char* kUsage =
     "                      [--noniid] [--staleness none|severe|slight]\n"
     "                      [--policy compensate|use|throw]\n"
     "                      [--checkpoint PATH] [--genotype-out PATH]\n"
-    "                      [--dot-out PATH] [--seed N]\n"
+    "                      [--dot-out PATH] [--seed N] [--threads N]\n"
     "                      [--trace-jsonl PATH] [--metrics-csv PATH]\n"
     "                      [--progress-every N] [--profile]\n"
     "                      [--fault-plan SPEC|severe] [--quorum Q]\n"
@@ -43,6 +43,11 @@ const char* kUsage =
     "                      [--winsorize-rewards K] [--baseline-mode MODE]\n"
     "                      [--adaptive-screen K] [--churn-plan SPEC]\n"
     "                      [--adaptive-timeout] [--max-degrade-mode N]\n"
+    "\n"
+    "  --threads N           worker threads that train a round's\n"
+    "                        participants (0 = auto, min(cores, K);\n"
+    "                        1 = inline). Results are bit-identical at\n"
+    "                        any value\n"
     "\n"
     "fault flags:\n"
     "  --fault-plan SPEC     comma 'key=value' fault schedule (or 'severe'),\n"
@@ -139,6 +144,7 @@ int main(int argc, char** argv) {
   std::string report_path;
   std::string peak_cache = "fms_peak.json";
   std::uint64_t seed = 42;
+  int threads = 0;
   std::string fault_plan_spec;
   double quorum = 1.0;
   double timeout_s = 0.0;
@@ -223,6 +229,8 @@ int main(int argc, char** argv) {
       peak_cache = v9;
     } else if (!std::strcmp(argv[i], "--seed")) {
       seed = static_cast<std::uint64_t>(std::atoll(need_value("--seed")));
+    } else if (!std::strcmp(argv[i], "--threads")) {
+      threads = std::atoi(need_value("--threads"));
     } else if (!std::strcmp(argv[i], "--fault-plan")) {
       fault_plan_spec = need_value("--fault-plan");
     } else if (!std::strcmp(argv[i], "--quorum")) {
@@ -268,7 +276,7 @@ int main(int argc, char** argv) {
   if (participants < 1 || rounds < 0 || warmup < 0 || quorum <= 0.0 ||
       quorum > 1.0 || timeout_s < 0.0 || checkpoint_every < 0 ||
       winsorize_k < 0.0 || adaptive_screen_k < 0.0 || flight_recorder < 0 ||
-      max_degrade_mode < 0 || max_degrade_mode > 3 ||
+      max_degrade_mode < 0 || max_degrade_mode > 3 || threads < 0 ||
       (baseline_mode != "mean" && baseline_mode != "median")) {
     std::fprintf(stderr, "invalid arguments\n%s", kUsage);
     return 2;
@@ -313,6 +321,7 @@ int main(int argc, char** argv) {
   cfg.schedule.batch_size = 16;
   cfg.schedule.num_participants = participants;
   cfg.seed = seed;
+  cfg.threads = threads;
   // Telemetry: console progress always on (replacing the old on_round
   // lambda); JSONL trace and metrics CSV snapshot when requested.
   cfg.telemetry.enabled = true;

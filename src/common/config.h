@@ -105,6 +105,11 @@ struct SearchConfig {
   AugmentConfig augment;
   TelemetryConfig telemetry;
   std::uint64_t seed = 42;
+  // Worker threads that train a round's participants: 0 = auto,
+  // min(hardware_concurrency, K); 1 runs them inline on the caller.
+  // A deployment setting only — every result is bit-identical at any
+  // value, so it is kept out of RoundRecords, checkpoints and journals.
+  int threads = 0;
 };
 
 // Returns a config scaled by the FMS_SCALE environment variable (>=1

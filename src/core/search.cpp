@@ -7,6 +7,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "src/common/serialize.h"
@@ -39,6 +40,16 @@ enum class Slot : std::uint8_t {
   kDispatched  // trains on masks[mask] this round
 };
 
+// Pool size for SearchConfig::threads (0 = auto), capped at the K
+// participants a round can train at once.
+std::size_t pool_size(int threads, std::size_t participants) {
+  FMS_CHECK_MSG(threads >= 0, "threads must be >= 0, got " << threads);
+  const std::size_t want =
+      threads > 0 ? static_cast<std::size_t>(threads)
+                  : std::max(1U, std::thread::hardware_concurrency());
+  return std::clamp<std::size_t>(want, 1, std::max<std::size_t>(participants, 1));
+}
+
 struct ParticipantPlan {
   Slot slot = Slot::kAbsent;
   int mask = -1;         // index into RoundPlan::masks
@@ -58,7 +69,8 @@ FederatedSearch::FederatedSearch(const SearchConfig& cfg,
       theta_opt_(SGD::Options{cfg.theta.learning_rate, cfg.theta.momentum,
                               cfg.theta.weight_decay, cfg.theta.gradient_clip}),
       pool_(/*staleness_threshold=*/5),
-      moving_(50) {
+      moving_(50),
+      workers_(shared_thread_pool(pool_size(cfg.threads, partition.size()))) {
   if (cfg.telemetry.enabled) {
     obs::Telemetry::instance().configure(cfg.telemetry, cfg.seed);
     owns_telemetry_ = true;
@@ -391,17 +403,24 @@ FederatedSearch::RoundPlan FederatedSearch::plan_round(
 
 // Execute (Alg. 1 lines 37-42): each dispatched participant's own work —
 // build its SubmodelMsg, flip the downlink bits, train, run the uplink
-// codec and the injected update transform. const, and the injector is
-// stateless: nothing here writes server state, a ledger, or any RNG but
-// the participant's own.
+// codec and the injected update transform — on the worker pool,
+// participant i always on worker i % size(). const, the server supernet is
+// reached only through a const reference, and the injector is stateless:
+// a participant writes only its own replica, shard, RNG and done[i], so
+// every result is the same at any thread count.
 std::vector<FederatedSearch::ExecutedUpdate> FederatedSearch::execute_round(
     const RoundPlan& plan, const SearchOptions& opts,
     const FaultInjector& injector) const {
   const int t = plan.round;
+  const Supernet& server = *supernet_;
   std::vector<ExecutedUpdate> done(plan.participants.size());
-  for (std::size_t ui = 0; ui < done.size(); ++ui) {
+  // Span events a participant emits (none with telemetry off), replayed
+  // in index order after the join so the trace reads as a serial round's.
+  std::vector<std::vector<obs::TraceEvent>> events(done.size());
+  workers_.parallel_for(done.size(), [&](std::size_t ui) {
     const ParticipantPlan& p = plan.participants[ui];
-    if (p.slot != Slot::kDispatched) continue;
+    if (p.slot != Slot::kDispatched) return;
+    const obs::EventCapture capture(events[ui]);
     const int i = static_cast<int>(ui);
     // Explicit engaged check, not optional==value: GCC -O3 false-fires
     // -Wmaybe-uninitialized on that operator== (a break under FMS_WERROR).
@@ -412,8 +431,7 @@ std::vector<FederatedSearch::ExecutedUpdate> FederatedSearch::execute_round(
     msg.mask = plan.masks[static_cast<std::size_t>(p.mask)];
     {
       FMS_SPAN("prune");
-      msg.values =
-          supernet_->gather_values(supernet_->masked_param_ids(msg.mask));
+      msg.values = server.gather_values(server.masked_param_ids(msg.mask));
       if (opts.codec != Codec::kFloat32) {
         msg.values = codec_round_trip(msg.values, opts.codec);
       }
@@ -428,7 +446,7 @@ std::vector<FederatedSearch::ExecutedUpdate> FederatedSearch::execute_round(
     if (opts.codec != Codec::kFloat32) {
       upd.grads = codec_round_trip(upd.grads, opts.codec);
     }
-    if (!p.fault.has_value()) continue;
+    if (!p.fault.has_value()) return;
     if (*p.fault == FaultKind::kDivergent) {
       injector.poison(upd, i, t);
     } else if (corrupt) {
@@ -436,6 +454,10 @@ std::vector<FederatedSearch::ExecutedUpdate> FederatedSearch::execute_round(
     } else {
       injector.attack(upd, *p.fault, i, t);
     }
+  });
+  obs::Telemetry& telemetry = obs::Telemetry::instance();
+  for (std::vector<obs::TraceEvent>& buffer : events) {
+    for (obs::TraceEvent& event : buffer) telemetry.emit(std::move(event));
   }
   return done;
 }

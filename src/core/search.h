@@ -21,6 +21,7 @@
 #include "src/agg/aggregator.h"
 #include "src/common/config.h"
 #include "src/common/stats.h"
+#include "src/common/thread_pool.h"
 #include "src/core/checkpoint.h"
 #include "src/core/deadline.h"
 #include "src/core/journal.h"
@@ -152,7 +153,7 @@ class FederatedSearch {
 
   // Payload statistics accumulated over all rounds so far.
   double avg_submodel_bytes() const;
-  std::size_t supernet_bytes() { return supernet_->supernet_bytes(); }
+  std::size_t supernet_bytes() const { return supernet_->supernet_bytes(); }
   std::size_t total_bytes_down() const { return total_bytes_down_; }
   std::size_t total_bytes_up() const { return total_bytes_up_; }
 
@@ -293,6 +294,9 @@ class FederatedSearch {
   std::size_t total_bytes_up_ = 0;
   std::size_t submodel_bytes_sum_ = 0;
   std::size_t submodel_count_ = 0;
+  // Trains a round's participants (execute_round): the process-wide pool
+  // of SearchConfig::threads workers (shared_thread_pool).
+  ThreadPool& workers_;
 };
 
 }  // namespace fms

@@ -175,7 +175,7 @@ void Supernet::zero_grad() {
   for (Param* p : params_) p->grad.zero();
 }
 
-std::vector<std::size_t> Supernet::masked_param_ids(const Mask& mask) {
+std::vector<std::size_t> Supernet::masked_param_ids(const Mask& mask) const {
   FMS_OP("nas.mask_ids", {});
   FMS_CHECK(static_cast<int>(mask.normal.size()) == num_edges());
   FMS_CHECK(static_cast<int>(mask.reduce.size()) == num_edges());
@@ -193,11 +193,12 @@ std::vector<std::size_t> Supernet::masked_param_ids(const Mask& mask) {
 }
 
 std::vector<float> Supernet::gather_values(
-    const std::vector<std::size_t>& ids) {
+    const std::vector<std::size_t>& ids) const {
   obs::ScopedOp op("nas.gather");
   std::vector<float> flat;
   for (std::size_t id : ids) {
-    const auto& v = params_[id]->value.vec();
+    const Param& p = *params_[id];
+    const std::vector<float>& v = p.value.vec();
     flat.insert(flat.end(), v.begin(), v.end());
   }
   op.add([&] { return obs::copy_cost(flat.size()); });
@@ -350,24 +351,24 @@ void Supernet::set_flat_values(const std::vector<float>& flat) {
   FMS_CHECK_MSG(pos == flat.size(), "flat size mismatch");
 }
 
-std::size_t Supernet::param_count() {
+std::size_t Supernet::param_count() const {
   std::size_t n = 0;
   for (Param* p : params_) n += p->numel();
   return n;
 }
 
-std::size_t Supernet::param_count_masked(const Mask& mask) {
+std::size_t Supernet::param_count_masked(const Mask& mask) const {
   std::size_t n = 0;
   for (std::size_t id : masked_param_ids(mask)) n += params_[id]->numel();
   return n;
 }
 
-std::size_t Supernet::supernet_bytes() {
+std::size_t Supernet::supernet_bytes() const {
   // float32 values plus a small fixed header.
   return 16 + 4 * param_count();
 }
 
-std::size_t Supernet::submodel_bytes(const Mask& mask) {
+std::size_t Supernet::submodel_bytes(const Mask& mask) const {
   // float32 values + one byte per edge per cell template for the mask.
   return 16 + mask.normal.size() + mask.reduce.size() +
          4 * param_count_masked(mask);

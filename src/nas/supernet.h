@@ -53,10 +53,10 @@ class Supernet {
 
   // Indices (into params()) of the parameters a mask selects: stem, cell
   // preprocessors, classifier, and exactly one op per edge per cell.
-  std::vector<std::size_t> masked_param_ids(const Mask& mask);
+  std::vector<std::size_t> masked_param_ids(const Mask& mask) const;
 
   // Flat copies across the masked subset (ids from masked_param_ids).
-  std::vector<float> gather_values(const std::vector<std::size_t>& ids);
+  std::vector<float> gather_values(const std::vector<std::size_t>& ids) const;
   std::vector<float> gather_grads(const std::vector<std::size_t>& ids);
   void scatter_values(const std::vector<std::size_t>& ids,
                       const std::vector<float>& flat);
@@ -87,11 +87,11 @@ class Supernet {
   // aggregated-gradient commit path).
   void add_flat_grads(const std::vector<float>& flat);
 
-  std::size_t param_count();
-  std::size_t param_count_masked(const Mask& mask);
+  std::size_t param_count() const;
+  std::size_t param_count_masked(const Mask& mask) const;
   // Serialized payload sizes (float32 values + mask bookkeeping).
-  std::size_t supernet_bytes();
-  std::size_t submodel_bytes(const Mask& mask);
+  std::size_t supernet_bytes() const;
+  std::size_t submodel_bytes(const Mask& mask) const;
 
  private:
   struct ParamTag {

@@ -59,6 +59,7 @@ struct Node {
 struct Frame {
   int node = 0;
   std::uint64_t start_ns = 0;
+  bool adopted = false;  // a dispatcher's zone, opened by AdoptedZones
 };
 
 // One tree per thread. The mutex is uncontended on the hot path (only
@@ -212,7 +213,11 @@ void zone_exit() {
   const std::uint64_t dur = now > frame.start_ns ? now - frame.start_ns : 0;
   Node& node = tp.nodes[static_cast<std::size_t>(frame.node)];
   node.incl_ns += dur;
-  tp.nodes[static_cast<std::size_t>(node.parent)].child_ns += dur;
+  // An adopted parent's time is the dispatching thread's; this thread's
+  // time must not be subtracted from it.
+  if (tp.stack.empty() || !tp.stack.back().adopted) {
+    tp.nodes[static_cast<std::size_t>(node.parent)].child_ns += dur;
+  }
 }
 
 void zone_add_cost(int node, const OpCost& cost) {
@@ -233,6 +238,36 @@ void profile_note_alloc(std::size_t bytes) {
   Node& node = tp.nodes[static_cast<std::size_t>(idx)];
   node.alloc_bytes += bytes;
   node.allocs += 1;
+}
+
+std::vector<const char*> open_zone_path() {
+  std::vector<const char*> path;
+  if (!profiling_enabled()) return path;
+  ThreadProfile& tp = thread_profile();
+  const fms::MutexLock lock(tp.mu);
+  path.reserve(tp.stack.size());
+  for (const Frame& frame : tp.stack) {
+    path.push_back(tp.nodes[static_cast<std::size_t>(frame.node)].name);
+  }
+  return path;
+}
+
+AdoptedZones::AdoptedZones(const std::vector<const char*>& path) {
+  if (path.empty()) return;
+  ThreadProfile& tp = thread_profile();
+  const fms::MutexLock lock(tp.mu);
+  for (const char* name : path) {
+    const int parent = tp.stack.empty() ? 0 : tp.stack.back().node;
+    tp.stack.push_back(Frame{child_index(tp, parent, name), 0, true});
+  }
+  depth_ = path.size();
+}
+
+AdoptedZones::~AdoptedZones() {
+  if (depth_ == 0) return;
+  ThreadProfile& tp = thread_profile();
+  const fms::MutexLock lock(tp.mu);
+  tp.stack.resize(tp.stack.size() - std::min(depth_, tp.stack.size()));
 }
 
 void set_profiling_enabled(bool on) {
@@ -257,7 +292,9 @@ void reset_profiler() {
     const std::uint64_t now = thread_cpu_ns();
     for (Frame& frame : tp->stack) {
       frame.start_ns = now;
-      tp->nodes[static_cast<std::size_t>(frame.node)].calls += 1;
+      if (!frame.adopted) {
+        tp->nodes[static_cast<std::size_t>(frame.node)].calls += 1;
+      }
     }
   }
 }

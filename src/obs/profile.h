@@ -5,9 +5,11 @@
 //
 // FMS_OP("nn.conv_fwd", cost) is the one instrumentation point: it opens
 // a zone for the enclosing scope and adds `cost` (an OpCost expression)
-// to that zone's node. Nesting builds a per-thread tree (ops entered on
-// ThreadPool workers grow their own trees, merged deterministically at
-// collection time). Time is per-thread CPU time
+// to that zone's node. Nesting builds a per-thread tree, merged
+// deterministically at collection time. ThreadPool workers adopt the
+// dispatching thread's open zone path (AdoptedZones below), so an op
+// entered on a worker lands at the same path it would reach serially
+// ("round/local_train/nn.conv_fwd"). Time is per-thread CPU time
 // (CLOCK_THREAD_CPUTIME_ID), so a zone's cost is what *it* burned, not
 // what it waited on.
 //
@@ -106,6 +108,28 @@ std::string self_time_table(const ProfileReport& report,
 // ledger, and the fms.rss.peak_bytes gauge. No-op when telemetry is
 // disabled.
 void emit_profile_telemetry(const ProfileReport& report);
+
+// The calling thread's open zone path, outermost first (empty when
+// profiling is off or no zone is open). ThreadPool::parallel_for hands
+// it to its workers.
+std::vector<const char*> open_zone_path();
+
+// RAII: opens `path` on this thread as adopted frames, so the zones the
+// thread enters meanwhile nest beneath the dispatching thread's zone.
+// Adopted frames book no call, time or child time: the dispatcher's zones
+// keep their own thread's CPU time, a parent's exclusive time never goes
+// negative, and only the dispatcher's zones are top-level.
+class AdoptedZones {
+ public:
+  explicit AdoptedZones(const std::vector<const char*>& path);
+  ~AdoptedZones();
+
+  AdoptedZones(const AdoptedZones&) = delete;
+  AdoptedZones& operator=(const AdoptedZones&) = delete;
+
+ private:
+  std::size_t depth_ = 0;
+};
 
 // Process peak resident set size in bytes (0 when unavailable).
 std::int64_t peak_rss_bytes();

@@ -6,6 +6,12 @@
 #include "src/obs/trace_ctx.h"
 
 namespace fms::obs {
+namespace {
+
+// The calling thread's active EventCapture buffer, if any.
+thread_local std::vector<TraceEvent>* captured_events = nullptr;
+
+}  // namespace
 
 Telemetry& Telemetry::instance() {
   static Telemetry telemetry;
@@ -29,6 +35,10 @@ std::size_t Telemetry::num_sinks() const {
 
 void Telemetry::emit(TraceEvent event) {
   if (!telemetry_enabled()) return;
+  if (captured_events != nullptr) {
+    captured_events->push_back(std::move(event));
+    return;
+  }
   fms::MutexLock lock(mu_);
   if (event.label.empty()) event.label = label_;
   for (const auto& sink : sinks_) sink->write(event);
@@ -87,5 +97,12 @@ void Telemetry::finish() {
   if (!csv_path.empty()) registry_.write_csv(csv_path);
   TraceContext::instance().export_chrome();
 }
+
+EventCapture::EventCapture(std::vector<TraceEvent>& into)
+    : prev_(captured_events) {
+  captured_events = &into;
+}
+
+EventCapture::~EventCapture() { captured_events = prev_; }
 
 }  // namespace fms::obs

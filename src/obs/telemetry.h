@@ -33,7 +33,8 @@ class Telemetry {
   std::size_t num_sinks() const;
 
   // Fans the event out to every sink; no-op while telemetry is disabled.
-  // Stamps the current run label onto events that carry none.
+  // Stamps the current run label onto events that carry none. Inside an
+  // EventCapture the event is buffered instead.
   void emit(TraceEvent event);
   void flush();
 
@@ -65,6 +66,22 @@ class Telemetry {
   std::string label_ FMS_GUARDED_BY(mu_);
   std::string metrics_csv_path_ FMS_GUARDED_BY(mu_);
   std::atomic<int> round_{-1};
+};
+
+// RAII: while alive, the trace events this thread emits are appended to
+// `into` instead of reaching the sinks. A parallel phase captures each
+// participant's span events and re-emits them in participant order after
+// the join, so trace files do not depend on thread scheduling.
+class EventCapture {
+ public:
+  explicit EventCapture(std::vector<TraceEvent>& into);
+  ~EventCapture();
+
+  EventCapture(const EventCapture&) = delete;
+  EventCapture& operator=(const EventCapture&) = delete;
+
+ private:
+  std::vector<TraceEvent>* prev_;
 };
 
 }  // namespace fms::obs

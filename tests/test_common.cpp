@@ -1,8 +1,13 @@
 // Tests for the common runtime: RNG determinism, statistics helpers,
 // tables, thread pool, config scaling.
 #include <cstdlib>
+#include <filesystem>
+#include <memory>
 #include <set>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/common/config.h"
@@ -166,6 +171,153 @@ TEST(ThreadPool, SingleWorkerDegradesToSerial) {
   int counter = 0;
   pool.parallel_for(10, [&](std::size_t) { ++counter; });
   EXPECT_EQ(counter, 10);
+}
+
+TEST(ThreadPool, IndexRunsOnTheSameWorkerEveryCall) {
+  // Index i is owned by worker i % size(), and the caller is worker 0 —
+  // the same thread for the same index on every call.
+  ThreadPool pool(4);
+  ASSERT_EQ(pool.size(), 4U);
+  constexpr std::size_t kIndices = 10;
+  std::vector<std::thread::id> first(kIndices);
+  pool.parallel_for(kIndices,
+                    [&](std::size_t i) { first[i] = std::this_thread::get_id(); });
+  EXPECT_EQ(first[0], std::this_thread::get_id());
+  EXPECT_EQ(std::set<std::thread::id>(first.begin(), first.end()).size(), 4U);
+  for (std::size_t i = 0; i < kIndices; ++i) EXPECT_EQ(first[i], first[i % 4]);
+  for (const std::size_t n : {kIndices, std::size_t{3}, kIndices}) {
+    std::vector<std::thread::id> again(n);
+    pool.parallel_for(n, [&](std::size_t i) {
+      again[i] = std::this_thread::get_id();
+    });
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(again[i], first[i]) << i;
+  }
+}
+
+TEST(ThreadPool, RethrowsTheLowestIndexOnlyAfterEveryIndexRan) {
+  ThreadPool pool(4);
+  constexpr std::size_t kIndices = 16;
+  std::vector<int> ran(kIndices, 0);
+  try {
+    pool.parallel_for(kIndices, [&](std::size_t i) {
+      ran[i] = 1;
+      // One failing index per worker (8 is the caller's); the lowest must
+      // win whichever finishes first.
+      if (i == 5 || i == 8 || i == 11 || i == 14) {
+        throw CheckError("index " + std::to_string(i));
+      }
+    });
+    ADD_FAILURE() << "parallel_for swallowed the exceptions";
+  } catch (const CheckError& e) {
+    EXPECT_STREQ(e.what(), "index 5");
+  }
+  for (std::size_t i = 0; i < kIndices; ++i) EXPECT_EQ(ran[i], 1) << i;
+  // The failure does not stick to the pool.
+  int after = 0;
+  pool.parallel_for(4, [&](std::size_t i) {
+    if (i == 0) after = 1;
+  });
+  EXPECT_EQ(after, 1);
+}
+
+TEST(ThreadPool, IdlePoolDestructsWithoutHanging) {
+  { ThreadPool never_used(4); }
+  auto pool = std::make_unique<ThreadPool>(4);
+  pool->parallel_for(2, [](std::size_t) {});  // workers 2, 3 own no index
+  pool->parallel_for(8, [](std::size_t) {});
+  pool.reset();  // every worker is parked in its wait; must join promptly
+  SUCCEED();
+}
+
+TEST(ThreadPool, NestedCallIntoTheSamePoolThrows) {
+  ThreadPool pool(2);
+  EXPECT_THROW(pool.parallel_for(
+                   4, [&](std::size_t) { pool.parallel_for(1, [](std::size_t) {}); }),
+               CheckError);
+  ThreadPool other(2);  // a different pool may be called from inside
+  int inner = 0;
+  pool.parallel_for(1, [&](std::size_t) {
+    other.parallel_for(3, [&](std::size_t i) {
+      if (i == 0) inner = 1;
+    });
+  });
+  EXPECT_EQ(inner, 1);
+}
+
+TEST(ThreadPool, SharedPoolIsOnePerSizeForTheProcess) {
+  ThreadPool& a = shared_thread_pool(3);
+  EXPECT_EQ(&a, &shared_thread_pool(3));
+  EXPECT_EQ(a.size(), 3U);
+  EXPECT_NE(&a, &shared_thread_pool(2));
+  EXPECT_EQ(shared_thread_pool(0).size(), 1U);
+}
+
+std::size_t process_threads() {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(ThreadPool, OneWorkerPoolStartsNoThread) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task on this platform";
+  }
+  // A first pool lets runtimes that start a helper thread alongside the
+  // process's first spawned thread (TSan's) do so before counting.
+  { ThreadPool warm_up(2); }
+  const std::size_t before = process_threads();
+  {
+    ThreadPool inline_pool(1);
+    EXPECT_EQ(process_threads(), before);
+    std::vector<std::thread::id> ids(5);
+    inline_pool.parallel_for(ids.size(), [&](std::size_t i) {
+      ids[i] = std::this_thread::get_id();
+    });
+    for (const std::thread::id id : ids) {
+      EXPECT_EQ(id, std::this_thread::get_id());
+    }
+  }
+  {
+    ThreadPool pool(3);  // the caller is worker 0: two threads started
+    EXPECT_EQ(process_threads(), before + 2);
+  }
+}
+
+// Sanitizer runtimes replace malloc, so glibc's arena settings mean
+// nothing there.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define FMS_OWN_MALLOC 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define FMS_OWN_MALLOC 1
+#endif
+#endif
+
+TEST(ThreadPool, MultiWorkerPoolKeepsFreedArenaMemory) {
+#if defined(__GLIBC__) && !defined(FMS_OWN_MALLOC)
+#if __GLIBC_PREREQ(2, 33)
+  { ThreadPool pool(2); }
+  // Two megabytes in blocks below the mmap threshold, freed: they
+  // coalesce into the top of this thread's (the main) arena. With glibc's
+  // default 128 KiB trim threshold free() would hand them back to the
+  // kernel at once.
+  std::vector<std::unique_ptr<char[]>> blocks;
+  blocks.reserve(64);
+  for (int i = 0; i < 64; ++i) {
+    blocks.push_back(std::make_unique<char[]>(32 << 10));
+  }
+  blocks.clear();
+  EXPECT_GE(mallinfo2().keepcost, std::size_t{1} << 20);
+#else
+  GTEST_SKIP() << "mallinfo2 needs glibc 2.33";
+#endif
+#else
+  GTEST_SKIP() << "needs glibc's own malloc";
+#endif
 }
 
 TEST(Config, DefaultsMatchPaperTable1) {

@@ -2,15 +2,18 @@
 // short seeded search must produce byte-identical results in every cell
 // of the matrix
 //
-//   instrumentation {all off, all on}
+//   threads {1, 2, 4}
+//   x instrumentation {all off, all on}
 //   x plan {clean, fault + churn + Byzantine at quorum 0.75 with DC}
-//   x run {uninterrupted, dropped after round j and recover()ed}.
+//   x run {uninterrupted, dropped after round j and recover()ed},
 //
-// Per plan, every cell is compared against the uninstrumented
-// uninterrupted run on four artifacts: the serialized canonical
-// RoundRecords, the genotype string, the final checkpoint blob and the
-// journal files (live + `.prev`). The label rides the CI sanitizer matrix
-// (ASan/UBSan and TSan) like the other labelled binaries.
+// plus one cell dropped at 4 threads and recover()ed at 1. Per plan,
+// every cell is compared against the uninstrumented uninterrupted run at
+// one thread on four artifacts: the serialized canonical RoundRecords,
+// the genotype string, the final checkpoint blob and the journal files
+// (live + `.prev`). A second test pins the JSONL trace itself across
+// thread counts. The label rides the CI sanitizer matrix (ASan/UBSan and
+// TSan) like the other labelled binaries, so TSan races every cell.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,6 +21,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/serialize.h"
@@ -138,18 +142,28 @@ void append(Outcome& out, const std::vector<RoundRecord>& records) {
   out.records.insert(out.records.end(), w.bytes().begin(), w.bytes().end());
 }
 
-Outcome run_cell(bool instrumented, bool hostile, bool recovered,
-                 const std::string& name) {
+// One matrix cell. `threads` trains the search; a recovered cell's
+// second process trains on `recover_threads`.
+struct Cell {
+  bool instrumented = false;
+  bool recovered = false;
+  int threads = 1;
+  int recover_threads = 1;
+};
+
+Outcome run_cell(const Cell& c, bool hostile, const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/fms_det_" + name;
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   World w = make_world();
-  if (instrumented) instrument(w.cfg, dir);
+  if (c.instrumented) instrument(w.cfg, dir);
+  const bool recovered = c.recovered;
   const SearchOptions opts = plan_options(hostile, dir);
   const std::string journal = dir + "/wal.bin";
   Outcome out;
   int search_left = kSearch;
   {
+    w.cfg.threads = c.threads;
     FederatedSearch first(w.cfg, w.data.train, w.partition);
     first.enable_journal(journal, opts.fault_plan);
     append(out, first.run_warmup(kWarmup));
@@ -162,6 +176,7 @@ Outcome run_cell(bool instrumented, bool hostile, bool recovered,
     }
   }  // a dropped search leaves only its files behind
   if (recovered) {
+    w.cfg.threads = c.recover_threads;
     FederatedSearch second(w.cfg, w.data.train, w.partition);
     FederatedSearch::RecoverConfig rc;
     rc.checkpoint_path = opts.checkpoint_path;
@@ -191,7 +206,7 @@ class DeterminismTest : public ::testing::TestWithParam<bool> {
 TEST_P(DeterminismTest, EveryCellIsByteIdentical) {
   const bool hostile = GetParam();
   const std::string plan = hostile ? "hostile" : "clean";
-  const Outcome ref = run_cell(false, hostile, false, plan + "_ref");
+  const Outcome ref = run_cell(Cell{}, hostile, plan + "_ref");
   ASSERT_FALSE(ref.records.empty());
   ASSERT_FALSE(ref.journal.empty());
   ASSERT_FALSE(ref.journal_prev.empty());
@@ -207,23 +222,72 @@ TEST_P(DeterminismTest, EveryCellIsByteIdentical) {
     EXPECT_EQ(ref.rejected, 0);
   }
 
-  struct Cell {
-    bool instrumented;
-    bool recovered;
-    const char* name;
-  };
-  for (const Cell& c : {Cell{true, false, "instrumented"},
-                        Cell{false, true, "recovered"},
-                        Cell{true, true, "instrumented_recovered"}}) {
-    SCOPED_TRACE(plan + "/" + c.name);
-    const Outcome got =
-        run_cell(c.instrumented, hostile, c.recovered, plan + "_" + c.name);
+  std::vector<std::pair<Cell, std::string>> cells;
+  for (const int t : {1, 2, 4}) {
+    const std::string tn = "_t" + std::to_string(t);
+    if (t > 1) cells.push_back({Cell{false, false, t, t}, "plain" + tn});
+    cells.push_back({Cell{true, false, t, t}, "instrumented" + tn});
+    cells.push_back({Cell{false, true, t, t}, "recovered" + tn});
+    cells.push_back({Cell{true, true, t, t}, "instrumented_recovered" + tn});
+  }
+  cells.push_back({Cell{false, true, 4, 1}, "dropped_t4_recovered_t1"});
+  for (const auto& [c, name] : cells) {
+    SCOPED_TRACE(plan + "/" + name);
+    const Outcome got = run_cell(c, hostile, plan + "_" + name);
     EXPECT_EQ(got.records, ref.records);
     EXPECT_EQ(got.genotype, ref.genotype);
     EXPECT_EQ(got.checkpoint, ref.checkpoint);
     EXPECT_EQ(got.journal, ref.journal);
     EXPECT_EQ(got.journal_prev, ref.journal_prev);
   }
+}
+
+// The JSONL trace of a 3-round search, with span durations stripped: the
+// span events participants emit on pool workers are buffered and
+// re-emitted in participant order, so the file cannot depend on the
+// thread count or on scheduling.
+std::string trace_without_durations(int threads, const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "/fms_det_" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  World w = make_world();
+  w.cfg.threads = threads;
+  w.cfg.telemetry.enabled = true;
+  w.cfg.telemetry.trace_jsonl_path = dir + "/trace.jsonl";
+  {
+    FederatedSearch search(w.cfg, w.data.train, w.partition);
+    search.run_warmup(1);
+    search.run_search(2, plan_options(/*hostile=*/true, dir));
+  }
+  std::ifstream in(dir + "/trace.jsonl");
+  std::string out;
+  std::string line;
+  const std::string key = "\"dur_s\":";
+  while (std::getline(in, line)) {
+    const std::size_t at = line.find(key);
+    if (at != std::string::npos) {
+      const std::size_t end = line.find_first_of(",}", at + key.size());
+      line.erase(at + key.size(), end - at - key.size());
+    }
+    out += line;
+    out += '\n';
+  }
+  reset_globals();
+  std::filesystem::remove_all(dir);
+  return out;
+}
+
+class TraceDeterminismTest : public ::testing::Test {
+ protected:
+  void SetUp() override { reset_globals(); }
+  void TearDown() override { reset_globals(); }
+};
+
+TEST_F(TraceDeterminismTest, JsonlIsByteIdenticalAcrossThreadCounts) {
+  const std::string serial = trace_without_durations(1, "trace_t1");
+  EXPECT_NE(serial.find("\"name\":\"local_train\""), std::string::npos);
+  EXPECT_NE(serial.find("\"name\":\"prune\""), std::string::npos);
+  EXPECT_EQ(trace_without_durations(4, "trace_t4"), serial);
 }
 
 INSTANTIATE_TEST_SUITE_P(Plans, DeterminismTest, ::testing::Bool(),

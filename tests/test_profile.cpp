@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <ctime>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "src/common/thread_pool.h"
 #include "src/core/checkpoint.h"
 #include "src/core/search.h"
 #include "src/data/synth.h"
@@ -112,6 +114,56 @@ TEST_F(ProfileTest, ZoneTreeTracksNestingCallsAndExclusiveTime) {
   EXPECT_EQ(inner->excl_ns, inner->incl_ns);
 }
 
+// Spins until this thread has burned `ns` of CPU time.
+void burn_cpu_ns(std::uint64_t ns) {
+  const auto now = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000ULL +
+           static_cast<std::uint64_t>(ts.tv_nsec);
+  };
+  const std::uint64_t end = now() + ns;
+  while (now() < end) {
+  }
+}
+
+TEST_F(ProfileTest, PoolWorkerZonesNestUnderTheDispatchingZone) {
+  // An op entered on a pool worker merges beneath the caller's open zone,
+  // as it would serially, and only the caller's zone is top-level. The
+  // workers' CPU time is theirs: it is not subtracted from the caller's
+  // zone, whose exclusive time stays the ~5 ms the caller itself burned
+  // (subtracting 8 x 2 ms of inner time would clamp it to zero).
+  obs::set_profiling_enabled(true);
+  obs::reset_profiler();
+  constexpr std::size_t kIndices = 8;
+  ThreadPool pool(4);
+  {
+    FMS_OP("outer", {});
+    burn_cpu_ns(5000000);
+    pool.parallel_for(kIndices, [](std::size_t) {
+      FMS_OP("inner", {});
+      burn_cpu_ns(2000000);
+    });
+  }
+  const obs::ProfileReport report = obs::collect_profile();
+  for (const obs::ZoneStats& z : report.zones) {
+    if (z.depth == 0) {
+      EXPECT_EQ(z.path, "outer");
+    }
+  }
+  EXPECT_EQ(find_zone(report, "inner"), nullptr);
+  const obs::ZoneStats* outer = find_zone(report, "outer");
+  const obs::ZoneStats* inner = find_zone(report, "outer/inner");
+  ASSERT_NE(outer, nullptr);
+  ASSERT_NE(inner, nullptr);
+  EXPECT_EQ(outer->calls, 1U);
+  EXPECT_EQ(inner->calls, kIndices);
+  EXPECT_EQ(inner->depth, 1);
+  EXPECT_GE(inner->incl_ns, kIndices * 2000000);
+  EXPECT_GE(outer->excl_ns, 4000000U);
+  EXPECT_LE(outer->excl_ns, outer->incl_ns);
+}
+
 TEST_F(ProfileTest, CollectIsDeterministicAndSelfTimeTableRenders) {
   obs::set_profiling_enabled(true);
   obs::reset_profiler();
@@ -171,14 +223,18 @@ TEST_F(ProfileTest, SearchAllocCountsAreExactReproducibleAndLeakFree) {
   // must be exactly flat — a per-round leak would grow them. A 1-cell,
   // 1-node space makes cache warm-up finish within the warm phase
   // (layers allocate their caches lazily, on the first round whose
-  // sampled mask selects them).
+  // sampled mask selects them). The third run trains its participants on
+  // 4 threads: every count and every between-round live total must match
+  // the serial runs; only the peak, which depends on how the threads
+  // interleave, is a serial-schedule fact.
   SearchOptions opts;
   std::vector<obs::AllocStats> per_run;
   std::vector<std::vector<std::int64_t>> per_round_live;
-  for (int run = 0; run < 2; ++run) {
+  for (const int threads : {1, 1, 4}) {
     TinyWorld w = make_tiny_world(77);
     w.cfg.supernet.num_cells = 1;
     w.cfg.supernet.num_nodes = 1;
+    w.cfg.threads = threads;
     FederatedSearch search(w.cfg, w.data.train, w.partition);
     obs::set_alloc_tracking_enabled(true);
     obs::reset_alloc_stats();
@@ -205,14 +261,26 @@ TEST_F(ProfileTest, SearchAllocCountsAreExactReproducibleAndLeakFree) {
         << "live bytes drifted at steady-state round " << r;
   }
   EXPECT_EQ(per_round_live[0], per_round_live[1]);
+
+  EXPECT_EQ(per_run[2].allocs, per_run[0].allocs);
+  EXPECT_EQ(per_run[2].frees, per_run[0].frees);
+  EXPECT_EQ(per_run[2].total_bytes, per_run[0].total_bytes);
+  EXPECT_EQ(per_round_live[2], per_round_live[0]);
 }
 
 TEST_F(ProfileTest, ResumedSearchMatchesOriginalAllocCounters) {
   // The ledger delta of rounds replayed after a checkpoint restore must
   // equal the original run's delta for the same rounds: restore rebuilds
-  // the exact tensor traffic, not an approximation of it.
+  // the exact tensor traffic, not an approximation of it. Every search
+  // here runs its participants inline, so the peak below is the serial
+  // schedule's (the parallel counts are pinned in the test above).
   SearchOptions opts;
-  TinyWorld w = make_tiny_world(91);
+  auto make_world = [] {
+    TinyWorld w = make_tiny_world(91);
+    w.cfg.threads = 1;
+    return w;
+  };
+  TinyWorld w = make_world();
   FederatedSearch original(w.cfg, w.data.train, w.partition);
   original.run_warmup(1);
   original.run_search(1, opts);
@@ -225,7 +293,7 @@ TEST_F(ProfileTest, ResumedSearchMatchesOriginalAllocCounters) {
   obs::set_alloc_tracking_enabled(false);
   obs::reset_alloc_stats();
 
-  TinyWorld w2 = make_tiny_world(91);
+  TinyWorld w2 = make_world();
   FederatedSearch resumed(w2.cfg, w2.data.train, w2.partition);
   resumed.restore(ckpt);
   obs::set_alloc_tracking_enabled(true);
@@ -245,7 +313,7 @@ TEST_F(ProfileTest, ResumedSearchMatchesOriginalAllocCounters) {
 
   // A second restore from the same checkpoint must reproduce the first
   // resumed run's ledger bit for bit — frees and peak included.
-  TinyWorld w3 = make_tiny_world(91);
+  TinyWorld w3 = make_world();
   FederatedSearch resumed2(w3.cfg, w3.data.train, w3.partition);
   resumed2.restore(ckpt);
   obs::set_alloc_tracking_enabled(true);

@@ -3,9 +3,10 @@
 // These run in every build, but their real job is a -DFMS_SANITIZE=thread
 // build: `ctest -L tsan` must come back with zero reported races. They
 // hammer exactly the surfaces the repo promises are thread-safe — the
-// ThreadPool, concurrent MetricsRegistry recording from many threads, and
-// whole FederatedSearch rounds running in parallel against the shared
-// global Telemetry context.
+// ThreadPool and its fixed index ownership, concurrent MetricsRegistry
+// recording from many threads, and whole FederatedSearch rounds (training
+// their participants on one shared pool) running in parallel against the
+// shared global Telemetry context.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -51,6 +52,53 @@ TEST(TsanThreadPool, ExceptionUnderContentionStillJoins) {
                           }),
         CheckError);
   }
+}
+
+TEST(TsanThreadPool, FixedOwnershipMakesPerWorkerStateRaceFree) {
+  // Each worker bumps a plain, unsynchronized slot of its own — the
+  // pattern a participant's replica caches follow across rounds. It is
+  // race-free only because index i runs on worker i % size() on every
+  // call; TSan reports any index that migrates.
+  ThreadPool pool(4);
+  std::vector<std::uint64_t> per_worker(pool.size(), 0);
+  std::vector<std::thread::id> owner(37);
+  for (int call = 0; call < 200; ++call) {
+    const std::size_t n = call % 3 == 0 ? owner.size() : 9;
+    pool.parallel_for(n, [&](std::size_t i) {
+      per_worker[i % 4] += 1;
+      if (call == 0) owner[i] = std::this_thread::get_id();
+      EXPECT_EQ(owner[i], std::this_thread::get_id());
+    });
+  }
+  std::uint64_t total = 0;
+  for (const std::uint64_t c : per_worker) total += c;
+  EXPECT_EQ(total, 67U * 37U + 133U * 9U);
+}
+
+TEST(TsanThreadPool, ConcurrentCallersOfASharedPoolTakeTurns) {
+  // Searches on different threads share one process-wide pool of their
+  // size; their parallel_for calls must serialize, not interleave.
+  // Index 0 runs on each call's own caller thread, so overlapping calls
+  // would write slot 0 from two threads at once: TSan reports the race,
+  // and the read-back can see the other caller's id.
+  ThreadPool& pool = shared_thread_pool(4);
+  std::vector<int> slot(8, -1);
+  std::atomic<int> clobbered{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 3; ++c) {
+    callers.emplace_back([&, c] {
+      for (int call = 0; call < 50; ++call) {
+        pool.parallel_for(slot.size(), [&](std::size_t i) {
+          slot[i] = c;
+          for (int spin = 0; spin < 100; ++spin) {
+            if (slot[i] != c) clobbered.fetch_add(1);
+          }
+        });
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(clobbered.load(), 0);
 }
 
 TEST(TsanMetrics, ConcurrentRecordingIsExact) {
@@ -104,7 +152,7 @@ struct RunResult {
   std::vector<std::size_t> bytes_down;
 };
 
-RunResult run_rounds(std::uint64_t seed) {
+RunResult run_rounds(std::uint64_t seed, int threads) {
   Rng rng(seed);
   SynthSpec spec;
   spec.train_size = 96;
@@ -112,6 +160,7 @@ RunResult run_rounds(std::uint64_t seed) {
   spec.image_size = 8;
   TrainTest tt = make_synth_c10(spec, rng);
   SearchConfig cfg = tsan_config(seed);
+  cfg.threads = threads;
   auto parts =
       iid_partition(tt.train.size(), cfg.schedule.num_participants, rng);
   FederatedSearch search(cfg, tt.train, parts);
@@ -127,24 +176,26 @@ RunResult run_rounds(std::uint64_t seed) {
 }
 
 TEST(TsanSearch, ParallelRoundsOnSharedTelemetryStayDeterministic) {
-  // Two full searches run simultaneously, both recording spans and
-  // metrics into the shared global Telemetry registry. TSan checks the
-  // registry/sink locking; the assertions check that concurrency cannot
-  // leak between searches — each thread's trajectory must be bitwise
-  // identical to the same search run serially.
+  // Two full searches run simultaneously, taking turns on the shared
+  // 3-worker pool to train their participants, all recording spans and
+  // metrics into the
+  // shared global Telemetry registry. TSan checks the registry/sink
+  // locking and the pools; the assertions check that concurrency cannot
+  // leak between searches — each trajectory must be bitwise identical to
+  // the same search run serially on one thread.
   obs::set_telemetry_enabled(true);
   obs::Telemetry::instance().registry().reset();
 
   RunResult parallel_a;
   RunResult parallel_b;
   {
-    std::thread ta([&] { parallel_a = run_rounds(11); });
-    std::thread tb([&] { parallel_b = run_rounds(23); });
+    std::thread ta([&] { parallel_a = run_rounds(11, 3); });
+    std::thread tb([&] { parallel_b = run_rounds(23, 3); });
     ta.join();
     tb.join();
   }
-  const RunResult serial_a = run_rounds(11);
-  const RunResult serial_b = run_rounds(23);
+  const RunResult serial_a = run_rounds(11, 1);
+  const RunResult serial_b = run_rounds(23, 1);
 
   obs::set_telemetry_enabled(false);
   obs::Telemetry::instance().registry().reset();

@@ -4,7 +4,7 @@
 // kernels (conv/BN/linear, tensor axpy), the supernet's mask/gather/
 // scatter plumbing, every aggregation estimator at m in {10, 50},
 // checkpoint serialize/restore, message codecs, transmission scheduling,
-// and whole warm-up / search rounds as macro benches.
+// and whole warm-up / search rounds (K=4 and K=16) as macro benches.
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -27,14 +27,14 @@
 namespace fms::bench {
 namespace {
 
-SearchConfig bench_search_config() {
+SearchConfig bench_search_config(int participants = 4) {
   SearchConfig cfg;
   cfg.supernet.num_cells = 3;
   cfg.supernet.num_nodes = 2;
   cfg.supernet.stem_channels = 4;
   cfg.supernet.image_size = 8;
   cfg.schedule.batch_size = 8;
-  cfg.schedule.num_participants = 4;
+  cfg.schedule.num_participants = participants;
   cfg.seed = 1234;
   return cfg;
 }
@@ -44,14 +44,16 @@ struct SearchState {
   std::unique_ptr<FederatedSearch> search;
 };
 
-std::shared_ptr<SearchState> make_search_state(std::uint64_t seed) {
+// K participants with 40 training images each.
+std::shared_ptr<SearchState> make_search_state(std::uint64_t seed,
+                                               int participants = 4) {
   Rng rng(seed);
   SynthSpec spec;
-  spec.train_size = 160;
+  spec.train_size = 40 * participants;
   spec.test_size = 40;
   spec.image_size = 8;
   TrainTest data = make_synth_c10(spec, rng);
-  SearchConfig cfg = bench_search_config();
+  SearchConfig cfg = bench_search_config(participants);
   auto parts =
       iid_partition(data.train.size(), cfg.schedule.num_participants, rng);
   // The dataset must land at its final heap address before the search is
@@ -326,6 +328,19 @@ std::vector<Benchmark> default_benchmarks() {
                   }});
   list.push_back({"fed.round_search", 1, []() -> std::function<void()> {
                     auto state = make_search_state(0xF00E);
+                    state->search->run_warmup(2);
+                    auto opts = std::make_shared<SearchOptions>();
+                    opts->stale_policy = StalePolicy::kCompensate;
+                    opts->staleness = StalenessDistribution::severe();
+                    return [state, opts] {
+                      state->search->run_search(1, *opts);
+                    };
+                  }});
+  // The same round at K=16, where participant training (run on up to
+  // min(cores, K) threads) dominates: shows how a round scales past the
+  // K=4 bench.
+  list.push_back({"fed.round_search_k16", 1, []() -> std::function<void()> {
+                    auto state = make_search_state(0xF016, 16);
                     state->search->run_warmup(2);
                     auto opts = std::make_shared<SearchOptions>();
                     opts->stale_policy = StalePolicy::kCompensate;
