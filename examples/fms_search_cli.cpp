@@ -557,22 +557,17 @@ int main(int argc, char** argv) {
     // gauges before finish() so they land in the metrics CSV snapshot.
     const obs::MachinePeak peak = obs::load_or_calibrate(peak_cache);
     obs::emit_roofline_telemetry(peak);
-    const obs::ProfileReport prof = obs::collect_profile();
-    const obs::WorkReport work = obs::collect_work(prof);
+    const obs::WorkReport work = obs::collect_work();
     const obs::WorkRow* top = nullptr;
     for (const obs::WorkRow& row : work.rows) {
       if (top == nullptr || row.cost.flops > top->cost.flops) top = &row;
     }
     if (top != nullptr && top->cost.flops > 0) {
-      std::uint64_t ns = 0;
-      for (const obs::ZoneStats& z : prof.zones) {
-        if (z.name == top->op) ns += z.incl_ns;
-      }
       const double ai = obs::arithmetic_intensity(top->cost);
-      const double gf =
-          ns > 0 ? static_cast<double>(top->cost.flops) /
-                       static_cast<double>(ns)
-                 : 0.0;
+      const double gf = top->incl_ns > 0
+                            ? static_cast<double>(top->cost.flops) /
+                                  static_cast<double>(top->incl_ns)
+                            : 0.0;
       const double roof = obs::roofline_gflops(peak, ai);
       std::printf(
           "roofline: vector %.2f GF/s scalar %.2f GF/s stream %.2f GB/s; "

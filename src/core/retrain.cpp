@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "src/tensor/ops.h"
 
@@ -23,13 +24,48 @@ double evaluate(TrainableNet& net, const Dataset& data, int batch_size) {
   return static_cast<double>(correct_total) / data.size();
 }
 
+namespace {
+
+// The bookkeeping both trainers share: one curve point per step, a test
+// evaluation every `eval_every` steps and on the last one, and the final
+// and best test accuracy.
+struct Curve {
+  TrainableNet& net;
+  const Dataset& test;
+  int batch_size;
+  int steps;
+  int eval_every;
+  RetrainResult result;
+
+  void record(int step, double train_acc) {
+    TrainPoint pt;
+    pt.step = step;
+    pt.train_acc = train_acc;
+    if ((step + 1) % eval_every == 0 || step + 1 == steps) {
+      pt.val_acc = evaluate(net, test, batch_size);
+      result.best_test_accuracy =
+          std::max(result.best_test_accuracy, pt.val_acc);
+    }
+    result.curve.push_back(pt);
+  }
+
+  RetrainResult finish() {
+    result.final_test_accuracy = evaluate(net, test, batch_size);
+    result.best_test_accuracy =
+        std::max(result.best_test_accuracy, result.final_test_accuracy);
+    return std::move(result);
+  }
+};
+
+}  // namespace
+
 RetrainResult centralized_train(TrainableNet& net, const Dataset& train,
                                 const Dataset& test, int epochs,
                                 int batch_size, const SGD::Options& opts,
                                 const AugmentConfig* augment, Rng& rng,
                                 int eval_every, const LrSchedule* schedule) {
   SGD optimizer(opts);
-  RetrainResult result;
+  Curve curve{net, test, batch_size, epochs, eval_every, {}};
   std::vector<int> order(static_cast<std::size_t>(train.size()));
   std::iota(order.begin(), order.end(), 0);
   for (int epoch = 0; epoch < epochs; ++epoch) {
@@ -52,20 +88,9 @@ RetrainResult centralized_train(TrainableNet& net, const Dataset& train,
       acc_sum += ce.accuracy;
       ++batches;
     }
-    TrainPoint pt;
-    pt.step = epoch;
-    pt.train_acc = batches > 0 ? acc_sum / batches : 0.0;
-    if ((epoch + 1) % eval_every == 0 || epoch + 1 == epochs) {
-      pt.val_acc = evaluate(net, test, batch_size);
-      result.best_test_accuracy =
-          std::max(result.best_test_accuracy, pt.val_acc);
-    }
-    result.curve.push_back(pt);
+    curve.record(epoch, batches > 0 ? acc_sum / batches : 0.0);
   }
-  result.final_test_accuracy = evaluate(net, test, batch_size);
-  result.best_test_accuracy =
-      std::max(result.best_test_accuracy, result.final_test_accuracy);
-  return result;
+  return curve.finish();
 }
 
 RetrainResult federated_train(TrainableNet& net, const Dataset& train,
@@ -75,7 +100,7 @@ RetrainResult federated_train(TrainableNet& net, const Dataset& train,
                               const AugmentConfig* augment, Rng& rng,
                               int eval_every, const LrSchedule* schedule) {
   SGD optimizer(opts);
-  RetrainResult result;
+  Curve curve{net, test, batch_size, rounds, eval_every, {}};
   const int k = static_cast<int>(partition.size());
   FMS_CHECK(k > 0);
   std::vector<Shard> shards;
@@ -111,20 +136,9 @@ RetrainResult federated_train(TrainableNet& net, const Dataset& train,
     accumulate_grads(grad_sum, params);
     optimizer.step(params);
 
-    TrainPoint pt;
-    pt.step = round;
-    pt.train_acc = acc_sum / k;
-    if ((round + 1) % eval_every == 0 || round + 1 == rounds) {
-      pt.val_acc = evaluate(net, test, batch_size);
-      result.best_test_accuracy =
-          std::max(result.best_test_accuracy, pt.val_acc);
-    }
-    result.curve.push_back(pt);
+    curve.record(round, acc_sum / k);
   }
-  result.final_test_accuracy = evaluate(net, test, batch_size);
-  result.best_test_accuracy =
-      std::max(result.best_test_accuracy, result.final_test_accuracy);
-  return result;
+  return curve.finish();
 }
 
 }  // namespace fms

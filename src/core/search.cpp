@@ -15,10 +15,10 @@
 #include "src/nn/optim.h"
 #include "src/obs/alloc.h"
 #include "src/obs/health.h"
+#include "src/obs/profile.h"
 #include "src/obs/span.h"
 #include "src/obs/telemetry.h"
 #include "src/obs/trace_ctx.h"
-#include "src/obs/work.h"
 #include "src/tensor/ops.h"
 
 namespace fms {
@@ -1097,13 +1097,10 @@ void FederatedSearch::record_round_telemetry(const RoundRecord& rec,
   telemetry.emit(std::move(event));
 
   // With --profile on, flush the op tree into the sinks each round: one
-  // "profile" trace event per zone plus the fms.prof.* / fms.alloc.*
-  // gauges, then its by-name work fold as one "work" event per op plus
-  // the fms.work.* gauges (cumulative since the last reset_profiler()).
+  // "profile" trace event per zone, costs included, plus the fms.alloc.*
+  // gauges (cumulative since the last reset_profiler()).
   if (obs::profiling_enabled()) {
-    const obs::ProfileReport profile = obs::collect_profile();
-    obs::emit_profile_telemetry(profile);
-    obs::emit_work_telemetry(obs::collect_work(profile));
+    obs::emit_profile_telemetry(obs::collect_profile());
   }
 }
 

@@ -1,7 +1,7 @@
 #include "src/obs/flight.h"
 
 #include <atomic>
-#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <exception>
 
@@ -12,33 +12,23 @@
 namespace fms::obs {
 namespace {
 
-void append_number(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "0";
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out += buf;
-}
-
 std::string event_json(const LifecycleEvent& ev) {
   std::string line;
   line.reserve(160);
   line += "{\"type\":\"flight\",\"stage\":\"";
   line += stage_name(ev.stage);
   line += "\",\"round\":";
-  append_number(line, ev.round);
+  json_number(line, ev.round);
   line += ",\"origin_round\":";
-  append_number(line, ev.origin_round);
+  json_number(line, ev.origin_round);
   line += ",\"participant\":";
-  append_number(line, ev.participant);
+  json_number(line, ev.participant);
   line += ",\"ts_s\":";
-  append_number(line, ev.ts_s);
+  json_number(line, ev.ts_s);
   line += ",\"dur_s\":";
-  append_number(line, ev.dur_s);
+  json_number(line, ev.dur_s);
   line += ",\"value\":";
-  append_number(line, ev.value);
+  json_number(line, ev.value);
   if (!ev.detail.empty()) {
     line += ",\"detail\":\"";
     line += json_escape(ev.detail);
@@ -95,9 +85,9 @@ void FlightRecorder::dump_stream(std::FILE* out,
   header += "{\"type\":\"flight_header\",\"reason\":\"";
   header += json_escape(reason);
   header += "\",\"capacity\":";
-  append_number(header, capacity_);
+  json_number(header, capacity_);
   header += ",\"events\":";
-  append_number(header, static_cast<double>(total));
+  json_number(header, static_cast<double>(total));
   header += "}\n";
   std::fputs(header.c_str(), out);
   for (const auto& [p, ring] : rings_) {

@@ -50,16 +50,6 @@ double window_sum(const std::vector<double>& w) {
   return std::accumulate(w.begin(), w.end(), 0.0);
 }
 
-void append_double(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "0";
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out += buf;
-}
-
 }  // namespace
 
 const char* health_state_name(HealthState s) {
@@ -307,11 +297,11 @@ std::string HealthMonitor::to_json() const {
   out += "{\n  \"worst\": \"";
   out += health_state_name(worst_);
   out += "\",\n  \"rounds\": ";
-  append_double(out, rounds_);
+  json_number(out, rounds_);
   out += ",\n  \"window\": ";
-  append_double(out, cfg_.window);
+  json_number(out, cfg_.window);
   out += ",\n  \"grace_rounds\": ";
-  append_double(out, cfg_.grace_rounds);
+  json_number(out, cfg_.grace_rounds);
   out += ",\n  \"detectors\": [\n";
   for (std::size_t i = 0; i < status_.size(); ++i) {
     const DetectorStatus& d = status_[i];
@@ -320,19 +310,19 @@ std::string HealthMonitor::to_json() const {
     out += "\", \"state\": \"";
     out += health_state_name(d.state);
     out += "\", \"value\": ";
-    append_double(out, d.value);
+    json_number(out, d.value);
     out += ", \"warn\": ";
-    append_double(out, d.warn);
+    json_number(out, d.warn);
     out += ", \"crit\": ";
-    append_double(out, d.crit);
+    json_number(out, d.crit);
     out += ", \"first_warn_round\": ";
-    append_double(out, d.first_warn_round);
+    json_number(out, d.first_warn_round);
     out += ", \"first_crit_round\": ";
-    append_double(out, d.first_crit_round);
+    json_number(out, d.first_crit_round);
     out += ", \"warn_rounds\": ";
-    append_double(out, d.warn_rounds);
+    json_number(out, d.warn_rounds);
     out += ", \"crit_rounds\": ";
-    append_double(out, d.crit_rounds);
+    json_number(out, d.crit_rounds);
     out += "}";
     if (i + 1 < status_.size()) out += ",";
     out += "\n";

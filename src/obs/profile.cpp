@@ -367,7 +367,6 @@ std::string self_time_table(const ProfileReport& report,
 void emit_profile_telemetry(const ProfileReport& report) {
   if (!telemetry_enabled()) return;
   Telemetry& telemetry = Telemetry::instance();
-  MetricsRegistry& registry = telemetry.registry();
   for (const ZoneStats& z : report.zones) {
     TraceEvent event;
     event.type = "profile";
@@ -380,15 +379,16 @@ void emit_profile_telemetry(const ProfileReport& report) {
     event.fields.emplace_back("alloc_bytes",
                               static_cast<double>(z.alloc_bytes));
     event.fields.emplace_back("allocs", static_cast<double>(z.allocs));
+    event.fields.emplace_back("flops", static_cast<double>(z.cost.flops));
+    event.fields.emplace_back("bytes_read",
+                              static_cast<double>(z.cost.bytes_read));
+    event.fields.emplace_back("bytes_written",
+                              static_cast<double>(z.cost.bytes_written));
+    event.fields.emplace_back("elements",
+                              static_cast<double>(z.cost.elements));
     telemetry.emit(std::move(event));
-
-    registry.gauge("fms.prof." + z.path + ".excl_ns")
-        .set(static_cast<double>(z.excl_ns));
-    registry.gauge("fms.prof." + z.path + ".incl_ns")
-        .set(static_cast<double>(z.incl_ns));
-    registry.gauge("fms.prof." + z.path + ".calls")
-        .set(static_cast<double>(z.calls));
   }
+  MetricsRegistry& registry = telemetry.registry();
   const AllocStats alloc = alloc_stats();
   registry.gauge("fms.alloc.allocs").set(static_cast<double>(alloc.allocs));
   registry.gauge("fms.alloc.frees").set(static_cast<double>(alloc.frees));

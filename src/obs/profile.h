@@ -1,7 +1,8 @@
 // In-process scoped profiler: a tree of named ops with inclusive /
 // exclusive CPU time, call counts, compute cost (FLOPs and bytes, the
 // work ledger of src/obs/work.h) and the tensor-allocation ledger
-// (src/obs/alloc.h), all attributed per node.
+// (src/obs/alloc.h), all attributed per node. One "profile" trace event
+// per zone carries all of it to the sinks.
 //
 // FMS_OP("nn.conv_fwd", cost) is the one instrumentation point: it opens
 // a zone for the enclosing scope and adds `cost` (an OpCost expression)
@@ -104,9 +105,10 @@ std::string self_time_table(const ProfileReport& report,
                             std::size_t max_rows = 40);
 
 // Emits the report into the active Telemetry context: one "profile"
-// trace event per zone, fms.prof.<path>.* gauges, the fms.alloc.*
-// ledger, and the fms.rss.peak_bytes gauge. No-op when telemetry is
-// disabled.
+// trace event per zone carrying its time, allocation and cost counters
+// (the only way the op tree reaches the sinks; fms_report folds the
+// events back into work rows), plus the fms.alloc.* ledger and the
+// fms.rss.peak_bytes gauge. No-op when telemetry is disabled.
 void emit_profile_telemetry(const ProfileReport& report);
 
 // The calling thread's open zone path, outermost first (empty when

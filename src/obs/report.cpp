@@ -2,14 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/obs/work.h"
 
 namespace fms::obs {
 namespace {
@@ -216,6 +219,18 @@ struct Event {
   std::vector<std::pair<std::string, double>> fields;  // numeric, in order
 };
 
+// The one number -> integer conversion: false for NaN, infinities,
+// fractions and values outside T's range, where a plain static_cast is
+// undefined behaviour.
+template <typename T>
+bool to_integer(double v, T* out) {
+  const double lo = static_cast<double>(std::numeric_limits<T>::min());
+  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(v >= lo && v < hi) || std::trunc(v) != v) return false;
+  *out = static_cast<T>(v);
+  return true;
+}
+
 std::vector<Event> parse_trace_text(const std::string& text) {
   std::vector<Event> events;
   std::istringstream in(text);
@@ -227,7 +242,8 @@ std::vector<Event> parse_trace_text(const std::string& text) {
     Event ev;
     ev.type = v.string_or("type", "");
     ev.name = v.string_or("name", "");
-    ev.round = static_cast<int>(v.number_or("round", -1.0));
+    // A round that is not an int makes the line as malformed as bad JSON.
+    if (!to_integer(v.number_or("round", -1.0), &ev.round)) continue;
     for (const auto& [key, value] : v.obj) {
       if (value.kind != JValue::Kind::kNumber) continue;
       if (key == "round") continue;
@@ -243,6 +259,39 @@ double field_or(const Event& ev, const std::string& key, double fallback) {
     if (k == key) return v;
   }
   return fallback;
+}
+
+// An integer field; 0 when absent or not representable as T.
+template <typename T>
+T int_field(const Event& ev, const std::string& key) {
+  T v = 0;
+  to_integer(field_or(ev, key, 0.0), &v);
+  return v;
+}
+
+// The run's op tree (the fields the report renders) as its last
+// "profile" events left it: they carry cumulative counters, so the
+// latest event per zone path is the total.
+ProfileReport latest_profile(const std::vector<Event>& events) {
+  std::map<std::string, const Event*> latest;
+  for (const Event& ev : events) {
+    if (ev.type == "profile") latest[ev.name] = &ev;
+  }
+  ProfileReport profile;
+  for (const auto& [path, ev] : latest) {
+    ZoneStats z;
+    z.path = path;
+    z.name = path.substr(path.rfind('/') + 1);  // npos + 1 == 0
+    z.calls = int_field<std::uint64_t>(*ev, "calls");
+    z.incl_ns = int_field<std::uint64_t>(*ev, "incl_ns");
+    z.excl_ns = int_field<std::uint64_t>(*ev, "excl_ns");
+    z.cost.flops = int_field<std::uint64_t>(*ev, "flops");
+    z.cost.bytes_read = int_field<std::uint64_t>(*ev, "bytes_read");
+    z.cost.bytes_written = int_field<std::uint64_t>(*ev, "bytes_written");
+    z.cost.elements = int_field<std::uint64_t>(*ev, "elements");
+    profile.zones.push_back(std::move(z));
+  }
+  return profile;
 }
 
 // ---------------------------------------------------------------------
@@ -338,8 +387,7 @@ void render_timeline(std::string* out, const std::vector<Event>& rounds) {
   polyline("moving_avg", "moving");
   // Degradation lane: one cell per round, shaded by degrade_mode.
   for (std::size_t i = 0; i < rounds.size(); ++i) {
-    const int mode =
-        static_cast<int>(field_or(rounds[i], "degrade_mode", 0.0));
+    const int mode = int_field<int>(rounds[i], "degrade_mode");
     const double cell_w = std::max(1.0, width / n);
     const char* shade = mode <= 0   ? "#d7e8d7"
                         : mode == 1 ? "#f4e3b2"
@@ -359,51 +407,36 @@ void render_timeline(std::string* out, const std::vector<Event>& rounds) {
   section_close(out);
 }
 
-// Latest cumulative snapshot per zone/op name: profile and work events
-// re-emit cumulative counters every round, so "the run's totals" are the
-// last event for each name.
-std::map<std::string, Event> latest_by_name(const std::vector<Event>& events,
-                                            const std::string& type) {
-  std::map<std::string, Event> latest;
-  for (const Event& ev : events) {
-    if (ev.type == type) latest[ev.name] = ev;
-  }
-  return latest;
-}
-
-void render_phases(std::string* out,
-                   const std::map<std::string, Event>& zones) {
+void render_phases(std::string* out, const ProfileReport& profile) {
   section_open(out, "Per-phase exclusive time");
-  if (zones.empty()) {
+  if (profile.zones.empty()) {
     placeholder(out, "profile");
     section_close(out);
     return;
   }
-  std::vector<std::pair<std::string, const Event*>> rows;
-  rows.reserve(zones.size());
+  std::vector<const ZoneStats*> rows;
+  rows.reserve(profile.zones.size());
   double total_excl = 0.0;
-  for (const auto& [name, ev] : zones) {
-    rows.emplace_back(name, &ev);
-    total_excl += field_or(ev, "excl_ns", 0.0);
+  for (const ZoneStats& z : profile.zones) {
+    rows.push_back(&z);
+    total_excl += static_cast<double>(z.excl_ns);
   }
-  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-    const double ea = field_or(*a.second, "excl_ns", 0.0);
-    const double eb = field_or(*b.second, "excl_ns", 0.0);
-    if (ea != eb) return ea > eb;
-    // fms-lint: allow(float-eq) -- equal-keys fall through to the name
-    // tie-break; either branch is a valid strict weak order.
-    return a.first < b.first;
-  });
+  std::sort(rows.begin(), rows.end(),
+            [](const ZoneStats* a, const ZoneStats* b) {
+              if (a->excl_ns != b->excl_ns) return a->excl_ns > b->excl_ns;
+              return a->path < b->path;
+            });
   if (rows.size() > 15) rows.resize(15);
   *out += "<table><tr><th>zone</th><th>self ms</th><th>self %</th>"
           "<th>incl ms</th><th>calls</th><th></th></tr>\n";
-  for (const auto& [name, ev] : rows) {
-    const double excl = field_or(*ev, "excl_ns", 0.0);
+  for (const ZoneStats* z : rows) {
+    const double excl = static_cast<double>(z->excl_ns);
     const double pct = total_excl > 0.0 ? 100.0 * excl / total_excl : 0.0;
-    *out += "<tr><td>" + html_escape(name) + "</td><td>" +
+    *out += "<tr><td>" + html_escape(z->path) + "</td><td>" +
             fmt_fixed(excl / 1e6, 3) + "</td><td>" + fmt_fixed(pct, 1) +
-            "</td><td>" + fmt_fixed(field_or(*ev, "incl_ns", 0.0) / 1e6, 3) +
-            "</td><td>" + fmt(field_or(*ev, "calls", 0.0)) +
+            "</td><td>" +
+            fmt_fixed(static_cast<double>(z->incl_ns) / 1e6, 3) +
+            "</td><td>" + fmt(static_cast<double>(z->calls)) +
             "</td><td><div class=\"bar\" style=\"width:" +
             fmt_fixed(std::min(100.0, pct) * 2.0, 1) + "px\"></div></td>"
             "</tr>\n";
@@ -412,35 +445,31 @@ void render_phases(std::string* out,
   section_close(out);
 }
 
-void render_work(std::string* out, const std::map<std::string, Event>& ops) {
+void render_work(std::string* out, const WorkReport& work) {
   section_open(out, "Work ledger");
-  if (ops.empty()) {
+  if (work.rows.empty()) {
     placeholder(out, "work-ledger");
     section_close(out);
     return;
   }
-  std::vector<std::pair<std::string, const Event*>> rows;
-  for (const auto& [name, ev] : ops) rows.emplace_back(name, &ev);
-  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-    const double fa = field_or(*a.second, "flops", 0.0);
-    const double fb = field_or(*b.second, "flops", 0.0);
-    if (fa != fb) return fa > fb;
-    // fms-lint: allow(float-eq) -- equal-keys fall through to the name
-    // tie-break; either branch is a valid strict weak order.
-    return a.first < b.first;
+  std::vector<const WorkRow*> rows;
+  for (const WorkRow& row : work.rows) rows.push_back(&row);
+  std::sort(rows.begin(), rows.end(), [](const WorkRow* a, const WorkRow* b) {
+    if (a->cost.flops != b->cost.flops) return a->cost.flops > b->cost.flops;
+    return a->op < b->op;
   });
   *out += "<table><tr><th>op</th><th>calls</th><th>MFLOPs</th>"
           "<th>read MB</th><th>written MB</th><th>AI</th></tr>\n";
-  for (const auto& [name, ev] : rows) {
-    const double flops = field_or(*ev, "flops", 0.0);
-    const double br = field_or(*ev, "bytes_read", 0.0);
-    const double bw = field_or(*ev, "bytes_written", 0.0);
-    const double ai = br + bw > 0.0 ? flops / (br + bw) : 0.0;
-    *out += "<tr><td>" + html_escape(name) + "</td><td>" +
-            fmt(field_or(*ev, "calls", 0.0)) + "</td><td>" +
-            fmt_fixed(flops / 1e6, 3) + "</td><td>" +
-            fmt_fixed(br / 1e6, 3) + "</td><td>" + fmt_fixed(bw / 1e6, 3) +
-            "</td><td>" + fmt_fixed(ai, 3) + "</td></tr>\n";
+  for (const WorkRow* row : rows) {
+    *out += "<tr><td>" + html_escape(row->op) + "</td><td>" +
+            fmt(static_cast<double>(row->calls)) + "</td><td>" +
+            fmt_fixed(static_cast<double>(row->cost.flops) / 1e6, 3) +
+            "</td><td>" +
+            fmt_fixed(static_cast<double>(row->cost.bytes_read) / 1e6, 3) +
+            "</td><td>" +
+            fmt_fixed(static_cast<double>(row->cost.bytes_written) / 1e6, 3) +
+            "</td><td>" + fmt_fixed(arithmetic_intensity(row->cost), 3) +
+            "</td></tr>\n";
   }
   *out += "</table>\n";
   section_close(out);
@@ -453,14 +482,12 @@ struct PeakNumbers {
   double stream_gbps = 0.0;
 };
 
-// Op-level roofline scatter: achieved GFLOP/s = ledger FLOPs over the
-// summed inclusive ns of profiler zones whose leaf name matches the op.
-void render_roofline(std::string* out,
-                     const std::map<std::string, Event>& ops,
-                     const std::map<std::string, Event>& zones,
+// Op-level roofline scatter: achieved GFLOP/s = a work row's FLOPs over
+// its zones' summed inclusive ns.
+void render_roofline(std::string* out, const WorkReport& work,
                      const PeakNumbers& peak) {
   section_open(out, "Op roofline");
-  if (ops.empty()) {
+  if (work.rows.empty()) {
     placeholder(out, "work-ledger");
     section_close(out);
     return;
@@ -471,23 +498,14 @@ void render_roofline(std::string* out,
     double gflops = 0.0;
   };
   std::vector<Point> points;
-  for (const auto& [op, ev] : ops) {
-    const double flops = field_or(ev, "flops", 0.0);
-    const double br = field_or(ev, "bytes_read", 0.0);
-    const double bw = field_or(ev, "bytes_written", 0.0);
-    if (flops <= 0.0 || br + bw <= 0.0) continue;
-    double ns = 0.0;
-    for (const auto& [path, zev] : zones) {
-      const std::size_t slash = path.rfind('/');
-      const std::string leaf =
-          slash == std::string::npos ? path : path.substr(slash + 1);
-      if (leaf == op) ns += field_or(zev, "incl_ns", 0.0);
-    }
-    if (ns <= 0.0) continue;
+  for (const WorkRow& row : work.rows) {
+    const double ai = arithmetic_intensity(row.cost);  // 0 without FLOPs
+    if (ai <= 0.0 || row.incl_ns == 0) continue;
     Point pt;
-    pt.op = op;
-    pt.ai = flops / (br + bw);
-    pt.gflops = flops / ns;  // FLOPs per ns == GFLOP/s
+    pt.op = row.op;
+    pt.ai = ai;
+    pt.gflops = static_cast<double>(row.cost.flops) /
+                static_cast<double>(row.incl_ns);  // FLOPs/ns == GFLOP/s
     points.push_back(std::move(pt));
   }
   if (points.empty()) {
@@ -615,16 +633,10 @@ void render_metrics(std::string* out, const std::string& csv) {
     const std::size_t c2 = line.find(',', c1 + 1);
     if (c2 == std::string::npos) continue;
     const std::size_t c3 = line.find(',', c2 + 1);
-    const std::string name = line.substr(0, c1);
-    // Zone/op gauges are rendered in their own sections; keep the
-    // metrics table for everything else.
-    if (name.rfind("fms.prof.", 0) == 0 || name.rfind("fms.work.", 0) == 0) {
-      continue;
-    }
-    rows.emplace_back(
-        name, line.substr(c2 + 1, c3 == std::string::npos
-                                      ? std::string::npos
-                                      : c3 - c2 - 1));
+    rows.emplace_back(line.substr(0, c1),
+                      line.substr(c2 + 1, c3 == std::string::npos
+                                              ? std::string::npos
+                                              : c3 - c2 - 1));
   }
   if (rows.empty()) {
     placeholder(out, "metrics");
@@ -780,8 +792,8 @@ std::string generate_report_html(const ReportInputs& inputs) {
   for (const Event& ev : events) {
     if (ev.type == "round") rounds.push_back(ev);
   }
-  const std::map<std::string, Event> zones = latest_by_name(events, "profile");
-  const std::map<std::string, Event> ops = latest_by_name(events, "work");
+  const ProfileReport profile = latest_profile(events);
+  const WorkReport work = collect_work(profile);
 
   PeakNumbers peak;
   {
@@ -805,9 +817,9 @@ std::string generate_report_html(const ReportInputs& inputs) {
   out += html_escape(inputs.title);
   out += "</h1>\n";
   render_timeline(&out, rounds);
-  render_phases(&out, zones);
-  render_work(&out, ops);
-  render_roofline(&out, ops, zones, peak);
+  render_phases(&out, profile);
+  render_work(&out, work);
+  render_roofline(&out, work, peak);
   render_health(&out, health_json);
   render_bench(&out, bench_json, history_text, peak);
   render_metrics(&out, metrics_csv);

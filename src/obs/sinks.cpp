@@ -31,21 +31,15 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-namespace {
-
-// JSON has no NaN/Inf literals; clamp to null-safe zero.
-void append_number(std::string& out, double v) {
+void json_number(std::string& out, double v) {
   if (!std::isfinite(v)) {
     out += "0";
     return;
   }
   char buf[32];
-  // %.9g round-trips the values we care about and keeps integers clean.
   std::snprintf(buf, sizeof(buf), "%.9g", v);
   out += buf;
 }
-
-}  // namespace
 
 JsonlTraceWriter::JsonlTraceWriter(const std::string& path) : out_(path) {
   FMS_CHECK_MSG(out_.good(), "cannot open trace file " << path);
@@ -61,7 +55,7 @@ void JsonlTraceWriter::write(const TraceEvent& event) {
   line += "\"";
   if (event.round >= 0) {
     line += ",\"round\":";
-    append_number(line, event.round);
+    json_number(line, event.round);
   }
   if (!event.label.empty()) {
     line += ",\"label\":\"";
@@ -72,7 +66,7 @@ void JsonlTraceWriter::write(const TraceEvent& event) {
     line += ",\"";
     line += json_escape(key);
     line += "\":";
-    append_number(line, value);
+    json_number(line, value);
   }
   line += "}\n";
   fms::MutexLock lock(mu_);

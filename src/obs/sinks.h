@@ -24,7 +24,7 @@ class MetricsRegistry;  // src/obs/metrics.h
 // run-level annotation. Numeric payload only — everything the paper's
 // curves need is a number.
 struct TraceEvent {
-  std::string type;   // "span" | "round" | "meta"
+  std::string type;   // "span" | "round" | "profile" | "meta"
   std::string name;   // span phase (e.g. "local_train") or event name
   int round = -1;     // -1 when not tied to a round
   std::string label;  // run/variant label (stamped by Telemetry if empty)
@@ -86,5 +86,9 @@ class ConsoleRoundSink : public TraceSink {
 // Escapes a string for embedding in a JSON literal (quotes, backslashes,
 // control characters).
 std::string json_escape(const std::string& s);
+
+// Appends `v` as a JSON number: %.9g (round-trips the values we care
+// about, integers stay clean), and 0 for NaN/Inf, which JSON cannot hold.
+void json_number(std::string& out, double v);
 
 }  // namespace fms::obs

@@ -35,16 +35,6 @@ void append_hex_id(std::string& out, std::uint64_t id) {
   out += buf;
 }
 
-void append_double(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "0";
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out += buf;
-}
-
 }  // namespace
 
 const char* stage_name(Stage s) {
@@ -215,7 +205,7 @@ std::string chrome_trace_json(const std::vector<LifecycleEvent>& events) {
   for (const auto& [p, unused] : participants) {
     (void)unused;
     out += ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":";
-    append_double(out, p + 1);
+    json_number(out, p + 1);
     out += ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
     out += p < 0 ? std::string("server") :
                    "participant " + std::to_string(p);
@@ -229,23 +219,23 @@ std::string chrome_trace_json(const std::vector<LifecycleEvent>& events) {
     const bool span = ev.dur_s > 0.0;
     out += span ? "X" : "i";
     out += "\",\"pid\":1,\"tid\":";
-    append_double(out, ev.participant + 1);
+    json_number(out, ev.participant + 1);
     out += ",\"ts\":";
-    append_double(out, static_cast<double>(sim_us(ev.ts_s)));
+    json_number(out, static_cast<double>(sim_us(ev.ts_s)));
     if (span) {
       out += ",\"dur\":";
-      append_double(out, static_cast<double>(sim_us(ev.dur_s)));
+      json_number(out, static_cast<double>(sim_us(ev.dur_s)));
     } else {
       out += ",\"s\":\"t\"";  // thread-scoped instant
     }
     out += ",\"args\":{\"round\":";
-    append_double(out, ev.round);
+    json_number(out, ev.round);
     out += ",\"origin_round\":";
-    append_double(out, ev.origin_round);
+    json_number(out, ev.origin_round);
     out += ",\"participant\":";
-    append_double(out, ev.participant);
+    json_number(out, ev.participant);
     out += ",\"value\":";
-    append_double(out, ev.value);
+    json_number(out, ev.value);
     if (!ev.detail.empty()) {
       out += ",\"detail\":\"";
       out += json_escape(ev.detail);

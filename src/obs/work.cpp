@@ -1,11 +1,7 @@
 #include "src/obs/work.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <map>
 #include <utility>
-
-#include "src/obs/telemetry.h"
 
 namespace fms::obs {
 
@@ -18,6 +14,7 @@ WorkReport collect_work(const ProfileReport& profile) {
     WorkRow& row = merged[z.name];
     row.op = z.name;
     row.calls += z.calls;
+    row.incl_ns += z.incl_ns;
     row.cost += z.cost;
   }
   WorkReport report;
@@ -34,66 +31,6 @@ double arithmetic_intensity(const OpCost& cost) {
   const std::uint64_t bytes = cost.bytes_read + cost.bytes_written;
   if (bytes == 0) return 0.0;
   return static_cast<double>(cost.flops) / static_cast<double>(bytes);
-}
-
-std::string work_table(const WorkReport& report, std::size_t max_rows) {
-  std::vector<const WorkRow*> rows;
-  rows.reserve(report.rows.size());
-  for (const WorkRow& row : report.rows) rows.push_back(&row);
-  std::sort(rows.begin(), rows.end(), [](const WorkRow* a, const WorkRow* b) {
-    if (a->cost.flops != b->cost.flops) return a->cost.flops > b->cost.flops;
-    return a->op < b->op;  // deterministic tie-break
-  });
-  if (rows.size() > max_rows) rows.resize(max_rows);
-
-  std::string out;
-  char line[256];
-  std::snprintf(line, sizeof(line), "%14s %10s %12s %12s %6s  %s\n",
-                "mflops", "calls", "read_kb", "write_kb", "ai", "op");
-  out += line;
-  for (const WorkRow* row : rows) {
-    std::snprintf(line, sizeof(line),
-                  "%14.3f %10llu %12.1f %12.1f %6.2f  %s\n",
-                  static_cast<double>(row->cost.flops) / 1e6,
-                  static_cast<unsigned long long>(row->calls),
-                  static_cast<double>(row->cost.bytes_read) / 1024.0,
-                  static_cast<double>(row->cost.bytes_written) / 1024.0,
-                  arithmetic_intensity(row->cost), row->op.c_str());
-    out += line;
-  }
-  return out;
-}
-
-void emit_work_telemetry(const WorkReport& report) {
-  if (!telemetry_enabled()) return;
-  Telemetry& telemetry = Telemetry::instance();
-  MetricsRegistry& registry = telemetry.registry();
-  for (const WorkRow& row : report.rows) {
-    TraceEvent event;
-    event.type = "work";
-    event.name = row.op;
-    event.round = telemetry.round();
-    event.fields.emplace_back("calls", static_cast<double>(row.calls));
-    event.fields.emplace_back("flops", static_cast<double>(row.cost.flops));
-    event.fields.emplace_back("bytes_read",
-                              static_cast<double>(row.cost.bytes_read));
-    event.fields.emplace_back("bytes_written",
-                              static_cast<double>(row.cost.bytes_written));
-    event.fields.emplace_back("elements",
-                              static_cast<double>(row.cost.elements));
-    telemetry.emit(std::move(event));
-
-    registry.gauge("fms.work." + row.op + ".flops")
-        .set(static_cast<double>(row.cost.flops));
-    registry.gauge("fms.work." + row.op + ".bytes_read")
-        .set(static_cast<double>(row.cost.bytes_read));
-    registry.gauge("fms.work." + row.op + ".bytes_written")
-        .set(static_cast<double>(row.cost.bytes_written));
-    registry.gauge("fms.work." + row.op + ".elements")
-        .set(static_cast<double>(row.cost.elements));
-    registry.gauge("fms.work." + row.op + ".calls")
-        .set(static_cast<double>(row.calls));
-  }
 }
 
 // -----------------------------------------------------------------------

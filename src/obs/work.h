@@ -40,6 +40,7 @@ inline void reset_work_ledger() { reset_profiler(); }
 struct WorkRow {
   std::string op;
   std::uint64_t calls = 0;
+  std::uint64_t incl_ns = 0;  // summed inclusive CPU ns of the folded zones
   OpCost cost;
 };
 
@@ -53,19 +54,12 @@ struct WorkReport {
 
 // Folds the profile's costed zones by op name (across threads and parent
 // paths) into one deterministic report; zones with a zero cost only time.
+// The one by-name fold: fms_search_cli's roofline line and fms_report
+// (over ZoneStats rebuilt from "profile" events) both read its rows.
 WorkReport collect_work(const ProfileReport& profile = collect_profile());
 
 // FLOPs per byte moved (read + written); 0 when no bytes moved.
 double arithmetic_intensity(const OpCost& cost);
-
-// Human-readable table sorted by FLOPs desc (op name tie-break), for
-// fms_search_cli --report and fms_bench.
-std::string work_table(const WorkReport& report, std::size_t max_rows = 40);
-
-// Emits the report into the active Telemetry context: one "work" trace
-// event per op plus fms.work.<op>.{flops,bytes_read,bytes_written,
-// elements,calls} gauges. No-op when telemetry is disabled.
-void emit_work_telemetry(const WorkReport& report);
 
 // -----------------------------------------------------------------------
 // Cost models: pure shape->cost functions, shared by the recording sites

@@ -190,6 +190,37 @@ TEST(ReportTest, DiffFlagsTruncatedRuns) {
   std::remove("fms_test_diff_b.jsonl");
 }
 
+TEST(ReportTest, DiffSkipsLinesWhoseRoundIsNotAnInt) {
+  // A round beyond int range is as malformed as bad JSON: the line is
+  // skipped, never cast (that cast is undefined behaviour).
+  const std::string round0 =
+      "{\"type\":\"round\",\"name\":\"round\",\"round\":0,"
+      "\"mean_reward\":0.5}\n";
+  write_file("fms_test_diff_a.jsonl",
+             round0 +
+                 "{\"type\":\"round\",\"name\":\"round\",\"round\":1e999,"
+                 "\"mean_reward\":0.625}\n");
+  write_file("fms_test_diff_b.jsonl", round0);
+  const obs::RunDiff diff =
+      obs::diff_runs("fms_test_diff_a.jsonl", "fms_test_diff_b.jsonl");
+  EXPECT_TRUE(diff.identical);
+  EXPECT_EQ(diff.rounds_a, 1);
+  EXPECT_EQ(diff.rounds_b, 1);
+  std::remove("fms_test_diff_a.jsonl");
+  std::remove("fms_test_diff_b.jsonl");
+}
+
+TEST(ReportTest, OutOfRangeDegradeModeReadsAsNormal) {
+  write_file("fms_test_report_mode.jsonl",
+             "{\"type\":\"round\",\"name\":\"round\",\"round\":0,"
+             "\"mean_reward\":0.5,\"degrade_mode\":1e300}\n");
+  obs::ReportInputs inputs;
+  inputs.trace_jsonl_path = "fms_test_report_mode.jsonl";
+  const std::string html = obs::generate_report_html(inputs);
+  EXPECT_NE(html.find("fill=\"#d7e8d7\""), std::string::npos);
+  std::remove("fms_test_report_mode.jsonl");
+}
+
 TEST(ReportTest, DiffReportsUnreadableInputs) {
   const obs::RunDiff diff =
       obs::diff_runs("no_such_trace_a.jsonl", "no_such_trace_b.jsonl");

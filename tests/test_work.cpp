@@ -2,14 +2,18 @@
 // calibration (src/obs/work.*, src/obs/roofline.*): exact pinned
 // FLOP/byte counts for known shapes, ledger accumulation / merge /
 // reset semantics, the by-name join of every ledger row to its profiler
-// zones, coverage of the search hot path, the peak JSON sidecar
-// round-trip, and — the load-bearing guarantee — bit-identical search
-// results with profiling (and so the ledger) on versus off.
+// zones, coverage of the search hot path, the cost fields on "profile"
+// events and the report's fold of them back into the same rows, the
+// peak JSON sidecar round-trip, and — the load-bearing guarantee —
+// bit-identical search results with profiling (and so the ledger) on
+// versus off.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,6 +21,7 @@
 #include "src/core/search.h"
 #include "src/data/synth.h"
 #include "src/fed/messages.h"
+#include "src/obs/report.h"
 #include "src/obs/roofline.h"
 #include "src/obs/telemetry.h"
 #include "src/obs/work.h"
@@ -279,9 +284,9 @@ TEST_F(WorkTest, SearchLedgerCoversHotOpsAndOnOffIsBitIdentical) {
 
 TEST_F(WorkTest, EveryLedgerRowJoinsItsSameNamedZones) {
   // A ledger row and the zones of the same name describe the same calls:
-  // equal call counts and real time. The ops that once booked work with
-  // no zone to match (the default path's agg.mean, net.transmission,
-  // tensor.axpy) must be among the joined rows.
+  // equal call counts and the same, real, inclusive time. The ops that
+  // once booked work with no zone to match (the default path's agg.mean,
+  // net.transmission, tensor.axpy) must be among the joined rows.
   SearchOptions opts;
   TinyWorld w = make_tiny_world(55);
   FederatedSearch search(w.cfg, w.data.train, w.partition);
@@ -303,7 +308,8 @@ TEST_F(WorkTest, EveryLedgerRowJoinsItsSameNamedZones) {
     const auto it = by_name.find(row.op);
     ASSERT_NE(it, by_name.end()) << "no zone for ledger row " << row.op;
     EXPECT_EQ(it->second.calls, row.calls) << row.op;
-    EXPECT_GT(it->second.incl_ns, 0U) << row.op;
+    EXPECT_EQ(it->second.incl_ns, row.incl_ns) << row.op;
+    EXPECT_GT(row.incl_ns, 0U) << row.op;
   }
   for (const char* op : {"agg.mean", "net.transmission", "tensor.axpy"}) {
     EXPECT_NE(find_op(work, op), nullptr) << "missing ledger row " << op;
@@ -367,36 +373,125 @@ TEST_F(WorkTest, MessageCodecsRecordPayloadBytes) {
   EXPECT_EQ(dec->cost.bytes_read, wire.size());
 }
 
-TEST_F(WorkTest, WorkTableRendersSortedByFlops) {
+TEST_F(WorkTest, ProfileEventsCarryTheZoneCost) {
+  // The "profile" event is the op tree's only way into the sinks, so each
+  // zone's event carries its cost (zeros for a time-only zone), and the
+  // registry gains only the process-wide alloc/RSS gauges.
   obs::set_profiling_enabled(true);
   obs::reset_profiler();
-  { FMS_OP("test.light", obs::axpy_cost(4)); }
-  { FMS_OP("test.heavy", obs::matmul_cost(64, 64, 64)); }
-  const obs::WorkReport report = obs::collect_work();
-  obs::set_profiling_enabled(false);
-
-  const std::string table = obs::work_table(report);
-  EXPECT_NE(table.find("mflops"), std::string::npos);
-  const std::size_t heavy = table.find("test.heavy");
-  const std::size_t light = table.find("test.light");
-  ASSERT_NE(heavy, std::string::npos);
-  ASSERT_NE(light, std::string::npos);
-  EXPECT_LT(heavy, light);  // heaviest op first
-}
-
-TEST_F(WorkTest, EmitWorkTelemetrySetsPerOpGauges) {
-  obs::set_profiling_enabled(true);
-  obs::reset_profiler();
-  { FMS_OP("test.emit", obs::matmul_cost(2, 3, 4)); }
-  const obs::WorkReport report = obs::collect_work();
+  {
+    FMS_OP("test.parent", {});
+    FMS_OP("test.emit", obs::matmul_cost(2, 3, 4));
+  }
+  const obs::ProfileReport profile = obs::collect_profile();
   obs::set_profiling_enabled(false);
 
   obs::set_telemetry_enabled(true);
-  obs::emit_work_telemetry(report);
-  obs::MetricsRegistry& reg = obs::Telemetry::instance().registry();
-  EXPECT_DOUBLE_EQ(reg.gauge("fms.work.test.emit.flops").value(), 48.0);
-  EXPECT_DOUBLE_EQ(reg.gauge("fms.work.test.emit.calls").value(), 1.0);
+  std::vector<obs::TraceEvent> events;
+  {
+    obs::EventCapture capture(events);
+    obs::emit_profile_telemetry(profile);
+  }
   obs::set_telemetry_enabled(false);
+
+  std::map<std::string, std::map<std::string, double>> fields;
+  for (const obs::TraceEvent& ev : events) {
+    EXPECT_EQ(ev.type, "profile");
+    for (const auto& [key, value] : ev.fields) fields[ev.name][key] = value;
+  }
+  ASSERT_EQ(fields.size(), 2U);
+  const obs::OpCost cost = obs::matmul_cost(2, 3, 4);
+  const std::map<std::string, double>& op = fields["test.parent/test.emit"];
+  const std::map<std::string, double>& parent = fields["test.parent"];
+  const std::pair<const char*, std::uint64_t> expected[] = {
+      {"flops", cost.flops},
+      {"bytes_read", cost.bytes_read},
+      {"bytes_written", cost.bytes_written},
+      {"elements", cost.elements}};
+  for (const auto& [key, value] : expected) {
+    ASSERT_EQ(op.count(key), 1U) << key;
+    EXPECT_DOUBLE_EQ(op.at(key), static_cast<double>(value)) << key;
+    ASSERT_EQ(parent.count(key), 1U) << key;
+    EXPECT_DOUBLE_EQ(parent.at(key), 0.0) << key;
+  }
+  EXPECT_DOUBLE_EQ(op.at("calls"), 1.0);
+
+  for (const obs::MetricSample& sample :
+       obs::Telemetry::instance().registry().snapshot()) {
+    EXPECT_TRUE(sample.name.rfind("fms.alloc.", 0) == 0 ||
+                sample.name == "fms.rss.peak_bytes")
+        << sample.name;
+  }
+}
+
+TEST_F(WorkTest, ReportWorkLedgerMatchesTheInProcessFold) {
+  // Round trip: a profiled search writes its op tree as "profile" events
+  // only; the report folds them back into the same rows the process
+  // itself computes with collect_work.
+  const std::string trace = "fms_test_work_roundtrip.jsonl";
+  SearchOptions opts;
+  TinyWorld w = make_tiny_world(91);
+  w.cfg.telemetry.enabled = true;
+  w.cfg.telemetry.profile = true;
+  w.cfg.telemetry.trace_jsonl_path = trace;
+  obs::Telemetry::instance().configure(w.cfg.telemetry);
+  obs::reset_profiler();
+  FederatedSearch search(w.cfg, w.data.train, w.partition);
+  search.run_warmup(1);
+  search.run_search(2, opts);
+  obs::WorkReport work = obs::collect_work();
+  obs::Telemetry::instance().finish();
+  obs::Telemetry::instance().clear_sinks();
+
+  std::sort(work.rows.begin(), work.rows.end(),
+            [](const obs::WorkRow& a, const obs::WorkRow& b) {
+              if (a.cost.flops != b.cost.flops) {
+                return a.cost.flops > b.cost.flops;
+              }
+              return a.op < b.op;
+            });
+  std::vector<std::string> expected;
+  for (const obs::WorkRow& row : work.rows) {
+    char line[512];
+    std::snprintf(line, sizeof(line),
+                  "<tr><td>%s</td><td>%.6g</td><td>%.3f</td><td>%.3f</td>"
+                  "<td>%.3f</td><td>%.3f</td></tr>",
+                  row.op.c_str(), static_cast<double>(row.calls),
+                  static_cast<double>(row.cost.flops) / 1e6,
+                  static_cast<double>(row.cost.bytes_read) / 1e6,
+                  static_cast<double>(row.cost.bytes_written) / 1e6,
+                  obs::arithmetic_intensity(row.cost));
+    expected.emplace_back(line);
+  }
+  ASSERT_FALSE(expected.empty());
+
+  // Only the "profile" lines go to the report: they alone must carry it.
+  const std::string profile_trace = "fms_test_work_roundtrip_profile.jsonl";
+  {
+    std::ifstream in(trace);
+    std::ofstream out(profile_trace);
+    std::string event;
+    while (std::getline(in, event)) {
+      if (event.find("\"type\":\"profile\"") != std::string::npos) {
+        out << event << "\n";
+      }
+    }
+  }
+  obs::ReportInputs inputs;
+  inputs.trace_jsonl_path = profile_trace;
+  const std::string html = obs::generate_report_html(inputs);
+  const std::size_t begin = html.find("<h2>Work ledger</h2>");
+  ASSERT_NE(begin, std::string::npos);
+  std::istringstream section(
+      html.substr(begin, html.find("</section>", begin) - begin));
+  std::vector<std::string> rendered;
+  std::string line;
+  while (std::getline(section, line)) {
+    if (line.rfind("<tr><td>", 0) == 0) rendered.push_back(line);
+  }
+  EXPECT_EQ(rendered, expected);
+  std::remove(trace.c_str());
+  std::remove(profile_trace.c_str());
 }
 
 TEST_F(WorkTest, PeakJsonRoundTripsExactly) {

@@ -638,7 +638,7 @@ struct KeyUse {
   int line = 0;
 };
 
-// A trailing-dot literal ("fms.prof." + path) emits a whole family; track
+// A trailing-dot literal ("fms.health." + name) emits a whole family; track
 // it as a prefix wildcard.
 std::vector<KeyUse> extract_metric_keys(const ScannedFile& file) {
   std::vector<KeyUse> out;

@@ -29,7 +29,7 @@ constexpr const char* kUsage = R"(usage:
 
 inputs (all optional; missing files become "no data" sections):
   --title T       report title (default "fms run report")
-  --trace PATH    trace JSONL (rounds, profile zones, work ledger)
+  --trace PATH    trace JSONL (rounds, profile zones with their costs)
   --metrics PATH  metrics CSV snapshot
   --health PATH   health.json from the search-health monitor
   --bench PATH    BENCH_perf.json
