@@ -75,8 +75,9 @@ const char* kUsage =
     "  --profile             enable the in-process profiler (per-op time,\n"
     "                        FLOPs and bytes) + allocation ledger; prints\n"
     "                        the merged self-time table and allocation\n"
-    "                        totals after the run (adds per-zone \"profile\"\n"
-    "                        and per-op \"work\" events to --trace-jsonl).\n"
+    "                        totals after the run (adds one \"profile\"\n"
+    "                        event per zone, with its calls, time, FLOPs\n"
+    "                        and bytes, to --trace-jsonl).\n"
     "                        Off by default: results are bit-identical\n"
     "                        either way\n"
     "  --trace-chrome PATH   export the per-participant round lifecycle as\n"

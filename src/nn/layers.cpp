@@ -64,118 +64,60 @@ BatchNorm2d::BatchNorm2d(int channels, float eps, float momentum)
 
 Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
   FMS_CHECK(x.ndim() == 4 && x.dim(1) == channels_);
-  const int n = x.dim(0), c = channels_, h = x.dim(2), w = x.dim(3);
+  const Shape4 s = Shape4::of(x.shape());
   FMS_OP("nn.bn_fwd",
-         obs::batchnorm_fwd_cost(sz(n), sz(c), sz(h), sz(w), train));
-  const std::size_t m = static_cast<std::size_t>(n) * h * w;
+         obs::batchnorm_fwd_cost(sz(s.n), sz(s.c), sz(s.h), sz(s.w), train));
+  const BatchNormChannels ch{gamma_.value.data(), beta_.value.data(),
+                             running_mean_.data(), running_var_.data(), eps_,
+                             momentum_};
   Tensor y(x.shape());
-  if (train) {
-    cached_x_ = x;
-    cached_xhat_ = Tensor(x.shape());
-    cached_inv_std_.assign(static_cast<std::size_t>(c), 0.0F);
-    for (int ic = 0; ic < c; ++ic) {
-      double mean = 0.0;
-      for (int in = 0; in < n; ++in)
-        for (int ih = 0; ih < h; ++ih)
-          for (int iw = 0; iw < w; ++iw) mean += x.at4(in, ic, ih, iw);
-      mean /= static_cast<double>(m);
-      double var = 0.0;
-      for (int in = 0; in < n; ++in)
-        for (int ih = 0; ih < h; ++ih)
-          for (int iw = 0; iw < w; ++iw) {
-            const double d = x.at4(in, ic, ih, iw) - mean;
-            var += d * d;
-          }
-      var /= static_cast<double>(m);
-      const float inv_std = 1.0F / std::sqrt(static_cast<float>(var) + eps_);
-      cached_inv_std_[static_cast<std::size_t>(ic)] = inv_std;
-      running_mean_[static_cast<std::size_t>(ic)] =
-          (1.0F - momentum_) * running_mean_[static_cast<std::size_t>(ic)] +
-          momentum_ * static_cast<float>(mean);
-      running_var_[static_cast<std::size_t>(ic)] =
-          (1.0F - momentum_) * running_var_[static_cast<std::size_t>(ic)] +
-          momentum_ * static_cast<float>(var);
-      const float g = gamma_.value[static_cast<std::size_t>(ic)];
-      const float b = beta_.value[static_cast<std::size_t>(ic)];
-      for (int in = 0; in < n; ++in)
-        for (int ih = 0; ih < h; ++ih)
-          for (int iw = 0; iw < w; ++iw) {
-            const float xhat =
-                (x.at4(in, ic, ih, iw) - static_cast<float>(mean)) * inv_std;
-            cached_xhat_.at4(in, ic, ih, iw) = xhat;
-            y.at4(in, ic, ih, iw) = g * xhat + b;
-          }
-    }
-    has_cache_ = true;
-  } else {
+  if (!train) {
     has_cache_ = false;
-    for (int ic = 0; ic < c; ++ic) {
-      const float mean = running_mean_[static_cast<std::size_t>(ic)];
-      const float inv_std =
-          1.0F / std::sqrt(running_var_[static_cast<std::size_t>(ic)] + eps_);
-      const float g = gamma_.value[static_cast<std::size_t>(ic)];
-      const float b = beta_.value[static_cast<std::size_t>(ic)];
-      for (int in = 0; in < n; ++in)
-        for (int ih = 0; ih < h; ++ih)
-          for (int iw = 0; iw < w; ++iw) {
-            y.at4(in, ic, ih, iw) =
-                g * (x.at4(in, ic, ih, iw) - mean) * inv_std + b;
-          }
-    }
+    batchnorm2d_forward_eval(s, x.data(), ch, y.data());
+    return y;
   }
+  cached_xhat_ = Tensor(x.shape());
+  cached_inv_std_.resize(static_cast<std::size_t>(s.c));
+  batchnorm2d_forward_train(s, x.data(), ch, y.data(), cached_xhat_.data(),
+                            cached_inv_std_.data());
+  has_cache_ = true;
   return y;
 }
 
 Tensor BatchNorm2d::backward(const Tensor& grad_out) {
   FMS_CHECK_MSG(has_cache_, "BatchNorm2d::backward without train forward");
-  const Tensor& x = cached_x_;
-  const int n = x.dim(0), c = channels_, h = x.dim(2), w = x.dim(3);
-  FMS_OP("nn.bn_bwd", obs::batchnorm_bwd_cost(sz(n), sz(c), sz(h), sz(w)));
-  const double m = static_cast<double>(n) * h * w;
-  Tensor grad_x(x.shape());
-  for (int ic = 0; ic < c; ++ic) {
-    double sum_gy = 0.0, sum_gy_xhat = 0.0;
-    for (int in = 0; in < n; ++in)
-      for (int ih = 0; ih < h; ++ih)
-        for (int iw = 0; iw < w; ++iw) {
-          const double gy = grad_out.at4(in, ic, ih, iw);
-          sum_gy += gy;
-          sum_gy_xhat += gy * cached_xhat_.at4(in, ic, ih, iw);
-        }
-    gamma_.grad[static_cast<std::size_t>(ic)] +=
-        static_cast<float>(sum_gy_xhat);
-    beta_.grad[static_cast<std::size_t>(ic)] += static_cast<float>(sum_gy);
-    const float g = gamma_.value[static_cast<std::size_t>(ic)];
-    const float inv_std = cached_inv_std_[static_cast<std::size_t>(ic)];
-    const float mean_gy = static_cast<float>(sum_gy / m);
-    const float mean_gy_xhat = static_cast<float>(sum_gy_xhat / m);
-    for (int in = 0; in < n; ++in)
-      for (int ih = 0; ih < h; ++ih)
-        for (int iw = 0; iw < w; ++iw) {
-          const float gy = grad_out.at4(in, ic, ih, iw);
-          const float xhat = cached_xhat_.at4(in, ic, ih, iw);
-          grad_x.at4(in, ic, ih, iw) =
-              g * inv_std * (gy - mean_gy - xhat * mean_gy_xhat);
-        }
-  }
+  FMS_CHECK_MSG(grad_out.same_shape(cached_xhat_),
+                "BatchNorm2d grad " << grad_out.shape_str() << ", input "
+                                    << cached_xhat_.shape_str());
+  const Shape4 s = Shape4::of(cached_xhat_.shape());
+  FMS_OP("nn.bn_bwd",
+         obs::batchnorm_bwd_cost(sz(s.n), sz(s.c), sz(s.h), sz(s.w)));
+  Tensor grad_x(cached_xhat_.shape());
+  batchnorm2d_backward(s, grad_out.data(), cached_xhat_.data(),
+                       cached_inv_std_.data(), gamma_.value.data(),
+                       gamma_.grad.data(), beta_.grad.data(), grad_x.data());
   return grad_x;
 }
 
 Tensor ReLU::forward(const Tensor& x, bool train) {
   FMS_OP("nn.relu_fwd", obs::relu_fwd_cost(x.numel()));
-  if (train) {
-    cached_x_ = x;
-    has_cache_ = true;
-  } else {
-    has_cache_ = false;
-  }
-  return relu_forward(x);
+  has_cache_ = train;
+  if (!train) return relu_forward(x);
+  Tensor y(x.shape());
+  in_shape_ = x.shape();
+  mask_.resize(x.numel());
+  relu_forward(x.numel(), x.data(), y.data(), mask_.data());
+  return y;
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {
   FMS_OP("nn.relu_bwd", obs::relu_bwd_cost(grad_out.numel()));
   FMS_CHECK_MSG(has_cache_, "ReLU::backward without train-mode forward");
-  return relu_backward(cached_x_, grad_out);
+  FMS_CHECK_MSG(grad_out.shape() == in_shape_,
+                "ReLU grad " << grad_out.shape_str());
+  Tensor grad_x(in_shape_);
+  relu_backward(mask_.size(), mask_.data(), grad_out.data(), grad_x.data());
+  return grad_x;
 }
 
 Tensor MaxPool2d::forward(const Tensor& x, bool train) {
@@ -184,31 +126,27 @@ Tensor MaxPool2d::forward(const Tensor& x, bool train) {
   op.add([&] {
     return obs::maxpool_fwd_cost(x.numel(), res.y.numel(), sz(kernel_));
   });
+  has_cache_ = train;
   if (train) {
-    cached_x_ = x;
-    cached_ = res;
-    has_cache_ = true;
-  } else {
-    has_cache_ = false;
+    in_shape_ = x.shape();
+    argmax_tap_ = std::move(res.tap);
   }
-  return res.y;
+  return std::move(res.y);
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_out) {
-  FMS_OP("nn.maxpool_bwd",
-         obs::maxpool_bwd_cost(cached_x_.numel(), grad_out.numel()));
   FMS_CHECK_MSG(has_cache_, "MaxPool2d::backward without train forward");
-  return maxpool2d_backward(cached_x_, cached_, grad_out);
+  FMS_OP("nn.maxpool_bwd",
+         obs::maxpool_bwd_cost(Shape4::of(in_shape_).numel(),
+                               grad_out.numel()));
+  return maxpool2d_backward(in_shape_, argmax_tap_, grad_out, kernel_, stride_,
+                            padding_);
 }
 
 Tensor AvgPool2d::forward(const Tensor& x, bool train) {
   obs::ScopedOp op("nn.avgpool_fwd");
-  if (train) {
-    cached_x_ = x;
-    has_cache_ = true;
-  } else {
-    has_cache_ = false;
-  }
+  has_cache_ = train;
+  if (train) in_shape_ = x.shape();
   Tensor y = avgpool2d_forward(x, kernel_, stride_, padding_);
   op.add([&] {
     return obs::avgpool_fwd_cost(x.numel(), y.numel(), sz(kernel_));
@@ -217,32 +155,28 @@ Tensor AvgPool2d::forward(const Tensor& x, bool train) {
 }
 
 Tensor AvgPool2d::backward(const Tensor& grad_out) {
-  FMS_OP("nn.avgpool_bwd",
-         obs::avgpool_bwd_cost(cached_x_.numel(), grad_out.numel(),
-                               sz(kernel_)));
   FMS_CHECK_MSG(has_cache_, "AvgPool2d::backward without train forward");
-  return avgpool2d_backward(cached_x_, grad_out, kernel_, stride_, padding_);
+  FMS_OP("nn.avgpool_bwd",
+         obs::avgpool_bwd_cost(Shape4::of(in_shape_).numel(),
+                               grad_out.numel(), sz(kernel_)));
+  return avgpool2d_backward(in_shape_, grad_out, kernel_, stride_, padding_);
 }
 
 Tensor GlobalAvgPool::forward(const Tensor& x, bool train) {
   FMS_OP("nn.gap_fwd",
          obs::global_avgpool_fwd_cost(sz(x.dim(0)), sz(x.dim(1)),
                                       sz(x.dim(2)), sz(x.dim(3))));
-  if (train) {
-    cached_x_ = x;
-    has_cache_ = true;
-  } else {
-    has_cache_ = false;
-  }
+  has_cache_ = train;
+  if (train) in_shape_ = x.shape();
   return global_avgpool_forward(x);
 }
 
 Tensor GlobalAvgPool::backward(const Tensor& grad_out) {
   FMS_CHECK_MSG(has_cache_, "GlobalAvgPool::backward without train forward");
-  FMS_OP("nn.gap_bwd", obs::global_avgpool_bwd_cost(
-                          sz(cached_x_.dim(0)), sz(cached_x_.dim(1)),
-                          sz(cached_x_.dim(2)), sz(cached_x_.dim(3))));
-  return global_avgpool_backward(cached_x_, grad_out);
+  const Shape4 s = Shape4::of(in_shape_);
+  FMS_OP("nn.gap_bwd",
+         obs::global_avgpool_bwd_cost(sz(s.n), sz(s.c), sz(s.h), sz(s.w)));
+  return global_avgpool_backward(in_shape_, grad_out);
 }
 
 Linear::Linear(int in_features, int out_features, Rng& rng) {

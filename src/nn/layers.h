@@ -2,7 +2,9 @@
 // bias-free (a BatchNorm follows every conv), pooling windows are 3x3.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "src/nn/module.h"
 #include "src/tensor/ops.h"
@@ -54,8 +56,8 @@ class BatchNorm2d : public Module {
   // Running statistics (not learnable, but part of the model state).
   Tensor running_mean_;
   Tensor running_var_;
-  // Backward caches.
-  Tensor cached_x_;
+  // Backward caches: the normalized input (which carries the input's
+  // shape) and the batch's per-channel 1 / std.
   Tensor cached_xhat_;
   std::vector<float> cached_inv_std_;
   bool has_cache_ = false;
@@ -70,7 +72,9 @@ class ReLU : public Module {
   }
 
  private:
-  Tensor cached_x_;
+  // x > 0 per element of the last train-mode input, and its shape.
+  std::vector<std::uint8_t> mask_;
+  std::vector<int> in_shape_;
   bool has_cache_ = false;
 };
 
@@ -87,8 +91,8 @@ class MaxPool2d : public Module {
 
  private:
   int kernel_, stride_, padding_;
-  Tensor cached_x_;
-  MaxPoolResult cached_;
+  std::vector<int> in_shape_;
+  std::vector<std::uint8_t> argmax_tap_;
   bool has_cache_ = false;
 };
 
@@ -105,7 +109,7 @@ class AvgPool2d : public Module {
 
  private:
   int kernel_, stride_, padding_;
-  Tensor cached_x_;
+  std::vector<int> in_shape_;
   bool has_cache_ = false;
 };
 
@@ -127,7 +131,7 @@ class GlobalAvgPool : public Module {
   }
 
  private:
-  Tensor cached_x_;
+  std::vector<int> in_shape_;
   bool has_cache_ = false;
 };
 

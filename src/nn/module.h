@@ -70,15 +70,21 @@ class Sequential : public Module {
     return *this;
   }
 
+  // The first child reads the caller's tensor; only an empty container
+  // copies it.
   Tensor forward(const Tensor& x, bool train) override {
-    Tensor h = x;
-    for (auto& m : children_) h = m->forward(h, train);
+    if (children_.empty()) return x;
+    Tensor h = children_.front()->forward(x, train);
+    for (auto it = children_.begin() + 1; it != children_.end(); ++it) {
+      h = (*it)->forward(h, train);
+    }
     return h;
   }
 
   Tensor backward(const Tensor& grad_out) override {
-    Tensor g = grad_out;
-    for (auto it = children_.rbegin(); it != children_.rend(); ++it) {
+    if (children_.empty()) return grad_out;
+    Tensor g = children_.back()->backward(grad_out);
+    for (auto it = children_.rbegin() + 1; it != children_.rend(); ++it) {
       g = (*it)->backward(g);
     }
     return g;

@@ -137,7 +137,8 @@ OpCost relu_fwd_cost(std::size_t numel) {
 OpCost relu_bwd_cost(std::size_t numel) {
   OpCost cost;
   cost.flops = numel;  // one select per element
-  cost.bytes_read = 2 * kF * static_cast<std::uint64_t>(numel);  // gy + x
+  // gy + the forward's byte mask x > 0.
+  cost.bytes_read = (kF + 1) * static_cast<std::uint64_t>(numel);
   cost.bytes_written = kF * static_cast<std::uint64_t>(numel);
   cost.elements = numel;
   return cost;
@@ -148,8 +149,8 @@ OpCost maxpool_fwd_cost(std::size_t numel_in, std::size_t out,
   OpCost cost;
   cost.flops = static_cast<std::uint64_t>(out) * k * k;  // window compares
   cost.bytes_read = kF * static_cast<std::uint64_t>(numel_in);
-  // y (4B floats) + argmax indices (8B each).
-  cost.bytes_written = (kF + 8) * static_cast<std::uint64_t>(out);
+  // y (4B floats) + argmax window taps (1B each).
+  cost.bytes_written = (kF + 1) * static_cast<std::uint64_t>(out);
   cost.elements = out;
   return cost;
 }
@@ -157,7 +158,7 @@ OpCost maxpool_fwd_cost(std::size_t numel_in, std::size_t out,
 OpCost maxpool_bwd_cost(std::size_t numel_in, std::size_t out) {
   OpCost cost;
   cost.flops = out;  // one scatter-add per output grad
-  cost.bytes_read = (kF + 8) * static_cast<std::uint64_t>(out);
+  cost.bytes_read = (kF + 1) * static_cast<std::uint64_t>(out);
   cost.bytes_written = kF * static_cast<std::uint64_t>(numel_in);
   cost.elements = numel_in;
   return cost;

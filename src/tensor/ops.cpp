@@ -4,7 +4,10 @@
 #include <array>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <type_traits>
 
 namespace fms {
 
@@ -342,152 +345,755 @@ Conv2dGrads conv2d_backward(const Tensor& x, const Tensor& w,
   return out;
 }
 
-MaxPoolResult maxpool2d_forward(const Tensor& x, int kernel, int stride,
-                                int padding) {
-  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const int ho = conv_out_size(h, kernel, stride, padding, 1);
-  const int wo = conv_out_size(w, kernel, stride, padding, 1);
-  MaxPoolResult res{Tensor({n, c, ho, wo}), {}};
-  res.argmax.resize(res.y.numel());
-  std::size_t oi = 0;
-  for (int in = 0; in < n; ++in) {
-    for (int ic = 0; ic < c; ++ic) {
-      for (int oh = 0; oh < ho; ++oh) {
-        for (int ow = 0; ow < wo; ++ow, ++oi) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::size_t best_idx = 0;
-          bool found = false;
-          for (int r = 0; r < kernel; ++r) {
-            const int ih = oh * stride - padding + r;
-            if (ih < 0 || ih >= h) continue;
-            for (int cc = 0; cc < kernel; ++cc) {
-              const int iw = ow * stride - padding + cc;
-              if (iw < 0 || iw >= w) continue;
-              const float v = x.at4(in, ic, ih, iw);
-              if (!found || v > best) {
-                best = v;
-                best_idx = x.offset4(in, ic, ih, iw);
-                found = true;
-              }
-            }
-          }
-          // Window fully in padding cannot happen with valid out sizes.
-          res.y[oi] = found ? best : 0.0F;
-          res.argmax[oi] = best_idx;
-        }
+Shape4 Shape4::of(const std::vector<int>& shape) {
+  FMS_CHECK_MSG(shape.size() == 4, "expected an NCHW shape, got "
+                                       << shape.size() << " dims");
+  return {shape[0], shape[1], shape[2], shape[3]};
+}
+
+Shape4 Pool2dSpec::out_shape(const Shape4& in) const {
+  FMS_CHECK_MSG(kernel >= 1 && kernel <= kMaxKernel && stride >= 1 &&
+                    stride <= kMaxKernel && padding >= 0 &&
+                    2 * padding <= kernel,
+                "pool window k=" << kernel << " stride=" << stride
+                                 << " pad=" << padding);
+  return {in.n, in.c, conv_out_size(in.h, kernel, stride, padding, 1),
+          conv_out_size(in.w, kernel, stride, padding, 1)};
+}
+
+// The elementwise kernels keep, per output element, the operation order of
+// the scalar loops they replaced (tests/elementwise_reference.h), and
+// write explicitly (fmadd) each multiply-add those loops' object code
+// fused, so their results are bit-identical to the loops':
+//   ReLU     a select, vectorized; the backward reads a byte mask x > 0.
+//   BN       per-channel double sums in (n, h, w) order, kBnLanes channels'
+//            chains side by side; then one vectorized pass per channel.
+//   pools    every tap in (r, c) order as one unit-stride run over the
+//            output slots of a block of padded planes (PoolGrid); padding
+//            reads -inf (max) or 0 (avg), which never changes a result.
+//            The avg-pool backward gathers taps in (r, c) descending
+//            order, which is (oh, ow) ascending for each input element;
+//            the max-pool backward scatters in output order.
+//   GAP      one float chain per plane in (h, w) order.
+
+void relu_forward(std::size_t len, const float* __restrict x,
+                  float* __restrict y, std::uint8_t* __restrict mask) {
+  for (std::size_t i = 0; i < len; ++i) {
+    const bool pos = x[i] > 0.0F;
+    y[i] = pos ? x[i] : 0.0F;
+    mask[i] = pos ? 1 : 0;
+  }
+}
+
+void relu_backward(std::size_t len, const std::uint8_t* __restrict mask,
+                   const float* __restrict gy, float* __restrict gx) {
+  for (std::size_t i = 0; i < len; ++i) gx[i] = mask[i] != 0 ? gy[i] : 0.0F;
+}
+
+namespace {
+
+// BatchNorm's per-channel sums run this many channels' chains side by
+// side: each chain is one double add (or FMA) per element, latency-bound
+// on its own.
+constexpr int kBnLanes = 4;
+
+// Batch mean and (biased) variance of channels c0 .. c0 + L - 1, each
+// summed in (n, h, w) order.
+template <int L>
+void bn_batch_stats(const Shape4& s, int c0, const float* __restrict x,
+                    double* __restrict mean, double* __restrict var) {
+  const std::size_t hw = s.plane();
+  const std::size_t m = static_cast<std::size_t>(s.n) * hw;
+  std::array<double, L> acc{};
+  for (int in = 0; in < s.n; ++in) {
+    const float* xp = x + (static_cast<std::size_t>(in) * s.c + c0) * hw;
+    for (std::size_t i = 0; i < hw; ++i) {
+      for (int l = 0; l < L; ++l) acc[l] += xp[l * hw + i];
+    }
+  }
+  std::array<double, L> mu{};
+  for (int l = 0; l < L; ++l) {
+    mu[l] = acc[l] / static_cast<double>(m);
+    acc[l] = 0.0;
+  }
+  for (int in = 0; in < s.n; ++in) {
+    const float* xp = x + (static_cast<std::size_t>(in) * s.c + c0) * hw;
+    for (std::size_t i = 0; i < hw; ++i) {
+      for (int l = 0; l < L; ++l) {
+        const double d = xp[l * hw + i] - mu[l];
+        acc[l] = fmadd(d, d, acc[l]);
       }
     }
   }
+  for (int l = 0; l < L; ++l) {
+    mean[l] = mu[l];
+    var[l] = acc[l] / static_cast<double>(m);
+  }
+}
+
+// Sums of gy and gy * xhat over channels c0 .. c0 + L - 1, each in
+// (n, h, w) order.
+template <int L>
+void bn_grad_sums(const Shape4& s, int c0, const float* __restrict gy,
+                  const float* __restrict xhat, double* __restrict sum_gy,
+                  double* __restrict sum_gy_xhat) {
+  const std::size_t hw = s.plane();
+  std::array<double, L> a{}, b{};
+  for (int in = 0; in < s.n; ++in) {
+    const std::size_t base = (static_cast<std::size_t>(in) * s.c + c0) * hw;
+    const float* gp = gy + base;
+    const float* hp = xhat + base;
+    for (std::size_t i = 0; i < hw; ++i) {
+      for (int l = 0; l < L; ++l) {
+        const double g = gp[l * hw + i];
+        a[l] += g;
+        b[l] = fmadd(g, static_cast<double>(hp[l * hw + i]), b[l]);
+      }
+    }
+  }
+  for (int l = 0; l < L; ++l) {
+    sum_gy[l] = a[l];
+    sum_gy_xhat[l] = b[l];
+  }
+}
+
+// Runs f(c0, lanes) over the channels in blocks of kBnLanes, then one by
+// one over the remainder.
+template <typename F>
+void for_channel_blocks(int c, F&& f) {
+  int c0 = 0;
+  for (; c0 + kBnLanes <= c; c0 += kBnLanes) {
+    f(c0, std::integral_constant<int, kBnLanes>{});
+  }
+  for (; c0 < c; ++c0) f(c0, std::integral_constant<int, 1>{});
+}
+
+}  // namespace
+
+void batchnorm2d_forward_train(const Shape4& s, const float* __restrict x,
+                               const BatchNormChannels& ch,
+                               float* __restrict y, float* __restrict xhat,
+                               float* __restrict inv_std) {
+  const std::size_t hw = s.plane();
+  for_channel_blocks(s.c, [&](int c0, auto lanes) {
+    constexpr int L = decltype(lanes)::value;
+    std::array<double, L> mean{}, var{};
+    bn_batch_stats<L>(s, c0, x, mean.data(), var.data());
+    for (int l = 0; l < L; ++l) {
+      const auto ic = static_cast<std::size_t>(c0 + l);
+      const float mean_f = static_cast<float>(mean[l]);
+      const float var_f = static_cast<float>(var[l]);
+      const float is = 1.0F / std::sqrt(var_f + ch.eps);
+      inv_std[ic] = is;
+      ch.running_mean[ic] = fmadd(1.0F - ch.momentum, ch.running_mean[ic],
+                                  ch.momentum * mean_f);
+      ch.running_var[ic] = fmadd(1.0F - ch.momentum, ch.running_var[ic],
+                                 ch.momentum * var_f);
+      const float g = ch.gamma[ic];
+      const float b = ch.beta[ic];
+      for (int in = 0; in < s.n; ++in) {
+        const std::size_t off = (static_cast<std::size_t>(in) * s.c + ic) * hw;
+        const float* xp = x + off;
+        float* hp = xhat + off;
+        float* yp = y + off;
+        for (std::size_t i = 0; i < hw; ++i) {
+          const float h = (xp[i] - mean_f) * is;
+          hp[i] = h;
+          yp[i] = fmadd(g, h, b);
+        }
+      }
+    }
+  });
+}
+
+void batchnorm2d_forward_eval(const Shape4& s, const float* __restrict x,
+                              const BatchNormChannels& ch,
+                              float* __restrict y) {
+  const std::size_t hw = s.plane();
+  for (int ic = 0; ic < s.c; ++ic) {
+    const auto c = static_cast<std::size_t>(ic);
+    const float mean = ch.running_mean[c];
+    const float is = 1.0F / std::sqrt(ch.running_var[c] + ch.eps);
+    const float g = ch.gamma[c];
+    const float b = ch.beta[c];
+    for (int in = 0; in < s.n; ++in) {
+      const std::size_t off = (static_cast<std::size_t>(in) * s.c + c) * hw;
+      const float* xp = x + off;
+      float* yp = y + off;
+      for (std::size_t i = 0; i < hw; ++i) {
+        yp[i] = fmadd(g * (xp[i] - mean), is, b);
+      }
+    }
+  }
+}
+
+void batchnorm2d_backward(const Shape4& s, const float* __restrict gy,
+                          const float* __restrict xhat,
+                          const float* __restrict inv_std,
+                          const float* __restrict gamma,
+                          float* __restrict gamma_grad,
+                          float* __restrict beta_grad, float* __restrict gx) {
+  const std::size_t hw = s.plane();
+  const double m = static_cast<double>(s.n) * s.h * s.w;
+  for_channel_blocks(s.c, [&](int c0, auto lanes) {
+    constexpr int L = decltype(lanes)::value;
+    std::array<double, L> sum_gy{}, sum_gy_xhat{};
+    bn_grad_sums<L>(s, c0, gy, xhat, sum_gy.data(), sum_gy_xhat.data());
+    for (int l = 0; l < L; ++l) {
+      const auto ic = static_cast<std::size_t>(c0 + l);
+      const float dgamma = static_cast<float>(sum_gy_xhat[l]);
+      const float dbeta = static_cast<float>(sum_gy[l]);
+      gamma_grad[ic] += dgamma;
+      beta_grad[ic] += dbeta;
+      const float scale = gamma[ic] * inv_std[ic];
+      const float mean_gy = static_cast<float>(sum_gy[l] / m);
+      const float mean_gy_xhat = static_cast<float>(sum_gy_xhat[l] / m);
+      for (int in = 0; in < s.n; ++in) {
+        const std::size_t off = (static_cast<std::size_t>(in) * s.c + ic) * hw;
+        const float* gp = gy + off;
+        const float* hp = xhat + off;
+        float* gxp = gx + off;
+        for (std::size_t i = 0; i < hw; ++i) {
+          gxp[i] = scale * fmadd(-hp[i], mean_gy_xhat, gp[i] - mean_gy);
+        }
+      }
+    }
+  });
+}
+
+namespace {
+
+// Eight floats (or lane masks) in one register: a GCC/Clang vector
+// extension. The pool kernels keep their accumulators in these across a
+// tap loop whose length is known only at run time; plain arrays there
+// round-trip through memory on every tap.
+using Vec8 = float __attribute__((vector_size(32)));
+using Mask8 = std::int32_t __attribute__((vector_size(32)));
+constexpr int kVec = 8;
+// Vectors per register block: enough independent chains to cover the
+// latency of an add or a compare-and-blend.
+constexpr std::size_t kChains = 4;
+constexpr std::size_t kPoolLanes = kChains * kVec;  // slots per block
+
+// Vec8 values go through references: passing one by value changes the
+// calling convention with the target's vector width (-Wpsabi).
+inline void load8(const float* src, Vec8& v) { std::memcpy(&v, src, sizeof v); }
+
+// dst[i] = src[i] * scale over a row, eight floats at a time.
+inline void scale_row(const float* src, float scale, float* dst, int len) {
+  int i = 0;
+  for (; i + kVec <= len; i += kVec) {
+    Vec8 v;
+    load8(src + i, v);
+    v *= scale;
+    std::memcpy(dst + i, &v, sizeof v);
+  }
+  for (; i < len; ++i) dst[i] = src[i] * scale;
+}
+
+// dst[i] = src[i] for tap numbers (< kMaxTaps) over a row.
+inline void narrow_row(const int* src, std::uint8_t* dst, int len) {
+  using Bytes8 = std::uint8_t __attribute__((vector_size(8)));
+  int i = 0;
+  for (; i + kVec <= len; i += kVec) {
+    Mask8 v;
+    std::memcpy(&v, src + i, sizeof v);
+    const Bytes8 b = __builtin_convertvector(v, Bytes8);
+    std::memcpy(dst + i, &b, sizeof b);
+  }
+  for (; i < len; ++i) dst[i] = static_cast<std::uint8_t>(src[i]);
+}
+
+// dst[i] = src[i] over a row, eight floats at a time.
+inline void copy_row(const float* src, float* dst, int len) {
+  int i = 0;
+  for (; i + kVec <= len; i += kVec) {
+    std::memcpy(dst + i, src + i, sizeof(Vec8));
+  }
+  for (; i < len; ++i) dst[i] = src[i];
+}
+
+// A stride-2 pool's row split: even elements to `even`, odd ones to `odd`.
+inline void split_row(const float* src, float* even, float* odd, int len) {
+  using Vec4 = float __attribute__((vector_size(16)));
+  int i = 0;
+  for (; i + kVec <= len; i += kVec, even += kVec / 2, odd += kVec / 2) {
+    Vec8 v;
+    load8(src + i, v);
+    const Vec4 e = __builtin_shufflevector(v, v, 0, 2, 4, 6);
+    const Vec4 o = __builtin_shufflevector(v, v, 1, 3, 5, 7);
+    std::memcpy(even, &e, sizeof e);
+    std::memcpy(odd, &o, sizeof o);
+  }
+  for (; i < len; ++i) *(i % 2 == 0 ? even++ : odd++) = src[i];
+}
+
+// The inverse of split_row.
+inline void join_row(const float* even, const float* odd, float* dst,
+                     int len) {
+  using Vec4 = float __attribute__((vector_size(16)));
+  int i = 0;
+  for (; i + kVec <= len; i += kVec, even += kVec / 2, odd += kVec / 2) {
+    Vec4 e, o;
+    std::memcpy(&e, even, sizeof e);
+    std::memcpy(&o, odd, sizeof o);
+    const Vec8 v = __builtin_shufflevector(e, o, 0, 4, 1, 5, 2, 6, 3, 7);
+    std::memcpy(dst + i, &v, sizeof v);
+  }
+  for (; i < len; ++i) dst[i] = i % 2 == 0 ? *even++ : *odd++;
+}
+
+// Pooling geometry over padded planes split into stride x stride phases:
+// phase (a, b) holds the padded rows a, a + stride, ... and columns b,
+// b + stride, ..., in rows wq long. Output (oh, ow) of a plane sits at
+// slot oh * wq + ow of a grid of the same layout, and its tap (r, c)
+// reads phase (r % stride, c % stride) at that slot plus
+// (r / stride) * wq + c / stride: every tap is a unit-stride run over
+// the slots. The planes of a block follow each other in every phase, so
+// one run covers the block, vectorized across slots. Slots with ow >= wo
+// or oh >= ho are junk: dropped from an output, zero in a gradient.
+struct PoolGrid {
+  Shape4 in, out;
+  Pool2dSpec p;
+  int wq = 0;                   // phase row width
+  std::size_t plane_slots = 0;  // slots (phase cells) per plane
+  std::size_t block = 1;        // planes per block
+  std::size_t phase_len = 0;    // one phase of a block, plus the taps' reach
+  int ntaps = 0;
+  // Per tap r * kernel + c: its phase and its step back within the phase.
+  std::array<int, kMaxTaps> tap_phase{};
+  std::array<std::size_t, kMaxTaps> tap_back{};
+  // Per phase column b: the first input column in it, and that column's
+  // cell in a block's phases relative to its row.
+  std::array<int, kMaxKernel> col_iw0{};
+  std::array<std::size_t, kMaxKernel> col_cell{};
+
+  PoolGrid(const Shape4& x, const Pool2dSpec& spec)
+      : in(x), out(spec.out_shape(x)), p(spec) {
+    const int s = spec.stride;
+    const int hq = (x.h + 2 * spec.padding + s - 1) / s;
+    wq = (x.w + 2 * spec.padding + s - 1) / s;
+    plane_slots = static_cast<std::size_t>(hq) * wq;
+    // About 8 KiB of padded input per block keeps its buffers in L1.
+    block = std::max<std::size_t>(
+        1, 2048 / (plane_slots * static_cast<std::size_t>(s * s)));
+    ntaps = spec.kernel * spec.kernel;
+    for (int t = 0; t < ntaps; ++t) {
+      const int r = t / spec.kernel, c = t % spec.kernel;
+      tap_phase[static_cast<std::size_t>(t)] = r % s * s + c % s;
+      tap_back[static_cast<std::size_t>(t)] =
+          static_cast<std::size_t>(r / s) * wq +
+          static_cast<std::size_t>(c / s);
+    }
+    phase_len = slots(block) + tap_back[static_cast<std::size_t>(ntaps - 1)];
+    for (int b = 0; b < s; ++b) {
+      const auto i = static_cast<std::size_t>(b);
+      col_iw0[i] = ((b - spec.padding) % s + s) % s;
+      col_cell[i] = i * phase_len +
+                    static_cast<std::size_t>((col_iw0[i] + spec.padding) / s);
+    }
+  }
+
+  std::size_t planes() const { return static_cast<std::size_t>(in.n) * in.c; }
+  int phases() const { return p.stride * p.stride; }
+  // Slots of a block of np planes, rounded up to whole register blocks.
+  std::size_t slots(std::size_t np) const {
+    return (np * plane_slots + kPoolLanes - 1) / kPoolLanes * kPoolLanes;
+  }
+  // Slot of output (oh, ow) within its plane.
+  std::size_t slot(int oh, int ow) const {
+    return static_cast<std::size_t>(oh) * wq + ow;
+  }
+  // Where tap t of slot 0 reads in a block's phases.
+  std::size_t tap_off(int t) const {
+    const auto i = static_cast<std::size_t>(t);
+    return static_cast<std::size_t>(tap_phase[i]) * phase_len + tap_back[i];
+  }
+  // Calls run(ih, cells) for each input row of plane pl: cells[b] is
+  // where the row's inputs col_iw0[b], col_iw0[b] + stride, ... start in
+  // phase column b of a block's phases.
+  template <typename Run>
+  void for_each_row(std::size_t pl, Run&& run) const {
+    const int s = p.stride;
+    int a = p.padding % s;  // phase row and row within it of input row ih
+    std::size_t rq = static_cast<std::size_t>(p.padding / s);
+    std::array<std::size_t, kMaxKernel> cells{};
+    for (int ih = 0; ih < in.h; ++ih) {
+      const std::size_t row = static_cast<std::size_t>(a * s) * phase_len +
+                              pl * plane_slots + rq * wq;
+      for (std::size_t b = 0; b < static_cast<std::size_t>(s); ++b) {
+        cells[b] = row + col_cell[b];
+      }
+      run(ih, cells);
+      if (++a == s) {
+        a = 0;
+        ++rq;
+      }
+    }
+  }
+
+  // Copies planes [p0, p0 + np) of x into the phases in `buf`, padded
+  // with `fill`.
+  void pad(const float* x, std::size_t p0, std::size_t np, float fill,
+           std::vector<float>& buf) const {
+    buf.assign(static_cast<std::size_t>(phases()) * phase_len, fill);
+    const int s = p.stride;
+    for (std::size_t pl = 0; pl < np; ++pl) {
+      const float* xp = x + (p0 + pl) * in.plane();
+      for_each_row(pl, [&](int ih, const auto& cells) {
+        const float* src = xp + static_cast<std::size_t>(ih) * in.w;
+        if (s == 1) {
+          copy_row(src, buf.data() + cells[0], in.w);
+        } else if (s == 2) {
+          split_row(src, buf.data() + cells[even_col()],
+                    buf.data() + cells[1 - even_col()], in.w);
+        } else {
+          for (std::size_t b = 0; b < static_cast<std::size_t>(s); ++b) {
+            float* dst = buf.data() + cells[b];
+            for (int iw = col_iw0[b]; iw < in.w; iw += s) *dst++ = src[iw];
+          }
+        }
+      });
+    }
+  }
+
+  // Copies the input cells of the block's phases in `buf` to planes
+  // [p0, p0 + np) of x.
+  void unpad(const std::vector<float>& buf, std::size_t p0, std::size_t np,
+             float* x) const {
+    const int s = p.stride;
+    for (std::size_t pl = 0; pl < np; ++pl) {
+      float* xp = x + (p0 + pl) * in.plane();
+      for_each_row(pl, [&](int ih, const auto& cells) {
+        float* dst = xp + static_cast<std::size_t>(ih) * in.w;
+        if (s == 1) {
+          copy_row(buf.data() + cells[0], dst, in.w);
+        } else if (s == 2) {
+          join_row(buf.data() + cells[even_col()],
+                   buf.data() + cells[1 - even_col()], dst, in.w);
+        } else {
+          for (std::size_t b = 0; b < static_cast<std::size_t>(s); ++b) {
+            const float* src = buf.data() + cells[b];
+            for (int iw = col_iw0[b]; iw < in.w; iw += s) dst[iw] = *src++;
+          }
+        }
+      });
+    }
+  }
+
+  // At stride 2, the phase column that holds the even input columns.
+  std::size_t even_col() const { return col_iw0[0] == 0 ? 0 : 1; }
+};
+
+// One max-pool tap over eight slots: a value takes its slot over a
+// smaller best, and as a NaN over a number; an equal value leaves the
+// earlier one.
+inline void max_step(const Vec8& v, const Mask8& tap, Vec8& best,
+                     Mask8& best_tap) {
+  const Mask8 take = ~(v <= best) & (best == best);
+  const Mask8 kept = __builtin_bit_cast(Mask8, best) & ~take;
+  best = __builtin_bit_cast(Vec8, (__builtin_bit_cast(Mask8, v) & take) | kept);
+  best_tap = (tap & take) | (best_tap & ~take);
+}
+
+// Max over every tap of `slots` slots. Each slot starts at -inf on the
+// tap in `first_tap`.
+void max_blocks(const PoolGrid& g, std::size_t slots, const float* padded,
+                const int* first_tap, float* best, int* best_tap) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  for (std::size_t q = 0; q < slots; q += kPoolLanes) {
+    std::array<Vec8, kChains> b;
+    std::array<Mask8, kChains> k;
+    b.fill(Vec8{-kInf, -kInf, -kInf, -kInf, -kInf, -kInf, -kInf, -kInf});
+    std::memcpy(k.data(), first_tap + q, sizeof k);
+    for (int t = 0; t < g.ntaps; ++t) {
+      const float* src = padded + g.tap_off(t) + q;
+      const Mask8 tap = {t, t, t, t, t, t, t, t};
+      for (std::size_t j = 0; j < kChains; ++j) {
+        Vec8 v;
+        load8(src + j * kVec, v);
+        max_step(v, tap, b[j], k[j]);
+      }
+    }
+    std::memcpy(best + q, b.data(), sizeof b);
+    std::memcpy(best_tap + q, k.data(), sizeof k);
+  }
+}
+
+// Sums over every tap of `slots` slots, each from +0 in tap order.
+void sum_blocks(const PoolGrid& g, std::size_t slots, const float* padded,
+                float* acc) {
+  for (std::size_t q = 0; q < slots; q += kPoolLanes) {
+    std::array<Vec8, kChains> a{};
+    for (int t = 0; t < g.ntaps; ++t) {
+      const float* src = padded + g.tap_off(t) + q;
+      for (std::size_t j = 0; j < kChains; ++j) {
+        Vec8 v;
+        load8(src + j * kVec, v);
+        a[j] += v;
+      }
+    }
+    std::memcpy(acc + q, a.data(), sizeof a);
+  }
+}
+
+// The avg-pool backward gathers each padded input cell's gradient: tap t
+// adds the slot it reads that cell for, taps in (r, c) descending order,
+// which is (oh, ow) ascending for each input element, as the scalar loop
+// scattered them. A phase's cells share their taps. `wide` holds a block's
+// output gradient on the slot grid after `margin` zeros (the largest step
+// back); junk slots and the margin hold zeros, which add nothing to a sum
+// that starts at +0.
+void gather_taps(const PoolGrid& g, std::size_t slots, std::size_t margin,
+                 const std::vector<float>& wide, std::vector<float>& padded) {
+  padded.resize(static_cast<std::size_t>(g.phases()) * g.phase_len);
+  for (int ph = 0; ph < g.phases(); ++ph) {
+    std::array<std::size_t, kMaxTaps> back{};
+    int nb = 0;
+    for (int t = g.ntaps - 1; t >= 0; --t) {
+      const auto i = static_cast<std::size_t>(t);
+      if (g.tap_phase[i] == ph) {
+        back[static_cast<std::size_t>(nb++)] = g.tap_back[i];
+      }
+    }
+    float* dst = padded.data() + static_cast<std::size_t>(ph) * g.phase_len;
+    for (std::size_t m = 0; m < slots; m += kPoolLanes) {
+      std::array<Vec8, kChains> a{};
+      for (int b = 0; b < nb; ++b) {
+        const float* src =
+            wide.data() + margin + m - back[static_cast<std::size_t>(b)];
+        for (std::size_t j = 0; j < kChains; ++j) {
+          Vec8 v;
+          load8(src + j * kVec, v);
+          a[j] += v;
+        }
+      }
+      std::memcpy(dst + m, a.data(), sizeof a);
+    }
+  }
+}
+
+}  // namespace
+
+void maxpool2d_forward(const Shape4& in, const Pool2dSpec& p,
+                       const float* __restrict x, float* __restrict y,
+                       std::uint8_t* __restrict tap) {
+  const PoolGrid g(in, p);
+  const std::size_t y_plane = g.out.plane();
+  // A slot starts at -inf on its window's first in-bounds tap. Padding
+  // reads -inf, which never takes a slot, so the first in-bounds element
+  // holds it unless a later one beats it, as in the scalar loop. Every
+  // block lays its planes out alike, so one table serves them all.
+  thread_local std::vector<int> first_tap;
+  first_tap.assign(g.slots(g.block), 0);
+  for (std::size_t pl = 0; pl < g.block; ++pl) {
+    for (int oh = 0; oh < g.out.h; ++oh) {
+      for (int ow = 0; ow < g.out.w; ++ow) {
+        const int r = std::max(0, p.padding - oh * p.stride);
+        const int c = std::max(0, p.padding - ow * p.stride);
+        first_tap[pl * g.plane_slots + g.slot(oh, ow)] = r * p.kernel + c;
+      }
+    }
+  }
+  thread_local std::vector<float> padded, best;
+  thread_local std::vector<int> best_tap;
+  for (std::size_t p0 = 0; p0 < g.planes(); p0 += g.block) {
+    const std::size_t np = std::min(g.block, g.planes() - p0);
+    const std::size_t slots = g.slots(np);
+    g.pad(x, p0, np, -std::numeric_limits<float>::infinity(), padded);
+    best.resize(slots);
+    best_tap.resize(slots);
+    max_blocks(g, slots, padded.data(), first_tap.data(), best.data(),
+               best_tap.data());
+    float* yp = y + p0 * y_plane;
+    std::uint8_t* tp = tap + p0 * y_plane;
+    for (std::size_t pl = 0; pl < np; ++pl) {
+      for (int oh = 0; oh < g.out.h; ++oh, yp += g.out.w, tp += g.out.w) {
+        const std::size_t q = pl * g.plane_slots + g.slot(oh, 0);
+        copy_row(best.data() + q, yp, g.out.w);
+        narrow_row(best_tap.data() + q, tp, g.out.w);
+      }
+    }
+  }
+}
+
+void maxpool2d_backward(const Shape4& in, const Pool2dSpec& p,
+                        const std::uint8_t* __restrict tap,
+                        const float* __restrict gy, float* __restrict gx) {
+  const Shape4 out = p.out_shape(in);
+  // Tap k's offset from its window's top-left corner in the input plane.
+  std::array<std::ptrdiff_t, kMaxTaps> tap_in{};
+  for (int k = 0; k < p.kernel * p.kernel; ++k) {
+    tap_in[static_cast<std::size_t>(k)] =
+        static_cast<std::ptrdiff_t>(k / p.kernel) * in.w + k % p.kernel;
+  }
+  // Scattered in output order, as the scalar loop did.
+  const std::size_t planes = static_cast<std::size_t>(in.n) * in.c;
+  for (std::size_t pl = 0; pl < planes; ++pl) {
+    float* gxp = gx + pl * in.plane();
+    for (int oh = 0; oh < out.h; ++oh) {
+      const std::ptrdiff_t corner =
+          static_cast<std::ptrdiff_t>(oh * p.stride - p.padding) * in.w -
+          p.padding;
+      for (int ow = 0; ow < out.w; ++ow, ++tap, ++gy) {
+        gxp[corner + static_cast<std::ptrdiff_t>(ow) * p.stride +
+            tap_in[*tap]] += *gy;
+      }
+    }
+  }
+}
+
+// Reads zero padding, which changes no sum that starts at +0: such a sum
+// is never -0.
+void avgpool2d_forward(const Shape4& in, const Pool2dSpec& p,
+                       const float* __restrict x, float* __restrict y) {
+  const PoolGrid g(in, p);
+  // count_include_pad=True semantics (matches PyTorch default used by
+  // DARTS): divide by the full window size.
+  const float inv = 1.0F / static_cast<float>(p.kernel * p.kernel);
+  thread_local std::vector<float> padded, acc;
+  for (std::size_t p0 = 0; p0 < g.planes(); p0 += g.block) {
+    const std::size_t np = std::min(g.block, g.planes() - p0);
+    const std::size_t slots = g.slots(np);
+    g.pad(x, p0, np, 0.0F, padded);
+    acc.resize(slots);
+    sum_blocks(g, slots, padded.data(), acc.data());
+    float* yp = y + p0 * g.out.plane();
+    for (std::size_t pl = 0; pl < np; ++pl) {
+      for (int oh = 0; oh < g.out.h; ++oh, yp += g.out.w) {
+        scale_row(acc.data() + pl * g.plane_slots + g.slot(oh, 0), inv, yp,
+                  g.out.w);
+      }
+    }
+  }
+}
+
+void avgpool2d_backward(const Shape4& in, const Pool2dSpec& p,
+                        const float* __restrict gy, float* __restrict gx) {
+  const PoolGrid g(in, p);
+  const float inv = 1.0F / static_cast<float>(p.kernel * p.kernel);
+  const std::size_t margin =
+      g.tap_back[static_cast<std::size_t>(g.ntaps - 1)];
+  thread_local std::vector<float> wide, padded;
+  for (std::size_t p0 = 0; p0 < g.planes(); p0 += g.block) {
+    const std::size_t np = std::min(g.block, g.planes() - p0);
+    const std::size_t slots = g.slots(np);
+    wide.assign(margin + slots, 0.0F);
+    const float* gyp = gy + p0 * g.out.plane();
+    for (std::size_t pl = 0; pl < np; ++pl) {
+      for (int oh = 0; oh < g.out.h; ++oh, gyp += g.out.w) {
+        scale_row(gyp, inv,
+                  wide.data() + margin + pl * g.plane_slots + g.slot(oh, 0),
+                  g.out.w);
+      }
+    }
+    gather_taps(g, slots, margin, wide, padded);
+    g.unpad(padded, p0, np, gx);
+  }
+}
+
+void global_avgpool_forward(const Shape4& in, const float* __restrict x,
+                            float* __restrict y) {
+  const std::size_t hw = in.plane();
+  const std::size_t planes = static_cast<std::size_t>(in.n) * in.c;
+  const float inv = 1.0F / static_cast<float>(in.h * in.w);
+  for (std::size_t p = 0; p < planes; ++p, x += hw) {
+    float acc = 0.0F;
+    for (std::size_t i = 0; i < hw; ++i) acc += x[i];
+    y[p] = acc * inv;
+  }
+}
+
+void global_avgpool_backward(const Shape4& in, const float* __restrict gy,
+                             float* __restrict gx) {
+  const std::size_t hw = in.plane();
+  const std::size_t planes = static_cast<std::size_t>(in.n) * in.c;
+  const float inv = 1.0F / static_cast<float>(in.h * in.w);
+  for (std::size_t p = 0; p < planes; ++p) {
+    std::fill(gx + p * hw, gx + (p + 1) * hw, gy[p] * inv);
+  }
+}
+
+MaxPoolResult maxpool2d_forward(const Tensor& x, int kernel, int stride,
+                                int padding) {
+  const Shape4 in = Shape4::of(x.shape());
+  const Pool2dSpec p{kernel, stride, padding};
+  MaxPoolResult res{Tensor(p.out_shape(in).dims()), {}};
+  res.tap.resize(res.y.numel());
+  maxpool2d_forward(in, p, x.data(), res.y.data(), res.tap.data());
   return res;
 }
 
-Tensor maxpool2d_backward(const Tensor& x, const MaxPoolResult& fwd,
-                          const Tensor& grad_y) {
-  Tensor grad_x(x.shape());
-  FMS_CHECK(grad_y.numel() == fwd.argmax.size());
-  for (std::size_t i = 0; i < fwd.argmax.size(); ++i) {
-    grad_x[fwd.argmax[i]] += grad_y[i];
-  }
+Tensor maxpool2d_backward(const std::vector<int>& x_shape,
+                          const std::vector<std::uint8_t>& tap,
+                          const Tensor& grad_y, int kernel, int stride,
+                          int padding) {
+  const Shape4 in = Shape4::of(x_shape);
+  const Pool2dSpec p{kernel, stride, padding};
+  FMS_CHECK_MSG(grad_y.shape() == p.out_shape(in).dims(),
+                "max-pool grad_y " << grad_y.shape_str());
+  FMS_CHECK(tap.size() == grad_y.numel());
+  Tensor grad_x(x_shape);
+  maxpool2d_backward(in, p, tap.data(), grad_y.data(), grad_x.data());
   return grad_x;
 }
 
-Tensor avgpool2d_forward(const Tensor& x, int kernel, int stride, int padding) {
-  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const int ho = conv_out_size(h, kernel, stride, padding, 1);
-  const int wo = conv_out_size(w, kernel, stride, padding, 1);
-  Tensor y({n, c, ho, wo});
-  const float inv = 1.0F / static_cast<float>(kernel * kernel);
-  for (int in = 0; in < n; ++in) {
-    for (int ic = 0; ic < c; ++ic) {
-      for (int oh = 0; oh < ho; ++oh) {
-        for (int ow = 0; ow < wo; ++ow) {
-          float acc = 0.0F;
-          for (int r = 0; r < kernel; ++r) {
-            const int ih = oh * stride - padding + r;
-            if (ih < 0 || ih >= h) continue;
-            for (int cc = 0; cc < kernel; ++cc) {
-              const int iw = ow * stride - padding + cc;
-              if (iw < 0 || iw >= w) continue;
-              acc += x.at4(in, ic, ih, iw);
-            }
-          }
-          // count_include_pad=True semantics (matches PyTorch default used
-          // by DARTS): divide by the full window size.
-          y.at4(in, ic, oh, ow) = acc * inv;
-        }
-      }
-    }
-  }
+Tensor avgpool2d_forward(const Tensor& x, int kernel, int stride,
+                         int padding) {
+  const Shape4 in = Shape4::of(x.shape());
+  const Pool2dSpec p{kernel, stride, padding};
+  Tensor y(p.out_shape(in).dims());
+  avgpool2d_forward(in, p, x.data(), y.data());
   return y;
 }
 
-Tensor avgpool2d_backward(const Tensor& x, const Tensor& grad_y, int kernel,
-                          int stride, int padding) {
-  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const int ho = grad_y.dim(2), wo = grad_y.dim(3);
-  Tensor grad_x(x.shape());
-  const float inv = 1.0F / static_cast<float>(kernel * kernel);
-  for (int in = 0; in < n; ++in) {
-    for (int ic = 0; ic < c; ++ic) {
-      for (int oh = 0; oh < ho; ++oh) {
-        for (int ow = 0; ow < wo; ++ow) {
-          const float gy = grad_y.at4(in, ic, oh, ow) * inv;
-          for (int r = 0; r < kernel; ++r) {
-            const int ih = oh * stride - padding + r;
-            if (ih < 0 || ih >= h) continue;
-            for (int cc = 0; cc < kernel; ++cc) {
-              const int iw = ow * stride - padding + cc;
-              if (iw < 0 || iw >= w) continue;
-              grad_x.at4(in, ic, ih, iw) += gy;
-            }
-          }
-        }
-      }
-    }
-  }
+Tensor avgpool2d_backward(const std::vector<int>& x_shape,
+                          const Tensor& grad_y, int kernel, int stride,
+                          int padding) {
+  const Shape4 in = Shape4::of(x_shape);
+  const Pool2dSpec p{kernel, stride, padding};
+  FMS_CHECK_MSG(grad_y.shape() == p.out_shape(in).dims(),
+                "avg-pool grad_y " << grad_y.shape_str());
+  Tensor grad_x(x_shape);
+  avgpool2d_backward(in, p, grad_y.data(), grad_x.data());
   return grad_x;
 }
 
 Tensor global_avgpool_forward(const Tensor& x) {
-  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  Tensor y({n, c});
-  const float inv = 1.0F / static_cast<float>(h * w);
-  for (int in = 0; in < n; ++in) {
-    for (int ic = 0; ic < c; ++ic) {
-      float acc = 0.0F;
-      for (int ih = 0; ih < h; ++ih)
-        for (int iw = 0; iw < w; ++iw) acc += x.at4(in, ic, ih, iw);
-      y.at2(in, ic) = acc * inv;
-    }
-  }
+  const Shape4 in = Shape4::of(x.shape());
+  Tensor y({in.n, in.c});
+  global_avgpool_forward(in, x.data(), y.data());
   return y;
 }
 
-Tensor global_avgpool_backward(const Tensor& x, const Tensor& grad_y) {
-  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  Tensor grad_x(x.shape());
-  const float inv = 1.0F / static_cast<float>(h * w);
-  for (int in = 0; in < n; ++in) {
-    for (int ic = 0; ic < c; ++ic) {
-      const float gy = grad_y.at2(in, ic) * inv;
-      for (int ih = 0; ih < h; ++ih)
-        for (int iw = 0; iw < w; ++iw) grad_x.at4(in, ic, ih, iw) = gy;
-    }
-  }
+Tensor global_avgpool_backward(const std::vector<int>& x_shape,
+                               const Tensor& grad_y) {
+  const Shape4 in = Shape4::of(x_shape);
+  FMS_CHECK_MSG(grad_y.shape() == std::vector<int>({in.n, in.c}),
+                "global avg-pool grad_y " << grad_y.shape_str());
+  Tensor grad_x(x_shape);
+  global_avgpool_backward(in, grad_y.data(), grad_x.data());
   return grad_x;
 }
 
 Tensor relu_forward(const Tensor& x) {
-  Tensor y = x;
-  for (std::size_t i = 0; i < y.numel(); ++i) y[i] = std::max(0.0F, y[i]);
+  Tensor y(x.shape());
+  const float* xp = x.data();
+  float* yp = y.data();
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    yp[i] = xp[i] > 0.0F ? xp[i] : 0.0F;
+  }
   return y;
 }
 
 Tensor relu_backward(const Tensor& x, const Tensor& grad_y) {
   FMS_CHECK(x.same_shape(grad_y));
   Tensor grad_x(x.shape());
+  const float* xp = x.data();
+  const float* gyp = grad_y.data();
+  float* gxp = grad_x.data();
   for (std::size_t i = 0; i < x.numel(); ++i) {
-    grad_x[i] = x[i] > 0.0F ? grad_y[i] : 0.0F;
+    gxp[i] = xp[i] > 0.0F ? gyp[i] : 0.0F;
   }
   return grad_x;
 }

@@ -22,6 +22,7 @@
 #include "src/obs/health.h"
 #include "src/tensor/ops.h"
 #include "tests/conv_reference.h"
+#include "tests/kernel_checks.h"
 
 namespace fms {
 namespace {
@@ -109,25 +110,6 @@ ConvData draw_data(const ConvCase& cc, Rng& rng) {
   return d;
 }
 
-::testing::AssertionResult bit_equal(const char* what, const Tensor& got,
-                                     const Tensor& want) {
-  if (got.shape() != want.shape()) {
-    return ::testing::AssertionFailure()
-           << what << " shape " << got.shape_str() << ", oracle "
-           << want.shape_str();
-  }
-  if (std::memcmp(got.data(), want.data(), got.numel() * sizeof(float)) == 0) {
-    return ::testing::AssertionSuccess();
-  }
-  for (std::size_t i = 0; i < got.numel(); ++i) {
-    if (std::memcmp(&got.vec()[i], &want.vec()[i], sizeof(float)) != 0) {
-      return ::testing::AssertionFailure()
-             << what << "[" << i << "] = " << got[i] << ", oracle " << want[i];
-    }
-  }
-  return ::testing::AssertionFailure() << what << ": memcmp mismatch";
-}
-
 TEST(ConvKernel, MatchesOracleBitForBitOnRandomShapes) {
   Rng rng(0xC0DE);
   int batch1 = 0, tiny = 0, depthwise = 0;
@@ -180,17 +162,6 @@ TEST(ConvKernel, AdjointIdentitiesHoldInDouble) {
                    abs_of(d.gy));
     EXPECT_NEAR(lhs, dot(d.x, g.grad_x), tol);
     EXPECT_NEAR(lhs, dot(d.w, g.grad_w), tol);
-  }
-}
-
-void plant_non_finite(Tensor& t, Rng& rng, int count) {
-  const std::array<float, 3> bad = {std::numeric_limits<float>::quiet_NaN(),
-                                    std::numeric_limits<float>::infinity(),
-                                    -std::numeric_limits<float>::infinity()};
-  for (int i = 0; i < count; ++i) {
-    const int at = rng.randint(0, static_cast<int>(t.numel()) - 1);
-    t[static_cast<std::size_t>(at)] =
-        bad[static_cast<std::size_t>(rng.randint(0, 2))];
   }
 }
 

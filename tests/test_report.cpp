@@ -43,13 +43,13 @@ void write_file(const std::string& path, const std::string& text) {
 TEST(ReportTest, GoldenReportMatchesCommittedFixture) {
   // The report is a deterministic function of its inputs; any change to
   // the HTML (layout, numbers, section order) must show up as a diff of
-  // the committed golden file. Regenerate with:
-  //   fms_report --out tests/golden/report/report.html \
-  //     --trace tests/golden/report/trace.jsonl \
-  //     --metrics tests/golden/report/metrics.csv \
-  //     --health tests/golden/report/health.json \
-  //     --bench tests/golden/report/bench.json \
-  //     --history tests/golden/report/history.jsonl \
+  // the committed golden file. Regenerate with (one command line):
+  //   fms_report --out tests/golden/report/report.html
+  //     --trace tests/golden/report/trace.jsonl
+  //     --metrics tests/golden/report/metrics.csv
+  //     --health tests/golden/report/health.json
+  //     --bench tests/golden/report/bench.json
+  //     --history tests/golden/report/history.jsonl
   //     --peak tests/golden/report/peak.json
   const std::string golden = slurp(golden_dir() + "/report.html");
   ASSERT_FALSE(golden.empty()) << "missing golden fixture report.html";

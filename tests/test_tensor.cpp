@@ -146,7 +146,7 @@ TEST(Ops, MaxPoolForwardBackward) {
   ASSERT_EQ(res.y.numel(), 1u);
   EXPECT_FLOAT_EQ(res.y[0], 5.0F);
   Tensor gy({1, 1, 1, 1}, std::vector<float>{2.0F});
-  Tensor gx = maxpool2d_backward(x, res, gy);
+  Tensor gx = maxpool2d_backward(x.shape(), res.tap, gy, 2, 2, 0);
   EXPECT_FLOAT_EQ(gx[1], 2.0F);  // gradient routed to the max element
   EXPECT_FLOAT_EQ(gx[0], 0.0F);
 }
@@ -162,7 +162,7 @@ TEST(Ops, AvgPoolGradCheck) {
   Tensor x = Tensor::randn({1, 2, 4, 4}, rng);
   Tensor y = avgpool2d_forward(x, 3, 1, 1);
   Tensor gy = Tensor::randn(y.shape(), rng);
-  Tensor gx = avgpool2d_backward(x, gy, 3, 1, 1);
+  Tensor gx = avgpool2d_backward(x.shape(), gy, 3, 1, 1);
   const float eps = 1e-3F;
   auto objective = [&](const Tensor& xx) {
     Tensor yy = avgpool2d_forward(xx, 3, 1, 1);
@@ -185,7 +185,7 @@ TEST(Ops, GlobalAvgPool) {
   EXPECT_FLOAT_EQ(y.at2(0, 0), 2.5F);
   EXPECT_FLOAT_EQ(y.at2(0, 1), 10.0F);
   Tensor gy({1, 2}, std::vector<float>{4.0F, 8.0F});
-  Tensor gx = global_avgpool_backward(x, gy);
+  Tensor gx = global_avgpool_backward(x.shape(), gy);
   EXPECT_FLOAT_EQ(gx.at4(0, 0, 0, 0), 1.0F);
   EXPECT_FLOAT_EQ(gx.at4(0, 1, 1, 1), 2.0F);
 }

@@ -1,8 +1,8 @@
 // The benchmark suite. Every benchmark is seeded and sized so that one
 // repetition finishes in well under a second on a laptop core while
 // still exercising the production code path (no toy stand-ins): micro
-// kernels (conv/BN/linear, tensor axpy), the supernet's mask/gather/
-// scatter plumbing, every aggregation estimator at m in {10, 50},
+// kernels (conv/BN/ReLU/pooling/linear, tensor axpy), the supernet's
+// mask/gather/scatter plumbing, every aggregation estimator at m in {10, 50},
 // checkpoint serialize/restore, message codecs, transmission scheduling,
 // and whole warm-up / search rounds (K=4 and K=16) as macro benches.
 #include <cstdint>
@@ -179,6 +179,65 @@ std::vector<Benchmark> default_benchmarks() {
                     return [bn, x, g] {
                       bn->forward(*x, /*train=*/true);
                       bn->backward(*g);
+                    };
+                  }});
+  // ReLU, then the pools, at the shapes a search_iid round trains (batch
+  // 16, 8x8 images, 6 stem channels): the three stages' activations, the
+  // cells' 3x3 pools at stride 1 and, in reduction cells, stride 2, and
+  // the GAP ahead of the classifier.
+  list.push_back({"nn.relu_fwd_bwd", 40, []() -> std::function<void()> {
+                    Rng rng(14);
+                    struct Layer {
+                      ReLU relu;
+                      Tensor x;
+                      Tensor g;
+                    };
+                    auto layers = std::make_shared<std::vector<Layer>>();
+                    for (const auto& [c, hw] :
+                         {std::pair{6, 8}, std::pair{12, 4},
+                          std::pair{24, 2}}) {
+                      layers->push_back(
+                          {ReLU(), Tensor::randn({16, c, hw, hw}, rng),
+                           Tensor::randn({16, c, hw, hw}, rng)});
+                    }
+                    return [layers] {
+                      for (Layer& l : *layers) {
+                        l.relu.forward(l.x, /*train=*/true);
+                        l.relu.backward(l.g);
+                      }
+                    };
+                  }});
+  list.push_back({"nn.pool_fwd_bwd", 20, []() -> std::function<void()> {
+                    Rng rng(15);
+                    struct Layer {
+                      std::unique_ptr<Module> pool;
+                      Tensor x;
+                      Tensor g;
+                    };
+                    auto layers = std::make_shared<std::vector<Layer>>();
+                    for (const auto& [c, stride] :
+                         {std::pair{6, 1}, std::pair{12, 2}}) {
+                      const int out = 8 / stride;
+                      for (const bool max : {true, false}) {
+                        std::unique_ptr<Module> pool;
+                        if (max) {
+                          pool = std::make_unique<MaxPool2d>(3, stride, 1);
+                        } else {
+                          pool = std::make_unique<AvgPool2d>(3, stride, 1);
+                        }
+                        layers->push_back(
+                            {std::move(pool), Tensor::randn({16, c, 8, 8}, rng),
+                             Tensor::randn({16, c, out, out}, rng)});
+                      }
+                    }
+                    layers->push_back({std::make_unique<GlobalAvgPool>(),
+                                       Tensor::randn({16, 48, 2, 2}, rng),
+                                       Tensor::randn({16, 48}, rng)});
+                    return [layers] {
+                      for (Layer& l : *layers) {
+                        l.pool->forward(l.x, /*train=*/true);
+                        l.pool->backward(l.g);
+                      }
                     };
                   }});
   list.push_back({"nn.sep_conv_fwd", 10, []() -> std::function<void()> {
