@@ -6,7 +6,7 @@
 #include <exception>
 
 #include "src/common/check.h"
-#include "src/obs/sinks.h"
+#include "src/obs/json.h"
 #include "src/obs/telemetry.h"
 
 namespace fms::obs {

@@ -9,7 +9,7 @@
 #include "src/common/check.h"
 #include "src/core/search.h"
 #include "src/obs/metrics.h"
-#include "src/obs/sinks.h"
+#include "src/obs/json.h"
 #include "src/obs/telemetry.h"
 
 namespace fms::obs {

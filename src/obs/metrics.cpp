@@ -4,6 +4,8 @@
 #include <cmath>
 #include <fstream>
 
+#include "src/obs/json.h"
+
 namespace fms::obs {
 
 std::vector<double> default_time_buckets() {
@@ -143,9 +145,13 @@ void MetricsRegistry::write_csv(const std::string& path) const {
   FMS_CHECK_MSG(f.good(), "cannot open " << path);
   f << "metric,type,value,count,sum,min,max,p50,p95,p99\n";
   for (const MetricSample& s : snapshot()) {
-    f << s.name << "," << s.type << "," << s.value << "," << s.count << ","
-      << s.sum << "," << s.min << "," << s.max << "," << s.p50 << ","
-      << s.p95 << "," << s.p99 << "\n";
+    std::string line = s.name + "," + s.type;
+    for (const double v : {s.value, static_cast<double>(s.count), s.sum,
+                           s.min, s.max, s.p50, s.p95, s.p99}) {
+      line += ',';
+      json_number(line, v);
+    }
+    f << line << '\n';
   }
 }
 

@@ -213,7 +213,8 @@ class MetricsRegistry {
 
   std::vector<MetricSample> snapshot() const;
   // CSV snapshot compatible with the fms_*.csv bench outputs (header row
-  // plus one row per instrument).
+  // plus one row per instrument); numbers follow json_number's rule, so
+  // counts and byte totals are exact.
   void write_csv(const std::string& path) const;
 
   // Drops every instrument. Invalidates previously returned references —

@@ -4,269 +4,63 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <sstream>
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/obs/json.h"
+#include "src/obs/roofline.h"
 #include "src/obs/work.h"
 
 namespace fms::obs {
 namespace {
 
 // ---------------------------------------------------------------------
-// Small tolerant JSON reader. The report consumes files this codebase
-// emitted (flat trace lines, health.json, BENCH_perf.json, peak files),
-// but inputs may be truncated or hand-edited, so parsing returns false
-// instead of throwing and the caller degrades to a placeholder.
-
-struct JValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kObject, kArray };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double num = 0.0;
-  std::string str;
-  std::vector<std::pair<std::string, JValue>> obj;  // insertion order
-  std::vector<JValue> arr;
-
-  const JValue* find(const std::string& key) const {
-    for (const auto& [k, v] : obj) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-  double number_or(const std::string& key, double fallback) const {
-    const JValue* v = find(key);
-    return v != nullptr && v->kind == Kind::kNumber ? v->num : fallback;
-  }
-  std::string string_or(const std::string& key,
-                        const std::string& fallback) const {
-    const JValue* v = find(key);
-    return v != nullptr && v->kind == Kind::kString ? v->str : fallback;
-  }
-};
-
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  bool parse(JValue* out) {
-    if (!parse_value(out)) return false;
-    skip_ws();
-    return pos_ == text_.size();
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool parse_value(JValue* out) {
-    skip_ws();
-    if (pos_ >= text_.size()) return false;
-    const char c = text_[pos_];
-    if (c == '{') return parse_object(out);
-    if (c == '[') return parse_array(out);
-    if (c == '"') {
-      out->kind = JValue::Kind::kString;
-      return parse_string(&out->str);
-    }
-    if (c == 't' || c == 'f') {
-      const char* word = c == 't' ? "true" : "false";
-      const std::size_t len = c == 't' ? 4 : 5;
-      if (text_.compare(pos_, len, word) != 0) return false;
-      pos_ += len;
-      out->kind = JValue::Kind::kBool;
-      out->boolean = c == 't';
-      return true;
-    }
-    if (c == 'n') {
-      if (text_.compare(pos_, 4, "null") != 0) return false;
-      pos_ += 4;
-      out->kind = JValue::Kind::kNull;
-      return true;
-    }
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start) return false;
-    pos_ += static_cast<std::size_t>(end - start);
-    out->kind = JValue::Kind::kNumber;
-    out->num = v;
-    return true;
-  }
-
-  bool parse_string(std::string* out) {
-    if (text_[pos_] != '"') return false;
-    ++pos_;
-    out->clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return false;
-        const char e = text_[pos_++];
-        switch (e) {
-          case 'n': *out += '\n'; break;
-          case 'r': *out += '\r'; break;
-          case 't': *out += '\t'; break;
-          case 'u':
-            // Escaped control characters are never semantic here.
-            if (pos_ + 4 > text_.size()) return false;
-            pos_ += 4;
-            *out += '?';
-            break;
-          default: *out += e;
-        }
-      } else {
-        *out += c;
-      }
-    }
-    return false;
-  }
-
-  bool parse_object(JValue* out) {
-    out->kind = JValue::Kind::kObject;
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (pos_ >= text_.size() || !parse_string(&key)) return false;
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != ':') return false;
-      ++pos_;
-      JValue value;
-      if (!parse_value(&value)) return false;
-      out->obj.emplace_back(std::move(key), std::move(value));
-      skip_ws();
-      if (pos_ >= text_.size()) return false;
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool parse_array(JValue* out) {
-    out->kind = JValue::Kind::kArray;
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      JValue value;
-      if (!parse_value(&value)) return false;
-      out->arr.push_back(std::move(value));
-      skip_ws();
-      if (pos_ >= text_.size()) return false;
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-bool parse_json(const std::string& text, JValue* out) {
-  JsonReader reader(text);
-  return reader.parse(out);
-}
-
-bool read_file(const std::string& path, std::string* out) {
-  if (path.empty()) return false;
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return true;
-}
-
-// ---------------------------------------------------------------------
 // Trace model.
 
 struct Event {
+  JsonValue json;  // the line's object
   std::string type;
-  std::string name;
   int round = -1;
-  std::vector<std::pair<std::string, double>> fields;  // numeric, in order
 };
-
-// The one number -> integer conversion: false for NaN, infinities,
-// fractions and values outside T's range, where a plain static_cast is
-// undefined behaviour.
-template <typename T>
-bool to_integer(double v, T* out) {
-  const double lo = static_cast<double>(std::numeric_limits<T>::min());
-  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
-  if (!(v >= lo && v < hi) || std::trunc(v) != v) return false;
-  *out = static_cast<T>(v);
-  return true;
-}
 
 std::vector<Event> parse_trace_text(const std::string& text) {
   std::vector<Event> events;
   std::istringstream in(text);
   std::string line;
   while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    JValue v;
-    if (!parse_json(line, &v) || v.kind != JValue::Kind::kObject) continue;
     Event ev;
-    ev.type = v.string_or("type", "");
-    ev.name = v.string_or("name", "");
-    // A round that is not an int makes the line as malformed as bad JSON.
-    if (!to_integer(v.number_or("round", -1.0), &ev.round)) continue;
-    for (const auto& [key, value] : v.obj) {
-      if (value.kind != JValue::Kind::kNumber) continue;
-      if (key == "round") continue;
-      ev.fields.emplace_back(key, value.num);
+    if (!parse_json(line, &ev.json) ||
+        ev.json.kind != JsonValue::Kind::kObject) {
+      continue;
     }
+    ev.type = ev.json.string_or("type", "");
+    // A round that is not an int makes the line as malformed as bad JSON.
+    if (!to_integer(ev.json.number_or("round", -1.0), &ev.round)) continue;
     events.push_back(std::move(ev));
   }
   return events;
-}
-
-double field_or(const Event& ev, const std::string& key, double fallback) {
-  for (const auto& [k, v] : ev.fields) {
-    if (k == key) return v;
-  }
-  return fallback;
 }
 
 // An integer field; 0 when absent or not representable as T.
 template <typename T>
 T int_field(const Event& ev, const std::string& key) {
   T v = 0;
-  to_integer(field_or(ev, key, 0.0), &v);
+  ev.json.integer(key, &v);
   return v;
+}
+
+// What --compare diffs: a line's numeric fields except "round", in order.
+std::vector<std::pair<std::string, double>> numeric_fields(const Event& ev) {
+  std::vector<std::pair<std::string, double>> out;
+  for (const auto& [key, value] : ev.json.obj) {
+    if (value.kind == JsonValue::Kind::kNumber && key != "round") {
+      out.emplace_back(key, value.num);
+    }
+  }
+  return out;
 }
 
 // The run's op tree (the fields the report renders) as its last
@@ -275,7 +69,7 @@ T int_field(const Event& ev, const std::string& key) {
 ProfileReport latest_profile(const std::vector<Event>& events) {
   std::map<std::string, const Event*> latest;
   for (const Event& ev : events) {
-    if (ev.type == "profile") latest[ev.name] = &ev;
+    if (ev.type == "profile") latest[ev.json.string_or("name", "")] = &ev;
   }
   ProfileReport profile;
   for (const auto& [path, ev] : latest) {
@@ -352,7 +146,7 @@ void render_timeline(std::string* out, const std::vector<Event>& rounds) {
   bool first = true;
   for (const Event& ev : rounds) {
     for (const char* key : {"mean_reward", "moving_avg"}) {
-      const double v = field_or(ev, key, 0.0);
+      const double v = ev.json.number_or(key, 0.0);
       if (first) {
         lo = hi = v;
         first = false;
@@ -376,7 +170,7 @@ void render_timeline(std::string* out, const std::vector<Event>& rounds) {
     for (std::size_t i = 0; i < rounds.size(); ++i) {
       if (!pts.empty()) pts += ' ';
       pts += fmt_fixed(x_of(i), 1) + "," +
-             fmt_fixed(y_of(field_or(rounds[i], key, 0.0)), 1);
+             fmt_fixed(y_of(rounds[i].json.number_or(key, 0.0)), 1);
     }
     *out += "<polyline class=\"" + std::string(cls) + "\" points=\"" + pts +
             "\"/>\n";
@@ -400,8 +194,8 @@ void render_timeline(std::string* out, const std::vector<Event>& rounds) {
   *out += "</svg>\n";
   const Event& last = rounds.back();
   *out += "<p>" + fmt(n) + " rounds; final mean_reward " +
-          fmt(field_or(last, "mean_reward", 0.0)) + ", moving_avg " +
-          fmt(field_or(last, "moving_avg", 0.0)) + ", reward range [" +
+          fmt(last.json.number_or("mean_reward", 0.0)) + ", moving_avg " +
+          fmt(last.json.number_or("moving_avg", 0.0)) + ", reward range [" +
           fmt(lo) + ", " + fmt(hi) +
           "]. Bottom lane: degradation ladder (green=normal).</p>\n";
   section_close(out);
@@ -475,17 +269,16 @@ void render_work(std::string* out, const WorkReport& work) {
   section_close(out);
 }
 
-struct PeakNumbers {
-  bool present = false;
-  double scalar_gflops = 0.0;
-  double vector_gflops = 0.0;
-  double stream_gbps = 0.0;
-};
+// Achieved GF/s as a percentage of the roof at `ai`; 0 without a roof.
+double pct_of_roof(double gflops, double ai, const MachinePeak& peak) {
+  const double roof = roofline_gflops(peak, ai);
+  return roof > 0.0 ? 100.0 * gflops / roof : 0.0;
+}
 
 // Op-level roofline scatter: achieved GFLOP/s = a work row's FLOPs over
 // its zones' summed inclusive ns.
 void render_roofline(std::string* out, const WorkReport& work,
-                     const PeakNumbers& peak) {
+                     const MachinePeak& peak) {
   section_open(out, "Op roofline");
   if (work.rows.empty()) {
     placeholder(out, "work-ledger");
@@ -529,16 +322,17 @@ void render_roofline(std::string* out, const WorkReport& work,
   };
   *out += "<svg viewBox=\"0 0 " + fmt(width) + " " + fmt(height) +
           "\" class=\"roofline\">\n";
-  if (peak.present && peak.vector_gflops > 0.0 && peak.stream_gbps > 0.0) {
-    // Compute roof (horizontal) and memory roof (45-degree in log-log).
-    const double ridge_ai = peak.vector_gflops / peak.stream_gbps;
-    *out += "<polyline class=\"roof\" points=\"" +
-            fmt_fixed(x_of(std::pow(10.0, ai_lo)), 1) + "," +
-            fmt_fixed(y_of(std::pow(10.0, ai_lo) * peak.stream_gbps), 1) +
-            " " + fmt_fixed(x_of(ridge_ai), 1) + "," +
-            fmt_fixed(y_of(peak.vector_gflops), 1) + " " +
-            fmt_fixed(x_of(std::pow(10.0, ai_hi)), 1) + "," +
-            fmt_fixed(y_of(peak.vector_gflops), 1) + "\"/>\n";
+  if (peak.valid()) {
+    // Memory roof (45-degree in log-log) up to the ridge, then compute.
+    std::string pts;
+    for (const double ai : {std::pow(10.0, ai_lo),
+                            peak.vector_gflops / peak.stream_gbps,
+                            std::pow(10.0, ai_hi)}) {
+      if (!pts.empty()) pts += ' ';
+      pts += fmt_fixed(x_of(ai), 1) + "," +
+             fmt_fixed(y_of(roofline_gflops(peak, ai)), 1);
+    }
+    *out += "<polyline class=\"roof\" points=\"" + pts + "\"/>\n";
   }
   for (const Point& pt : points) {
     *out += "<circle cx=\"" + fmt_fixed(x_of(pt.ai), 1) + "\" cy=\"" +
@@ -555,22 +349,20 @@ void render_roofline(std::string* out, const WorkReport& work,
     return a.op < b.op;
   });
   *out += "<table><tr><th>op</th><th>GF/s</th><th>AI</th>";
-  if (peak.present) *out += "<th>% of roof</th>";
+  if (peak.valid()) *out += "<th>% of roof</th>";
   *out += "</tr>\n";
   for (const Point& pt : points) {
     *out += "<tr><td>" + html_escape(pt.op) + "</td><td>" +
             fmt_fixed(pt.gflops, 3) + "</td><td>" + fmt_fixed(pt.ai, 3) +
             "</td>";
-    if (peak.present) {
-      const double roof =
-          std::min(peak.vector_gflops, pt.ai * peak.stream_gbps);
-      const double pct = roof > 0.0 ? 100.0 * pt.gflops / roof : 0.0;
-      *out += "<td>" + fmt_fixed(pct, 1) + "</td>";
+    if (peak.valid()) {
+      *out += "<td>" + fmt_fixed(pct_of_roof(pt.gflops, pt.ai, peak), 1) +
+              "</td>";
     }
     *out += "</tr>\n";
   }
   *out += "</table>\n";
-  if (peak.present) {
+  if (peak.valid()) {
     *out += "<p>machine peak: vector " + fmt_fixed(peak.vector_gflops, 2) +
             " GF/s, scalar " + fmt_fixed(peak.scalar_gflops, 2) +
             " GF/s, stream " + fmt_fixed(peak.stream_gbps, 2) +
@@ -581,9 +373,9 @@ void render_roofline(std::string* out, const WorkReport& work,
 
 void render_health(std::string* out, const std::string& health_json) {
   section_open(out, "Search health");
-  JValue v;
+  JsonValue v;
   if (health_json.empty() || !parse_json(health_json, &v) ||
-      v.kind != JValue::Kind::kObject) {
+      v.kind != JsonValue::Kind::kObject) {
     placeholder(out, "health");
     section_close(out);
     return;
@@ -592,16 +384,16 @@ void render_health(std::string* out, const std::string& health_json) {
   *out += "<p>worst state over " + fmt(v.number_or("rounds", 0.0)) +
           " rounds: <span class=\"state-" + html_escape(worst) + "\">" +
           html_escape(worst) + "</span></p>\n";
-  const JValue* detectors = v.find("detectors");
-  if (detectors == nullptr || detectors->kind != JValue::Kind::kArray) {
+  const JsonValue* detectors = v.find("detectors");
+  if (detectors == nullptr || detectors->kind != JsonValue::Kind::kArray) {
     section_close(out);
     return;
   }
   *out += "<table><tr><th>detector</th><th>state</th><th>value</th>"
           "<th>warn</th><th>crit</th><th>warn rounds</th>"
           "<th>crit rounds</th></tr>\n";
-  for (const JValue& d : detectors->arr) {
-    if (d.kind != JValue::Kind::kObject) continue;
+  for (const JsonValue& d : detectors->arr) {
+    if (d.kind != JsonValue::Kind::kObject) continue;
     const std::string state = d.string_or("state", "?");
     *out += "<tr><td>" + html_escape(d.string_or("name", "?")) +
             "</td><td class=\"state-" + html_escape(state) + "\">" +
@@ -660,11 +452,11 @@ struct HistorySeries {
 
 void render_bench(std::string* out, const std::string& bench_json,
                   const std::string& history_text,
-                  const PeakNumbers& peak) {
+                  const MachinePeak& peak) {
   section_open(out, "Benchmarks");
-  JValue v;
+  JsonValue v;
   if (bench_json.empty() || !parse_json(bench_json, &v) ||
-      v.kind != JValue::Kind::kObject) {
+      v.kind != JsonValue::Kind::kObject) {
     placeholder(out, "bench");
     section_close(out);
     return;
@@ -677,13 +469,13 @@ void render_bench(std::string* out, const std::string& bench_json,
     std::string line;
     while (std::getline(in, line)) {
       if (line.empty()) continue;
-      JValue row;
-      if (!parse_json(line, &row) || row.kind != JValue::Kind::kObject) {
+      JsonValue row;
+      if (!parse_json(line, &row) || row.kind != JsonValue::Kind::kObject) {
         continue;
       }
       ++history_rows;
       const std::string sha = row.string_or("git_sha", "?");
-      const JValue* benches = row.find("benchmarks");
+      const JsonValue* benches = row.find("benchmarks");
       if (benches == nullptr) continue;
       for (const auto& [name, b] : benches->obj) {
         HistorySeries& series = history[name];
@@ -692,15 +484,15 @@ void render_bench(std::string* out, const std::string& bench_json,
       }
     }
   }
-  const JValue* benches = v.find("benchmarks");
-  if (benches == nullptr || benches->kind != JValue::Kind::kObject) {
+  const JsonValue* benches = v.find("benchmarks");
+  if (benches == nullptr || benches->kind != JsonValue::Kind::kObject) {
     placeholder(out, "bench");
     section_close(out);
     return;
   }
   *out += "<table><tr><th>benchmark</th><th>median ns</th><th>GF/s</th>"
           "<th>AI</th>";
-  if (peak.present) *out += "<th>% of roof</th>";
+  if (peak.valid()) *out += "<th>% of roof</th>";
   *out += "<th>history</th></tr>\n";
   for (const auto& [name, b] : benches->obj) {
     const double median = b.number_or("median_ns", 0.0);
@@ -714,12 +506,8 @@ void render_bench(std::string* out, const std::string& bench_json,
     *out += "<tr><td>" + html_escape(name) + "</td><td>" +
             fmt_fixed(median, 1) + "</td><td>" + fmt_fixed(gf, 3) +
             "</td><td>" + fmt_fixed(ai, 3) + "</td>";
-    if (peak.present) {
-      const double roof = ai > 0.0 ? std::min(peak.vector_gflops,
-                                              ai * peak.stream_gbps)
-                                   : 0.0;
-      *out += "<td>" +
-              fmt_fixed(roof > 0.0 ? 100.0 * gf / roof : 0.0, 1) + "</td>";
+    if (peak.valid()) {
+      *out += "<td>" + fmt_fixed(pct_of_roof(gf, ai, peak), 1) + "</td>";
     }
     // Sparkline of history medians (lower is better).
     *out += "<td>";
@@ -780,12 +568,12 @@ const char* kCss =
 std::string generate_report_html(const ReportInputs& inputs) {
   std::string trace_text, metrics_csv, health_json, bench_json;
   std::string history_text, peak_json;
-  read_file(inputs.trace_jsonl_path, &trace_text);
-  read_file(inputs.metrics_csv_path, &metrics_csv);
-  read_file(inputs.health_json_path, &health_json);
-  read_file(inputs.bench_json_path, &bench_json);
-  read_file(inputs.history_jsonl_path, &history_text);
-  read_file(inputs.peak_json_path, &peak_json);
+  read_text_file(inputs.trace_jsonl_path, &trace_text);
+  read_text_file(inputs.metrics_csv_path, &metrics_csv);
+  read_text_file(inputs.health_json_path, &health_json);
+  read_text_file(inputs.bench_json_path, &bench_json);
+  read_text_file(inputs.history_jsonl_path, &history_text);
+  read_text_file(inputs.peak_json_path, &peak_json);
 
   const std::vector<Event> events = parse_trace_text(trace_text);
   std::vector<Event> rounds;
@@ -795,17 +583,8 @@ std::string generate_report_html(const ReportInputs& inputs) {
   const ProfileReport profile = latest_profile(events);
   const WorkReport work = collect_work(profile);
 
-  PeakNumbers peak;
-  {
-    JValue v;
-    if (!peak_json.empty() && parse_json(peak_json, &v) &&
-        v.kind == JValue::Kind::kObject) {
-      peak.scalar_gflops = v.number_or("scalar_gflops", 0.0);
-      peak.vector_gflops = v.number_or("vector_gflops", 0.0);
-      peak.stream_gbps = v.number_or("stream_gbps", 0.0);
-      peak.present = peak.vector_gflops > 0.0 && peak.stream_gbps > 0.0;
-    }
-  }
+  MachinePeak peak;  // stays invalid (no roof columns) without a sidecar
+  parse_machine_peak(peak_json, &peak);
 
   std::string out;
   out.reserve(1 << 16);
@@ -841,12 +620,12 @@ RunDiff diff_runs(const std::string& trace_a_path,
                   const std::string& trace_b_path) {
   RunDiff diff;
   std::string text_a, text_b;
-  if (!read_file(trace_a_path, &text_a)) {
+  if (!read_text_file(trace_a_path, &text_a)) {
     diff.identical = false;
     diff.notes.push_back("cannot read trace A: " + trace_a_path);
     return diff;
   }
-  if (!read_file(trace_b_path, &text_b)) {
+  if (!read_text_file(trace_b_path, &text_b)) {
     diff.identical = false;
     diff.notes.push_back("cannot read trace B: " + trace_b_path);
     return diff;
@@ -864,6 +643,8 @@ RunDiff diff_runs(const std::string& trace_a_path,
   for (std::size_t i = 0; i < shared; ++i) {
     const Event& a = rounds_a[i];
     const Event& b = rounds_b[i];
+    const auto fa = numeric_fields(a);
+    const auto fb = numeric_fields(b);
     if (a.round != b.round) {
       diff.identical = false;
       diff.first_diverging_round = std::min(a.round, b.round);
@@ -872,32 +653,31 @@ RunDiff diff_runs(const std::string& trace_a_path,
       diff.value_b = b.round;
       return diff;
     }
-    const std::size_t nfields = std::min(a.fields.size(), b.fields.size());
+    const std::size_t nfields = std::min(fa.size(), fb.size());
     for (std::size_t f = 0; f < nfields; ++f) {
-      if (a.fields[f].first != b.fields[f].first) {
+      if (fa[f].first != fb[f].first) {
         diff.identical = false;
         diff.first_diverging_round = a.round;
-        diff.first_diverging_field =
-            a.fields[f].first + " vs " + b.fields[f].first;
+        diff.first_diverging_field = fa[f].first + " vs " + fb[f].first;
         return diff;
       }
       // fms-lint: allow(float-eq) -- exact comparison is the point:
       // bit-identical runs must diff clean, anything else must not.
-      if (a.fields[f].second != b.fields[f].second) {
+      if (fa[f].second != fb[f].second) {
         diff.identical = false;
         diff.first_diverging_round = a.round;
-        diff.first_diverging_field = a.fields[f].first;
-        diff.value_a = a.fields[f].second;
-        diff.value_b = b.fields[f].second;
+        diff.first_diverging_field = fa[f].first;
+        diff.value_a = fa[f].second;
+        diff.value_b = fb[f].second;
         return diff;
       }
     }
-    if (a.fields.size() != b.fields.size()) {
+    if (fa.size() != fb.size()) {
       diff.identical = false;
       diff.first_diverging_round = a.round;
       diff.first_diverging_field = "(field count)";
-      diff.value_a = static_cast<double>(a.fields.size());
-      diff.value_b = static_cast<double>(b.fields.size());
+      diff.value_a = static_cast<double>(fa.size());
+      diff.value_b = static_cast<double>(fb.size());
       return diff;
     }
   }

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <vector>
 
 #include "src/common/stopwatch.h"
+#include "src/obs/json.h"
 #include "src/obs/telemetry.h"
 
 namespace fms::obs {
@@ -84,26 +83,6 @@ double best_of(int reps, F measure) {
   return best;
 }
 
-// Minimal scan for `"key": <number>` inside a flat JSON object.
-bool scan_number(const std::string& json, const std::string& key,
-                 double* out) {
-  const std::string needle = "\"" + key + "\"";
-  std::size_t pos = json.find(needle);
-  if (pos == std::string::npos) return false;
-  pos = json.find(':', pos + needle.size());
-  if (pos == std::string::npos) return false;
-  ++pos;
-  while (pos < json.size() &&
-         (json[pos] == ' ' || json[pos] == '\t' || json[pos] == '\n')) {
-    ++pos;
-  }
-  char* end = nullptr;
-  const double v = std::strtod(json.c_str() + pos, &end);
-  if (end == json.c_str() + pos) return false;
-  *out = v;
-  return true;
-}
-
 }  // namespace
 
 MachinePeak calibrate_machine_peak() {
@@ -119,6 +98,8 @@ MachinePeak calibrate_machine_peak() {
   return peak;
 }
 
+// %.17g rather than json_number: the sidecar must round-trip exactly,
+// and calibrated rates are rarely integers.
 std::string peak_to_json(const MachinePeak& peak) {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
@@ -131,29 +112,28 @@ std::string peak_to_json(const MachinePeak& peak) {
 }
 
 bool parse_machine_peak(const std::string& json, MachinePeak* out) {
+  JsonValue v;
+  int schema = 0;
+  if (!parse_json(json, &v) || !v.integer("schema", &schema) || schema != 1) {
+    return false;
+  }
   MachinePeak peak;
-  double schema = 0.0;
-  if (!scan_number(json, "schema", &schema) || schema != 1.0) return false;  // fms-lint: allow(float-eq) -- schema tag is an exact integer
-  if (!scan_number(json, "scalar_gflops", &peak.scalar_gflops)) return false;
-  if (!scan_number(json, "vector_gflops", &peak.vector_gflops)) return false;
-  if (!scan_number(json, "stream_gbps", &peak.stream_gbps)) return false;
-  scan_number(json, "calibrated_ms", &peak.calibrated_ms);  // optional
+  peak.scalar_gflops = v.number_or("scalar_gflops", 0.0);
+  peak.vector_gflops = v.number_or("vector_gflops", 0.0);
+  peak.stream_gbps = v.number_or("stream_gbps", 0.0);
+  peak.calibrated_ms = v.number_or("calibrated_ms", 0.0);  // optional
   if (!peak.valid()) return false;
   *out = peak;
   return true;
 }
 
 MachinePeak load_or_calibrate(const std::string& path) {
-  if (!path.empty()) {
-    std::ifstream in(path);
-    if (in) {
-      std::ostringstream ss;
-      ss << in.rdbuf();
-      MachinePeak peak;
-      if (parse_machine_peak(ss.str(), &peak)) return peak;
-    }
+  std::string text;
+  MachinePeak peak;
+  if (read_text_file(path, &text) && parse_machine_peak(text, &peak)) {
+    return peak;
   }
-  const MachinePeak peak = calibrate_machine_peak();
+  peak = calibrate_machine_peak();
   if (!path.empty()) {
     std::ofstream out(path);  // best effort: calibration stands either way
     if (out) out << peak_to_json(peak);

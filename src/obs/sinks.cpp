@@ -1,45 +1,12 @@
 #include "src/obs/sinks.h"
 
-#include <cmath>
 #include <cstdio>
 
 #include "src/common/check.h"
+#include "src/obs/json.h"
 #include "src/obs/metrics.h"
 
 namespace fms::obs {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-void json_number(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "0";
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out += buf;
-}
 
 JsonlTraceWriter::JsonlTraceWriter(const std::string& path) : out_(path) {
   FMS_CHECK_MSG(out_.good(), "cannot open trace file " << path);

@@ -83,12 +83,4 @@ class ConsoleRoundSink : public TraceSink {
   bool summary_written_ = false;  // finish() may run twice (caller + dtor)
 };
 
-// Escapes a string for embedding in a JSON literal (quotes, backslashes,
-// control characters).
-std::string json_escape(const std::string& s);
-
-// Appends `v` as a JSON number: %.9g (round-trips the values we care
-// about, integers stay clean), and 0 for NaN/Inf, which JSON cannot hold.
-void json_number(std::string& out, double v);
-
 }  // namespace fms::obs

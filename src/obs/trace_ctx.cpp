@@ -9,7 +9,7 @@
 
 #include "src/common/check.h"
 #include "src/obs/flight.h"
-#include "src/obs/sinks.h"
+#include "src/obs/json.h"
 
 namespace fms::obs {
 namespace {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/obs/json.h"
 #include "src/tensor/tensor.h"
 #include "tools/fms_bench/bench.h"
 
@@ -87,9 +88,26 @@ TEST(BenchJson, MalformedInputThrows) {
   EXPECT_THROW(parse_bench_json(""), fms::CheckError);
   EXPECT_THROW(parse_bench_json("{\"schema\": 99, \"benchmarks\": {}}"),
                fms::CheckError);
+  EXPECT_THROW(parse_bench_json("{\"schema\": 1}"), fms::CheckError);
   // Trailing garbage after a valid document must not be silently ignored.
   const std::string valid = to_json({make_result("x", 1.0)}, 0);
   EXPECT_THROW(parse_bench_json(valid + "}"), fms::CheckError);
+  // Integer fields take only exact integers in range: a bare cast of
+  // these would be undefined behaviour, not a parse error. A non-finite
+  // median would slip through the gate (NaN > gate is false).
+  for (const char* field : {"\"allocs\": -1", "\"flops\": 1e30",
+                            "\"iters\": 2.5", "\"bytes_read\": -nan",
+                            "\"repeats\": \"9\"", "\"median_ns\": -nan",
+                            "\"p90_ns\": inf"}) {
+    SCOPED_TRACE(field);
+    EXPECT_THROW(parse_bench_json(std::string("{\"schema\": 1, "
+                                              "\"benchmarks\": {\"x\": {") +
+                                  field + "}}}"),
+                 fms::CheckError);
+  }
+  EXPECT_THROW(parse_bench_json("{\"schema\": 1, \"benchmarks\": {\"x\": "
+                                "{\"zones\": {\"z\": {\"calls\": -3}}}}}"),
+               fms::CheckError);
 }
 
 TEST(BenchCompare, InjectedTwentyPercentSlowdownFailsTenPercentGate) {
@@ -198,6 +216,16 @@ TEST(BenchHistory, RowCarriesNonBlankSourceLines) {
       {make_result("agg.mean", 10.0)}, "abc", 7, loc);
   EXPECT_NE(row.find("\"src_loc\": 5,"), std::string::npos) << row;
   EXPECT_EQ(row.find('\n'), std::string::npos);  // one JSONL line
+}
+
+TEST(BenchHistory, GitShaWithControlCharactersStaysOneLineAndReadsBack) {
+  const std::string sha = "abc\n123\x01\x1f\t\"q\"\\";
+  const std::string row = fms::bench::history_row_json(
+      {make_result("agg.mean", 10.0)}, sha, 7, 5);
+  EXPECT_EQ(row.find('\n'), std::string::npos) << row;  // one JSONL line
+  fms::obs::JsonValue parsed;
+  ASSERT_TRUE(fms::obs::parse_json(row, &parsed)) << row;
+  EXPECT_EQ(parsed.string_or("git_sha", ""), sha);
 }
 
 TEST(BenchHarness, DefaultSuiteHasAtLeastTwelveUniqueBenchmarks) {

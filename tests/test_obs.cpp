@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -275,6 +276,33 @@ TEST_F(ObsTest, ConfigureInstallsSinksAndFinishWritesCsv) {
   EXPECT_EQ(rows, 3);
   EXPECT_TRUE(saw_counter);
   std::remove(trace.c_str());
+  std::remove(csv.c_str());
+}
+
+// Counts and byte totals above six significant digits must survive the
+// CSV exactly: operator<< would have written 1.23457e+08.
+TEST_F(ObsTest, MetricsCsvKeepsExactCounts) {
+  const std::string csv = "fms_test_exact_metrics.csv";
+  MetricsRegistry registry;
+  registry.counter("fms.bytes.down").add(123456789);
+  registry.gauge("fms.alloc.total_bytes").set(1890070016.0);
+  registry.write_csv(csv);
+
+  std::ifstream f(csv);
+  ASSERT_TRUE(f.good());
+  std::string line;
+  std::getline(f, line);  // header
+  std::map<std::string, std::string> value_of;
+  while (std::getline(f, line)) {
+    const std::size_t c1 = line.find(',');
+    const std::size_t c2 = line.find(',', c1 + 1);
+    const std::size_t c3 = line.find(',', c2 + 1);
+    value_of[line.substr(0, c1)] = line.substr(c2 + 1, c3 - c2 - 1);
+  }
+  EXPECT_EQ(value_of["fms.bytes.down"], "123456789");
+  EXPECT_EQ(value_of["fms.alloc.total_bytes"], "1890070016");
+  EXPECT_EQ(std::stoull(value_of["fms.bytes.down"]), 123456789ULL);
+  EXPECT_EQ(std::stoull(value_of["fms.alloc.total_bytes"]), 1890070016ULL);
   std::remove(csv.c_str());
 }
 

@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "src/common/check.h"
 #include "src/common/stopwatch.h"
 #include "src/obs/alloc.h"
+#include "src/obs/json.h"
 #include "src/obs/profile.h"
 #include "src/obs/work.h"
 
@@ -27,176 +26,71 @@ double percentile(std::vector<double> sorted, double q) {
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
-void append_json_number(std::string* out, double v) {
-  char buf[64];
-  if (!std::isfinite(v)) v = 0.0;
-  if (v == std::floor(v) && std::fabs(v) < 9.0e15) {
-    // fms-lint: allow(float-eq) -- integral-value check selects the
-    // integer formatting; both branches emit valid JSON either way.
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-  }
-  *out += buf;
+// parse_bench_json's field readers: an absent key keeps the default; a
+// present one of the wrong kind, a non-finite number (a NaN median would
+// pass any gate) or an integer field that is not exactly a T is
+// malformed input.
+void read_number(const obs::JsonValue& obj, const std::string& key,
+                 double* out) {
+  const obs::JsonValue* v = obj.find(key);
+  if (v == nullptr) return;
+  FMS_CHECK_MSG(v->kind == obs::JsonValue::Kind::kNumber &&
+                    std::isfinite(v->num),
+                "bench json: \"" << key << "\" is not a finite number");
+  *out = v->num;
 }
 
-void append_json_string(std::string* out, const std::string& s) {
-  *out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      *out += '\\';
-      *out += c;
-    } else {
-      *out += c;
-    }
-  }
-  *out += '"';
+template <typename T>
+void read_integer(const obs::JsonValue& obj, const std::string& key, T* out) {
+  FMS_CHECK_MSG(obj.find(key) == nullptr || obj.integer(key, out),
+                "bench json: \"" << key << "\" is not a valid integer");
 }
 
-// --- minimal strict parser for the subset to_json emits ---
+const obs::JsonValue& object_at(const obs::JsonValue& v,
+                                const std::string& what) {
+  FMS_CHECK_MSG(v.kind == obs::JsonValue::Kind::kObject,
+                "bench json: " << what << " is not an object");
+  return v;
+}
 
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    FMS_CHECK_MSG(pos_ < text_.size(), "bench json: unexpected end");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    FMS_CHECK_MSG(peek() == c, "bench json: expected '"
-                                   << c << "' at offset " << pos_ << ", got '"
-                                   << text_[pos_] << "'");
-    ++pos_;
-  }
-
-  bool consume_if(char c) {
-    if (peek() == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      FMS_CHECK_MSG(pos_ < text_.size(), "bench json: unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') break;
-      if (c == '\\') {
-        FMS_CHECK_MSG(pos_ < text_.size(), "bench json: bad escape");
-        out += text_[pos_++];
-      } else {
-        out += c;
-      }
-    }
-    return out;
-  }
-
-  double parse_number() {
-    skip_ws();
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    FMS_CHECK_MSG(end != start, "bench json: expected number at offset "
-                                    << pos_);
-    pos_ += static_cast<std::size_t>(end - start);
-    return v;
-  }
-
-  // Walks an object, invoking fn(key) positioned at each value.
-  template <typename Fn>
-  void parse_object(Fn&& fn) {
-    expect('{');
-    if (consume_if('}')) return;
-    while (true) {
-      const std::string key = parse_string();
-      expect(':');
-      fn(key);
-      if (consume_if(',')) continue;
-      expect('}');
-      break;
-    }
-  }
-
-  void skip_value() {
-    const char c = peek();
-    if (c == '{') {
-      parse_object([this](const std::string&) { skip_value(); });
-    } else if (c == '"') {
-      parse_string();
-    } else {
-      parse_number();
-    }
-  }
-
-  bool at_end() {
-    skip_ws();
-    return pos_ == text_.size();
-  }
-
- private:
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-BenchResult parse_result(JsonParser* p, const std::string& name) {
+BenchResult parse_result(const obs::JsonValue& v, const std::string& name) {
   BenchResult r;
   r.name = name;
-  p->parse_object([&](const std::string& key) {
-    if (key == "median_ns") {
-      r.median_ns = p->parse_number();
-    } else if (key == "p10_ns") {
-      r.p10_ns = p->parse_number();
-    } else if (key == "p90_ns") {
-      r.p90_ns = p->parse_number();
-    } else if (key == "bytes_alloc") {
-      r.bytes_alloc = static_cast<std::uint64_t>(p->parse_number());
-    } else if (key == "allocs") {
-      r.allocs = static_cast<std::uint64_t>(p->parse_number());
-    } else if (key == "flops") {
-      r.flops = static_cast<std::uint64_t>(p->parse_number());
-    } else if (key == "bytes_read") {
-      r.bytes_read = static_cast<std::uint64_t>(p->parse_number());
-    } else if (key == "bytes_written") {
-      r.bytes_written = static_cast<std::uint64_t>(p->parse_number());
-    } else if (key == "iters") {
-      r.iters = static_cast<int>(p->parse_number());
-    } else if (key == "repeats") {
-      r.repeats = static_cast<int>(p->parse_number());
-    } else if (key == "zones") {
-      p->parse_object([&](const std::string& zone) {
-        ZoneSummary z;
-        p->parse_object([&](const std::string& field) {
-          if (field == "calls") {
-            z.calls = static_cast<std::uint64_t>(p->parse_number());
-          } else if (field == "incl_ns") {
-            z.incl_ns = static_cast<std::uint64_t>(p->parse_number());
-          } else if (field == "excl_ns") {
-            z.excl_ns = static_cast<std::uint64_t>(p->parse_number());
-          } else {
-            p->skip_value();
-          }
-        });
-        r.zones[zone] = z;
-      });
-    } else {
-      p->skip_value();
+  object_at(v, "benchmark " + name);
+  read_number(v, "median_ns", &r.median_ns);
+  read_number(v, "p10_ns", &r.p10_ns);
+  read_number(v, "p90_ns", &r.p90_ns);
+  read_integer(v, "bytes_alloc", &r.bytes_alloc);
+  read_integer(v, "allocs", &r.allocs);
+  read_integer(v, "flops", &r.flops);
+  read_integer(v, "bytes_read", &r.bytes_read);
+  read_integer(v, "bytes_written", &r.bytes_written);
+  read_integer(v, "iters", &r.iters);
+  read_integer(v, "repeats", &r.repeats);
+  if (const obs::JsonValue* zones = v.find("zones")) {
+    for (const auto& [path, zv] : object_at(*zones, "zones").obj) {
+      ZoneSummary z;
+      object_at(zv, "zone " + path);
+      read_integer(zv, "calls", &z.calls);
+      read_integer(zv, "incl_ns", &z.incl_ns);
+      read_integer(zv, "excl_ns", &z.excl_ns);
+      r.zones[path] = z;
     }
-  });
+  }
   return r;
+}
+
+// Appends `prefix` then `v` under the shared JSON number rule.
+void put(std::string& out, const char* prefix, double v) {
+  out += prefix;
+  obs::json_number(out, v);
+}
+
+// Appends `s` as a quoted, escaped JSON string.
+void put_string(std::string& out, const std::string& s) {
+  out += '"';
+  out += obs::json_escape(s);
+  out += '"';
 }
 
 }  // namespace
@@ -288,46 +182,33 @@ std::vector<BenchResult> run_benchmarks(
 
 std::string to_json(const std::vector<BenchResult>& results,
                     long long timestamp_unix) {
-  std::string out = "{\n  \"schema\": 1,\n  \"timestamp_unix\": ";
-  append_json_number(&out, static_cast<double>(timestamp_unix));
+  std::string out = "{\n  \"schema\": 1";
+  put(out, ",\n  \"timestamp_unix\": ", static_cast<double>(timestamp_unix));
   out += ",\n  \"benchmarks\": {";
   bool first = true;
   for (const BenchResult& r : results) {
     out += first ? "\n    " : ",\n    ";
     first = false;
-    append_json_string(&out, r.name);
-    out += ": {\"median_ns\": ";
-    append_json_number(&out, r.median_ns);
-    out += ", \"p10_ns\": ";
-    append_json_number(&out, r.p10_ns);
-    out += ", \"p90_ns\": ";
-    append_json_number(&out, r.p90_ns);
-    out += ", \"bytes_alloc\": ";
-    append_json_number(&out, static_cast<double>(r.bytes_alloc));
-    out += ", \"allocs\": ";
-    append_json_number(&out, static_cast<double>(r.allocs));
-    out += ", \"flops\": ";
-    append_json_number(&out, static_cast<double>(r.flops));
-    out += ", \"bytes_read\": ";
-    append_json_number(&out, static_cast<double>(r.bytes_read));
-    out += ", \"bytes_written\": ";
-    append_json_number(&out, static_cast<double>(r.bytes_written));
-    out += ", \"iters\": ";
-    append_json_number(&out, r.iters);
-    out += ", \"repeats\": ";
-    append_json_number(&out, r.repeats);
+    put_string(out, r.name);
+    put(out, ": {\"median_ns\": ", r.median_ns);
+    put(out, ", \"p10_ns\": ", r.p10_ns);
+    put(out, ", \"p90_ns\": ", r.p90_ns);
+    put(out, ", \"bytes_alloc\": ", static_cast<double>(r.bytes_alloc));
+    put(out, ", \"allocs\": ", static_cast<double>(r.allocs));
+    put(out, ", \"flops\": ", static_cast<double>(r.flops));
+    put(out, ", \"bytes_read\": ", static_cast<double>(r.bytes_read));
+    put(out, ", \"bytes_written\": ", static_cast<double>(r.bytes_written));
+    put(out, ", \"iters\": ", r.iters);
+    put(out, ", \"repeats\": ", r.repeats);
     out += ", \"zones\": {";
     bool zfirst = true;
     for (const auto& [path, z] : r.zones) {
       if (!zfirst) out += ", ";
       zfirst = false;
-      append_json_string(&out, path);
-      out += ": {\"calls\": ";
-      append_json_number(&out, static_cast<double>(z.calls));
-      out += ", \"incl_ns\": ";
-      append_json_number(&out, static_cast<double>(z.incl_ns));
-      out += ", \"excl_ns\": ";
-      append_json_number(&out, static_cast<double>(z.excl_ns));
+      put_string(out, path);
+      put(out, ": {\"calls\": ", static_cast<double>(z.calls));
+      put(out, ", \"incl_ns\": ", static_cast<double>(z.incl_ns));
+      put(out, ", \"excl_ns\": ", static_cast<double>(z.excl_ns));
       out += "}";
     }
     out += "}}";
@@ -337,36 +218,28 @@ std::string to_json(const std::vector<BenchResult>& results,
 }
 
 BenchFile parse_bench_json(const std::string& text) {
-  JsonParser p(text);
+  obs::JsonValue doc;
+  FMS_CHECK_MSG(obs::parse_json(text, &doc),
+                "bench json: malformed document or trailing content");
+  object_at(doc, "the document");
   BenchFile file;
-  bool saw_benchmarks = false;
-  p.parse_object([&](const std::string& key) {
-    if (key == "schema") {
-      file.schema = static_cast<int>(p.parse_number());
-    } else if (key == "timestamp_unix") {
-      file.timestamp_unix = static_cast<long long>(p.parse_number());
-    } else if (key == "benchmarks") {
-      saw_benchmarks = true;
-      p.parse_object([&](const std::string& name) {
-        file.benchmarks[name] = parse_result(&p, name);
-      });
-    } else {
-      p.skip_value();
-    }
-  });
-  FMS_CHECK_MSG(p.at_end(), "bench json: trailing content");
+  read_integer(doc, "schema", &file.schema);
+  read_integer(doc, "timestamp_unix", &file.timestamp_unix);
   FMS_CHECK_MSG(file.schema == 1,
                 "bench json: unsupported schema " << file.schema);
-  FMS_CHECK_MSG(saw_benchmarks, "bench json: missing \"benchmarks\"");
+  const obs::JsonValue* benches = doc.find("benchmarks");
+  FMS_CHECK_MSG(benches != nullptr, "bench json: missing \"benchmarks\"");
+  for (const auto& [name, v] : object_at(*benches, "benchmarks").obj) {
+    file.benchmarks[name] = parse_result(v, name);
+  }
   return file;
 }
 
 BenchFile load_bench_file(const std::string& path) {
-  std::ifstream f(path);
-  FMS_CHECK_MSG(f.good(), "cannot open bench file " << path);
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return parse_bench_json(ss.str());
+  std::string text;
+  FMS_CHECK_MSG(obs::read_text_file(path, &text),
+                "cannot open bench file " << path);
+  return parse_bench_json(text);
 }
 
 CompareOutcome compare_bench_files(const BenchFile& oldf,
@@ -418,23 +291,18 @@ std::string history_row_json(const std::vector<BenchResult>& results,
                              const std::string& git_sha,
                              long long timestamp_unix, std::uint64_t src_loc) {
   std::string out = "{\"schema\": 1, \"git_sha\": ";
-  append_json_string(&out, git_sha);
-  out += ", \"timestamp_unix\": ";
-  append_json_number(&out, static_cast<double>(timestamp_unix));
-  out += ", \"src_loc\": ";
-  append_json_number(&out, static_cast<double>(src_loc));
+  put_string(out, git_sha);
+  put(out, ", \"timestamp_unix\": ", static_cast<double>(timestamp_unix));
+  put(out, ", \"src_loc\": ", static_cast<double>(src_loc));
   out += ", \"benchmarks\": {";
   bool first = true;
   for (const BenchResult& r : results) {
     if (!first) out += ", ";
     first = false;
-    append_json_string(&out, r.name);
-    out += ": {\"median_ns\": ";
-    append_json_number(&out, r.median_ns);
-    out += ", \"gflops\": ";
-    append_json_number(&out, achieved_gflops(r));
-    out += ", \"ai\": ";
-    append_json_number(&out, bench_arithmetic_intensity(r));
+    put_string(out, r.name);
+    put(out, ": {\"median_ns\": ", r.median_ns);
+    put(out, ", \"gflops\": ", achieved_gflops(r));
+    put(out, ", \"ai\": ", bench_arithmetic_intensity(r));
     out += "}";
   }
   out += "}}";

@@ -92,8 +92,10 @@ struct BenchFile {
 std::string to_json(const std::vector<BenchResult>& results,
                     long long timestamp_unix);
 
-// Parses what to_json emits (strict subset of JSON: objects, strings,
-// numbers). Throws fms::CheckError on malformed input.
+// Parses what to_json emits, through obs::parse_json. Throws
+// fms::CheckError on malformed JSON, trailing content, schema != 1, a
+// missing "benchmarks", a field of the wrong kind, a non-finite number,
+// or an integer field that is not an exact integer in its type's range.
 BenchFile parse_bench_json(const std::string& text);
 BenchFile load_bench_file(const std::string& path);
 

@@ -3,7 +3,12 @@
 # two fms_search_cli builds (typically the parent commit's and the
 # change's, built on the same host) and requires every durable output to
 # be byte-identical: genotype, checkpoint (+ .prev), journal (+ .prev),
-# Chrome trace and flight-recorder dump.
+# Chrome trace, flight-recorder dump and health.json. The JSONL traces
+# carry wall-clock span durations, so they are compared with
+# `fms_report --compare` instead, which checks the "round" events field
+# by field and must call the two runs identical. That fms_report is
+# this checkout's build/tools/fms_report, found relative to this script
+# (`cmake --build build --target fms_report` builds it).
 #
 #   tools/round_parity.sh <parent fms_search_cli> <change fms_search_cli>
 #
@@ -19,6 +24,8 @@ USAGE="usage: round_parity.sh <parent fms_search_cli> <change fms_search_cli>"
 # Absolute paths: each run executes inside its own output directory.
 PARENT="$(realpath "${1:?$USAGE}")" || exit 1
 CHANGE="$(realpath "${2:?$USAGE}")" || exit 1
+REPORT="$(dirname "$(realpath "$0")")/../build/tools/fms_report"
+[[ -x "$REPORT" ]] || { echo "missing $REPORT (build fms_report)"; exit 1; }
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
@@ -42,7 +49,8 @@ CONFIGS=(
    --fault-plan uplink=0.3,corrupt=0.1,sign_flip=0.4,reward_attack=0.4,seed=7
    --aggregator multi_krum:2 --winsorize-rewards 1.5 --baseline-mode median"
 )
-OUTPUTS=(g.bin ck.bin ck.bin.prev wal.bin wal.bin.prev chrome.json flight.jsonl)
+OUTPUTS=(g.bin ck.bin ck.bin.prev wal.bin wal.bin.prev chrome.json flight.jsonl
+  health.json)
 
 run() {  # run <cli> <dir> <config words...>
   local cli="$1" dir="$2"
@@ -51,7 +59,8 @@ run() {  # run <cli> <dir> <config words...>
   (cd "$dir" && "$cli" "${BASE[@]}" "$@" \
     --genotype-out g.bin --checkpoint ck.bin --checkpoint-every 4 \
     --journal wal.bin --trace-chrome chrome.json \
-    --flight-recorder 64 --flight-dump flight.jsonl > log 2>&1)
+    --flight-recorder 64 --flight-dump flight.jsonl \
+    --trace-jsonl trace.jsonl --health-report health.json > log 2>&1)
 }
 
 for c in "${!CONFIGS[@]}"; do
@@ -74,6 +83,12 @@ for c in "${!CONFIGS[@]}"; do
       exit 1
     fi
   done
+  # Identical over at least one round: an empty trace proves nothing.
+  "$REPORT" --compare "$WORK/$n/parent/trace.jsonl" \
+      "$WORK/$n/change/trace.jsonl" > "$WORK/$n/compare" 2>&1 &&
+    grep -q "runs identical across [1-9]" "$WORK/$n/compare" || {
+    echo "config $n: FAIL — JSONL traces differ (work dir kept: $WORK)"
+    cat "$WORK/$n/compare"; trap - EXIT; exit 1; }
   reasons="$(grep -o '"name":"drop".*"detail":"[^"]*"' \
       "$WORK/$n/change/chrome.json" 2>/dev/null |
     sed 's/.*"detail":"\([^"]*\)"/\1/' | sort | uniq -c |
