@@ -69,7 +69,8 @@ class ByteReader {
     FMS_CHECK_MSG(n <= (buf_.size() - pos_) / sizeof(T),
                   "ByteReader underflow");
     std::vector<T> v(static_cast<std::size_t>(n));
-    std::memcpy(v.data(), buf_.data() + pos_, n * sizeof(T));
+    // An empty vector's data() may be null, which memcpy must not see.
+    if (n != 0) std::memcpy(v.data(), buf_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
     return v;
   }

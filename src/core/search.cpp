@@ -16,7 +16,6 @@
 #include "src/obs/alloc.h"
 #include "src/obs/health.h"
 #include "src/obs/profile.h"
-#include "src/obs/span.h"
 #include "src/obs/telemetry.h"
 #include "src/obs/trace_ctx.h"
 #include "src/tensor/ops.h"
@@ -221,11 +220,11 @@ struct FederatedSearch::AppliedUpdate {
 
 RoundRecord FederatedSearch::run_round(int t, const SearchOptions& opts) {
   const bool telemetry = obs::telemetry_enabled();
-  if (telemetry) obs::Telemetry::instance().set_round(t);
-  // Causal tracing (src/obs/trace_ctx): every hook in the round is purely
-  // observational — no RNG draw, no float op — so the search trajectory is
-  // bit-identical with tracing on or off (pinned by test).
-  obs::TraceContext::instance().begin_round(t);
+  // The round tag of spans and of causal tracing (src/obs/trace_ctx):
+  // every hook in the round is purely observational — no RNG draw, no
+  // float op — so the search trajectory is bit-identical with tracing on
+  // or off (pinned by test).
+  obs::Telemetry::instance().set_round(t);
   FMS_SPAN("round");
   RoundRecord rec;
   rec.round = t;
@@ -508,7 +507,7 @@ void FederatedSearch::commit_round(const RoundPlan& plan,
     sig.live = rec.live;
     sig.joined = rec.joined;
     sig.left = rec.left;
-    if (obs::alloc_tracking_enabled()) {
+    if (obs::profiling_enabled()) {
       sig.live_alloc_bytes = obs::alloc_stats().live_bytes;
     }
     rec.health = static_cast<int>(health_->observe(rec, sig));

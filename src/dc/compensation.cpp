@@ -1,6 +1,6 @@
 #include "src/dc/compensation.h"
 
-#include "src/obs/span.h"
+#include "src/obs/profile.h"
 #include "src/obs/work.h"
 
 namespace fms {
@@ -18,9 +18,7 @@ const char* stale_policy_name(StalePolicy p) {
 std::vector<float> compensate_weight_gradient(
     const std::vector<float>& stale_grad, const std::vector<float>& fresh_w,
     const std::vector<float>& stale_w, float lambda) {
-  const obs::ScopedSpan span("dc.weight", [&] {
-    return obs::dc_compensate_cost(stale_grad.size());
-  });
+  FMS_SPAN("dc.weight", obs::dc_compensate_cost(stale_grad.size()));
   FMS_CHECK(stale_grad.size() == fresh_w.size() &&
             stale_grad.size() == stale_w.size());
   std::vector<float> out(stale_grad.size());
@@ -35,11 +33,10 @@ AlphaPair compensate_alpha_gradient(const AlphaPair& stale_grad,
                                     const AlphaPair& alpha_now,
                                     const AlphaPair& alpha_stale,
                                     float lambda) {
-  const obs::ScopedSpan span("dc.alpha", [&] {
-    return obs::dc_compensate_cost(
-        (stale_grad.normal.size() + stale_grad.reduce.size()) *
-        static_cast<std::size_t>(kNumOps));
-  });
+  FMS_SPAN("dc.alpha",
+           obs::dc_compensate_cost(
+               (stale_grad.normal.size() + stale_grad.reduce.size()) *
+               static_cast<std::size_t>(kNumOps)));
   FMS_CHECK(stale_grad.normal.size() == alpha_now.normal.size() &&
             stale_grad.normal.size() == alpha_stale.normal.size());
   AlphaPair out = stale_grad;

@@ -1,6 +1,6 @@
 #include "src/fed/participant.h"
 
-#include "src/obs/span.h"
+#include "src/obs/profile.h"
 #include "src/tensor/ops.h"
 
 namespace fms {

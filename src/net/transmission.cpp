@@ -6,7 +6,7 @@
 
 #include "src/common/check.h"
 #include "src/net/trace.h"
-#include "src/obs/span.h"
+#include "src/obs/profile.h"
 #include "src/obs/trace_ctx.h"
 #include "src/obs/work.h"
 

@@ -100,7 +100,7 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
 }
 
 Tensor ReLU::forward(const Tensor& x, bool train) {
-  FMS_OP("nn.relu_fwd", obs::relu_fwd_cost(x.numel()));
+  FMS_OP("nn.relu_fwd", obs::relu_fwd_cost(x.numel(), train));
   has_cache_ = train;
   if (!train) return relu_forward(x);
   Tensor y(x.shape());

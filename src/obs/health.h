@@ -86,7 +86,7 @@ struct HealthConfig {
 
 // Per-round inputs that live outside RoundRecord.
 struct HealthSignal {
-  // Live tensor bytes from the allocation ledger; < 0 when tracking is
+  // Live tensor bytes from the allocation ledger; < 0 when profiling is
   // off (the alloc detector then stays idle).
   std::int64_t live_alloc_bytes = -1;
   int participants = 0;

@@ -8,8 +8,9 @@
 // registry itself takes a mutex only on name lookup.
 //
 // A process-wide enable flag (telemetry_enabled) gates every producer:
-// when it is off, spans skip the clock reads and sinks receive nothing,
-// so the search hot path pays only a relaxed atomic load per check.
+// when it is off, sinks receive nothing and FMS_SPAN (src/obs/profile.h)
+// reads no clock unless profiling is on, so the search hot path pays
+// only a relaxed atomic load per check.
 #pragma once
 
 #include <atomic>

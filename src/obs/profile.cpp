@@ -14,7 +14,6 @@
 #include <sys/resource.h>
 #endif
 
-#include "src/obs/alloc.h"
 #include "src/obs/telemetry.h"
 
 namespace fms::obs {
@@ -51,6 +50,7 @@ struct Node {
   std::uint64_t calls = 0;
   std::uint64_t incl_ns = 0;
   std::uint64_t child_ns = 0;
+  std::uint64_t wall_ns = 0;
   OpCost cost;
   std::uint64_t alloc_bytes = 0;
   std::uint64_t allocs = 0;
@@ -126,6 +126,7 @@ struct MergedNode {
   std::uint64_t calls = 0;
   std::uint64_t incl_ns = 0;
   std::uint64_t child_ns = 0;
+  std::uint64_t wall_ns = 0;
   OpCost cost;
   std::uint64_t alloc_bytes = 0;
   std::uint64_t allocs = 0;
@@ -138,6 +139,7 @@ void merge_thread_tree(const ThreadProfile& tp, int idx, MergedNode* into)
   into->calls += node.calls;
   into->incl_ns += node.incl_ns;
   into->child_ns += node.child_ns;
+  into->wall_ns += node.wall_ns;
   into->cost += node.cost;
   into->alloc_bytes += node.alloc_bytes;
   into->allocs += node.allocs;
@@ -172,6 +174,7 @@ void flatten_merged(const MergedNode& node, const std::string& path,
     z.incl_ns = node.incl_ns;
     z.excl_ns = node.incl_ns > node.child_ns ? node.incl_ns - node.child_ns
                                              : 0;
+    z.wall_ns = node.wall_ns;
     z.cost = node.cost;
     z.alloc_bytes = node.alloc_bytes;
     z.allocs = node.allocs;
@@ -202,7 +205,7 @@ int zone_enter(const char* name, const OpCost& cost) {
   return idx;
 }
 
-void zone_exit() {
+void zone_exit(std::uint64_t wall_ns) {
   // Clock read first, symmetric with zone_enter.
   const std::uint64_t now = thread_cpu_ns();
   ThreadProfile& tp = thread_profile();
@@ -213,6 +216,7 @@ void zone_exit() {
   const std::uint64_t dur = now > frame.start_ns ? now - frame.start_ns : 0;
   Node& node = tp.nodes[static_cast<std::size_t>(frame.node)];
   node.incl_ns += dur;
+  node.wall_ns += wall_ns;
   // An adopted parent's time is the dispatching thread's; this thread's
   // time must not be subtracted from it.
   if (tp.stack.empty() || !tp.stack.back().adopted) {
@@ -228,10 +232,23 @@ void zone_add_cost(int node, const OpCost& cost) {
   tp.nodes[static_cast<std::size_t>(node)].cost += cost;
 }
 
+void span_emit(const char* phase, std::uint64_t wall_ns) {
+  const double seconds = static_cast<double>(wall_ns) / 1e9;
+  Telemetry& telemetry = Telemetry::instance();
+  telemetry.registry()
+      .histogram(std::string("span.") + phase, default_span_buckets())
+      .observe(seconds);
+  TraceEvent event;
+  event.type = "span";
+  event.name = phase;
+  event.round = telemetry.round();
+  event.fields.emplace_back("dur_s", seconds);
+  telemetry.emit(std::move(event));
+}
+
 }  // namespace detail
 
 void profile_note_alloc(std::size_t bytes) {
-  if (!profiling_enabled()) return;
   ThreadProfile& tp = thread_profile();
   const fms::MutexLock lock(tp.mu);
   const int idx = tp.stack.empty() ? 0 : tp.stack.back().node;
@@ -270,10 +287,6 @@ AdoptedZones::~AdoptedZones() {
   tp.stack.resize(tp.stack.size() - std::min(depth_, tp.stack.size()));
 }
 
-void set_profiling_enabled(bool on) {
-  detail::profiling_flag().store(on, std::memory_order_relaxed);
-}
-
 void reset_profiler() {
   ProfileRegistry& reg = profile_registry();
   const fms::MutexLock reg_lock(reg.mu);
@@ -283,6 +296,7 @@ void reset_profiler() {
       node.calls = 0;
       node.incl_ns = 0;
       node.child_ns = 0;
+      node.wall_ns = 0;
       node.cost = OpCost{};
       node.alloc_bytes = 0;
       node.allocs = 0;
@@ -342,21 +356,27 @@ std::string self_time_table(const ProfileReport& report,
 
   std::string out;
   char line[256];
-  std::snprintf(line, sizeof(line), "%10s %6s %10s %10s %9s %8s  %s\n",
-                "self_ms", "self%", "incl_ms", "calls", "alloc_kb",
-                "allocs", "zone");
+  std::snprintf(line, sizeof(line), "%10s %6s %10s %10s %10s %9s %8s  %s\n",
+                "self_ms", "self%", "incl_ms", "wall_ms", "calls",
+                "alloc_kb", "allocs", "zone");
   out += line;
   for (const ZoneStats* z : rows) {
     const double self_ms = static_cast<double>(z->excl_ns) / 1e6;
     const double incl_ms = static_cast<double>(z->incl_ns) / 1e6;
+    char wall_ms[16] = "-";  // plain ops have no wall time
+    if (z->wall_ns != 0) {
+      std::snprintf(wall_ms, sizeof(wall_ms), "%.3f",
+                    static_cast<double>(z->wall_ns) / 1e6);
+    }
     const double pct =
         total_excl == 0 ? 0.0
                         : 100.0 * static_cast<double>(z->excl_ns) /
                               static_cast<double>(total_excl);
     const double alloc_kb = static_cast<double>(z->alloc_bytes) / 1024.0;
     std::snprintf(line, sizeof(line),
-                  "%10.3f %5.1f%% %10.3f %10llu %9.1f %8llu  %s\n", self_ms,
-                  pct, incl_ms, static_cast<unsigned long long>(z->calls),
+                  "%10.3f %5.1f%% %10.3f %10s %10llu %9.1f %8llu  %s\n",
+                  self_ms, pct, incl_ms, wall_ms,
+                  static_cast<unsigned long long>(z->calls),
                   alloc_kb, static_cast<unsigned long long>(z->allocs),
                   z->path.c_str());
     out += line;
@@ -376,6 +396,7 @@ void emit_profile_telemetry(const ProfileReport& report) {
     event.fields.emplace_back("calls", static_cast<double>(z.calls));
     event.fields.emplace_back("incl_ns", static_cast<double>(z.incl_ns));
     event.fields.emplace_back("excl_ns", static_cast<double>(z.excl_ns));
+    event.fields.emplace_back("wall_ns", static_cast<double>(z.wall_ns));
     event.fields.emplace_back("alloc_bytes",
                               static_cast<double>(z.alloc_bytes));
     event.fields.emplace_back("allocs", static_cast<double>(z.allocs));

@@ -14,8 +14,14 @@
 // (CLOCK_THREAD_CPUTIME_ID), so a zone's cost is what *it* burned, not
 // what it waited on.
 //
+// FMS_SPAN("phase"[, cost]) is the same zone for a round phase plus one
+// wall-clock reading at entry and one at exit. That wall time feeds the
+// `span.<phase>` histogram and "span" event when telemetry is on, and the
+// zone's wall_ns when profiling is on: one row, wall and CPU time.
+//
 // When profiling is disabled an op reads one relaxed atomic and does
-// nothing else; the cost expression is not even evaluated. Search
+// nothing else; the cost expression is not even evaluated. A span reads
+// two (profiling and telemetry) and, with both off, no clock. Search
 // results are bit-identical to an uninstrumented build (the profiler
 // only ever observes; it never touches RNG streams, float accumulation
 // order, or iteration order).
@@ -24,11 +30,14 @@
 // nodes store the pointer, not a copy.
 #pragma once
 
-#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "src/obs/alloc.h"
+#include "src/obs/metrics.h"
 
 namespace fms::obs {
 
@@ -51,28 +60,21 @@ struct OpCost {
 };
 
 namespace detail {
-inline std::atomic<bool>& profiling_flag() {
-  static std::atomic<bool> flag{false};
-  return flag;
-}
-
-// Out-of-line slow paths (profile.cpp); called only when profiling is on.
-// zone_enter books `cost` on the zone's node and returns that node, which
-// zone_add_cost books any late cost into.
+// Out-of-line slow paths (profile.cpp). The zone_* calls run only when
+// profiling is on: zone_enter books `cost` on the zone's node and returns
+// that node, which zone_add_cost books any late cost into; zone_exit adds
+// a span's wall time (0 for a plain op). span_emit, telemetry only,
+// records a span's wall time in its histogram and "span" event.
 int zone_enter(const char* name, const OpCost& cost);
-void zone_exit();
+void zone_exit(std::uint64_t wall_ns);
 void zone_add_cost(int node, const OpCost& cost);
+void span_emit(const char* phase, std::uint64_t wall_ns);
 }  // namespace detail
-
-inline bool profiling_enabled() {
-  return detail::profiling_flag().load(std::memory_order_relaxed);
-}
-
-void set_profiling_enabled(bool on);
 
 // Zeroes every zone's counters (tree structure and any active zone stack
 // are preserved, so it is safe to call between benchmark repetitions even
-// if an outer zone is open; the open zones restart their clocks).
+// if an outer zone is open; the open zones restart their CPU clocks, but
+// an open span's wall time still counts from its entry).
 void reset_profiler();
 
 // One merged zone across all threads, identified by its path from the
@@ -84,6 +86,7 @@ struct ZoneStats {
   std::uint64_t calls = 0;
   std::uint64_t incl_ns = 0;  // CPU ns inside the zone, children included
   std::uint64_t excl_ns = 0;  // incl_ns minus child zones' inclusive time
+  std::uint64_t wall_ns = 0;  // spans only: wall ns, children included
   OpCost cost;                // summed FMS_OP costs; zero for time-only
   std::uint64_t alloc_bytes = 0;  // tensor bytes allocated inside the zone
   std::uint64_t allocs = 0;       // tensor allocations inside the zone
@@ -143,28 +146,47 @@ class ScopedOp {
  public:
   explicit ScopedOp(const char* name)
       : ScopedOp(name, [] { return OpCost{}; }) {}
+  // `span` (FMS_SPAN) also times the scope on the wall clock.
   template <typename CostFn>
-  ScopedOp(const char* name, CostFn&& cost) : active_(profiling_enabled()) {
-    if (active_) node_ = detail::zone_enter(name, cost());
+  ScopedOp(const char* name, CostFn&& cost, bool span = false)
+      : profiled_(profiling_enabled()),
+        telemetry_(span && telemetry_enabled()) {
+    if (profiled_) node_ = detail::zone_enter(name, cost());
+    if (span && (profiled_ || telemetry_)) {
+      span_ = name;
+      wall_start_ns_ = wall_now_ns();
+    }
   }
 
   ScopedOp(const ScopedOp&) = delete;
   ScopedOp& operator=(const ScopedOp&) = delete;
 
   ~ScopedOp() {
-    if (active_) detail::zone_exit();
+    const std::uint64_t wall_ns =
+        span_ == nullptr ? 0 : wall_now_ns() - wall_start_ns_;
+    if (profiled_) detail::zone_exit(wall_ns);
+    if (telemetry_) detail::span_emit(span_, wall_ns);
   }
 
   // For costs known only once the op has done its work (an encoded
   // payload's size): books onto this op's node, wherever it sits.
   template <typename CostFn>
   void add(CostFn&& cost) {
-    if (active_) detail::zone_add_cost(node_, cost());
+    if (profiled_) detail::zone_add_cost(node_, cost());
   }
 
  private:
-  bool active_;
+  static std::uint64_t wall_now_ns() {  // the one wall clock of src/obs
+    const auto t = std::chrono::steady_clock::now().time_since_epoch();
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t).count());
+  }
+
+  bool profiled_;
+  bool telemetry_;  // spans only
   int node_ = 0;
+  const char* span_ = nullptr;  // set while a span reads the wall clock
+  std::uint64_t wall_start_ns_ = 0;
 };
 
 }  // namespace fms::obs
@@ -177,3 +199,11 @@ class ScopedOp {
 #define FMS_OP(name, ...)                                              \
   ::fms::obs::ScopedOp FMS_OBS_CONCAT(fms_scoped_op_, __LINE__)(        \
       name, [&]() -> ::fms::obs::OpCost { return __VA_ARGS__; })
+// FMS_SPAN(phase[, cost]): FMS_OP plus the wall clock (see the top).
+#define FMS_SPAN(phase, ...)                                            \
+  ::fms::obs::ScopedOp FMS_OBS_CONCAT(fms_scoped_span_, __LINE__)(      \
+      phase,                                                            \
+      [&]() -> ::fms::obs::OpCost {                                     \
+        return ::fms::obs::OpCost{__VA_ARGS__};                         \
+      },                                                                \
+      /*span=*/true)

@@ -1,6 +1,5 @@
 #include "src/obs/telemetry.h"
 
-#include "src/obs/alloc.h"
 #include "src/obs/flight.h"
 #include "src/obs/profile.h"
 #include "src/obs/trace_ctx.h"
@@ -57,7 +56,6 @@ void Telemetry::set_label(std::string label) {
 void Telemetry::configure(const TelemetryConfig& cfg, std::uint64_t seed) {
   set_telemetry_enabled(cfg.enabled);
   set_profiling_enabled(cfg.profile);
-  set_alloc_tracking_enabled(cfg.profile);
   // Causal tracing rides the same config: the trace context is live when
   // either a Chrome export or a flight recorder was asked for. The flight
   // dump needs a destination even when only the default was configured —

@@ -1,6 +1,6 @@
 // Process-wide telemetry context: the metrics registry plus the active
-// trace sinks, with the current-round tag that spans stamp onto their
-// events.
+// trace sinks, with the current-round tag that spans and the causal
+// trace context (src/obs/trace_ctx.h) stamp onto their events.
 //
 // A single global context (rather than one per FederatedSearch) lets
 // free functions deep in the stack — assign_models, the delay-compensation
@@ -38,7 +38,8 @@ class Telemetry {
   void emit(TraceEvent event);
   void flush();
 
-  // Round tag for span events (set by FederatedSearch::run_round).
+  // Round tag for span, profile and lifecycle events (set by
+  // FederatedSearch::run_round).
   void set_round(int round) { round_.store(round, std::memory_order_relaxed); }
   int round() const { return round_.load(std::memory_order_relaxed); }
 

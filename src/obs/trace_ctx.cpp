@@ -10,6 +10,7 @@
 #include "src/common/check.h"
 #include "src/obs/flight.h"
 #include "src/obs/json.h"
+#include "src/obs/telemetry.h"
 
 namespace fms::obs {
 namespace {
@@ -86,12 +87,7 @@ void TraceContext::configure(bool enabled, std::uint64_t seed,
                   ? std::make_shared<FlightRecorder>(flight_capacity)
                   : nullptr;
   }
-  round_.store(-1, std::memory_order_relaxed);
   set_tracing_enabled(enabled);
-}
-
-void TraceContext::begin_round(int round) {
-  round_.store(round, std::memory_order_relaxed);
 }
 
 void TraceContext::end_round(double round_sim_duration_s) {
@@ -114,7 +110,7 @@ void TraceContext::record(int participant, Stage stage, double offset_s,
                           int origin_round) {
   if (!tracing_enabled()) return;
   LifecycleEvent ev;
-  ev.round = round_.load(std::memory_order_relaxed);
+  ev.round = Telemetry::instance().round();
   ev.origin_round = origin_round >= 0 ? origin_round : ev.round;
   ev.participant = participant;
   ev.stage = stage;
@@ -186,7 +182,6 @@ void TraceContext::reset() {
   chrome_path_.clear();
   flight_dump_path_.clear();
   base_s_ = 0.0;
-  round_.store(-1, std::memory_order_relaxed);
 }
 
 std::string chrome_trace_json(const std::vector<LifecycleEvent>& events) {

@@ -4,7 +4,7 @@
 // The asynchronous soft-sync protocol means a round's outcome is shaped
 // by per-participant causal chains — dispatch -> transmit -> local train
 // -> arrive (possibly rounds later, stale) -> screen -> aggregate — that
-// the aggregate per-phase telemetry (src/obs/span.h) cannot reconstruct.
+// the aggregate per-phase spans (FMS_SPAN, src/obs/profile.h) cannot rebuild.
 // This module records that chain as structured lifecycle events:
 //
 //   * trace_id is a pure function of (run seed, dispatch round), so the
@@ -104,15 +104,14 @@ class TraceContext {
   void configure(bool enabled, std::uint64_t seed, std::string chrome_path,
                  int flight_capacity, std::string flight_dump_path);
 
-  // Round lifecycle (called by FederatedSearch::run_round).
-  void begin_round(int round);
-  // Advances the sim clock past the finished round (no-op while tracing
-  // is disabled).
+  // Advances the sim clock past the finished round (called by
+  // FederatedSearch::run_round; no-op while tracing is disabled).
   void end_round(double round_sim_duration_s);
   double round_base_s() const;
 
-  // Records one event. `offset_s` is relative to the current round's
-  // base; `origin_round` keys the trace id (-1 = the current round).
+  // Records one event, tagged with Telemetry's current round. `offset_s`
+  // is relative to the current round's base; `origin_round` keys the
+  // trace id (-1 = the current round).
   // No-op while tracing is disabled, so call sites need no guard.
   void record(int participant, Stage stage, double offset_s, double dur_s,
               double value = 0.0, std::string_view detail = {},
@@ -145,7 +144,6 @@ class TraceContext {
   std::string chrome_path_ FMS_GUARDED_BY(mu_);
   std::string flight_dump_path_ FMS_GUARDED_BY(mu_);
   std::uint64_t seed_ FMS_GUARDED_BY(mu_) = 0;
-  std::atomic<int> round_{-1};
   double base_s_ FMS_GUARDED_BY(mu_) = 0.0;
 };
 

@@ -125,11 +125,12 @@ OpCost batchnorm_bwd_cost(std::size_t n, std::size_t c, std::size_t h,
   return cost;
 }
 
-OpCost relu_fwd_cost(std::size_t numel) {
+OpCost relu_fwd_cost(std::size_t numel, bool train) {
   OpCost cost;
   cost.flops = numel;  // one compare-select per element
   cost.bytes_read = kF * static_cast<std::uint64_t>(numel);
-  cost.bytes_written = kF * static_cast<std::uint64_t>(numel);
+  cost.bytes_written =
+      (kF + (train ? 1 : 0)) * static_cast<std::uint64_t>(numel);
   cost.elements = numel;
   return cost;
 }

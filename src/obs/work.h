@@ -81,7 +81,8 @@ OpCost batchnorm_fwd_cost(std::size_t n, std::size_t c, std::size_t h,
 OpCost batchnorm_bwd_cost(std::size_t n, std::size_t c, std::size_t h,
                           std::size_t w);
 
-OpCost relu_fwd_cost(std::size_t numel);
+// Train mode also writes the byte mask the backward reads.
+OpCost relu_fwd_cost(std::size_t numel, bool train);
 OpCost relu_bwd_cost(std::size_t numel);
 
 // Pooling over [n, c, h, w] -> out output elements, k x k window.

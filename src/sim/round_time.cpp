@@ -5,7 +5,8 @@
 
 #include "src/common/check.h"
 #include "src/core/deadline.h"
-#include "src/obs/span.h"
+#include "src/obs/profile.h"
+#include "src/obs/telemetry.h"
 
 namespace fms {
 

@@ -26,7 +26,7 @@ namespace fms {
 // (src/obs/alloc.h). "Alloc" means this tensor took ownership of live
 // bytes (fresh buffer, copy, or adopted vector); moves transfer
 // ownership and report nothing. The hooks cost one relaxed atomic load
-// when tracking is off.
+// when profiling is off.
 class Tensor {
  public:
   Tensor() = default;

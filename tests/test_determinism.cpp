@@ -104,7 +104,6 @@ void instrument(SearchConfig& cfg, const std::string& dir) {
 void reset_globals() {
   obs::set_telemetry_enabled(false);
   obs::set_profiling_enabled(false);
-  obs::set_alloc_tracking_enabled(false);
   obs::set_tracing_enabled(false);
   obs::reset_profiler();
   obs::reset_alloc_stats();

@@ -12,8 +12,8 @@
 #include "gtest/gtest.h"
 #include "src/common/thread_pool.h"
 #include "src/obs/metrics.h"
+#include "src/obs/profile.h"
 #include "src/obs/sinks.h"
-#include "src/obs/span.h"
 #include "src/obs/telemetry.h"
 
 namespace fms::obs {

@@ -20,6 +20,7 @@
 #include "src/obs/profile.h"
 #include "src/obs/sinks.h"
 #include "src/obs/telemetry.h"
+#include "src/obs/work.h"
 #include "src/tensor/tensor.h"
 
 namespace fms {
@@ -32,7 +33,6 @@ class ProfileTest : public ::testing::Test {
   void SetUp() override {
     obs::set_telemetry_enabled(false);
     obs::set_profiling_enabled(false);
-    obs::set_alloc_tracking_enabled(false);
     obs::reset_profiler();
     obs::reset_alloc_stats();
     obs::Telemetry::instance().clear_sinks();
@@ -194,8 +194,104 @@ TEST_F(ProfileTest, CollectIsDeterministicAndSelfTimeTableRenders) {
   EXPECT_NE(table.find("b_zone/child"), std::string::npos);
 }
 
+// --- FMS_SPAN: one zone, one wall reading, under each flag setting ---
+
+// One span (the cost form) around 0.2 ms of CPU; returns the trace events
+// it emitted.
+std::vector<obs::TraceEvent> run_span(const char* phase) {
+  std::vector<obs::TraceEvent> events;
+  obs::EventCapture capture(events);
+  FMS_SPAN(phase, obs::axpy_cost(8));
+  burn_cpu_ns(200000);
+  return events;
+}
+
+TEST_F(ProfileTest, SpanWithTelemetryOnlyFeedsHistogramAndEventNotTheTree) {
+  obs::set_telemetry_enabled(true);
+  const std::vector<obs::TraceEvent> events = run_span("test.tel_span");
+  const obs::Histogram* h =
+      obs::Telemetry::instance().registry().find_histogram(
+          "span.test.tel_span");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count(), 1U);
+  EXPECT_GT(h->sum(), 0.0);
+  ASSERT_EQ(events.size(), 1U);
+  EXPECT_EQ(events[0].type, "span");
+  EXPECT_EQ(events[0].name, "test.tel_span");
+  ASSERT_EQ(events[0].fields.size(), 1U);
+  EXPECT_EQ(events[0].fields[0].first, "dur_s");
+  EXPECT_DOUBLE_EQ(events[0].fields[0].second, h->sum());
+  EXPECT_EQ(find_zone(obs::collect_profile(), "test.tel_span"), nullptr);
+}
+
+TEST_F(ProfileTest, SpanWithProfilingOnlyBooksWallTimeAndNoHistogram) {
+  obs::set_profiling_enabled(true);
+  obs::reset_profiler();
+  const std::vector<obs::TraceEvent> events = run_span("test.prof_span");
+  { FMS_OP("test.plain_op", {}); }
+  const obs::ProfileReport report = obs::collect_profile();
+  EXPECT_TRUE(events.empty());
+  EXPECT_EQ(obs::Telemetry::instance().registry().find_histogram(
+                "span.test.prof_span"),
+            nullptr);
+  const obs::ZoneStats* span = find_zone(report, "test.prof_span");
+  ASSERT_NE(span, nullptr);
+  EXPECT_EQ(span->calls, 1U);
+  EXPECT_GE(span->incl_ns, 200000U);
+  EXPECT_GT(span->wall_ns, 0U);
+  EXPECT_EQ(span->cost, obs::axpy_cost(8));  // the cost form books its cost
+  // A plain op reads no wall clock.
+  const obs::ZoneStats* op = find_zone(report, "test.plain_op");
+  ASSERT_NE(op, nullptr);
+  EXPECT_EQ(op->wall_ns, 0U);
+}
+
+TEST_F(ProfileTest, SpanWithBothOnSharesOneWallReading) {
+  obs::set_telemetry_enabled(true);
+  obs::set_profiling_enabled(true);
+  obs::reset_profiler();
+  run_span("test.both_span");
+  const obs::ProfileReport report = obs::collect_profile();
+  const obs::ZoneStats* span = find_zone(report, "test.both_span");
+  const obs::Histogram* h =
+      obs::Telemetry::instance().registry().find_histogram(
+          "span.test.both_span");
+  ASSERT_NE(span, nullptr);
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count(), 1U);
+  EXPECT_GT(span->wall_ns, 0U);
+  EXPECT_NEAR(h->sum(), static_cast<double>(span->wall_ns) / 1e9, 1e-9);
+}
+
+TEST_F(ProfileTest, ProfileEventAndTableCarryWallTime) {
+  obs::set_profiling_enabled(true);
+  obs::reset_profiler();
+  run_span("test.event_span");
+  const obs::ProfileReport report = obs::collect_profile();
+  const obs::ZoneStats* span = find_zone(report, "test.event_span");
+  ASSERT_NE(span, nullptr);
+
+  obs::set_telemetry_enabled(true);
+  std::vector<obs::TraceEvent> events;
+  {
+    obs::EventCapture capture(events);
+    obs::emit_profile_telemetry(report);
+  }
+  bool saw = false;
+  for (const obs::TraceEvent& ev : events) {
+    if (ev.name != "test.event_span") continue;
+    for (const auto& [key, value] : ev.fields) {
+      if (key != "wall_ns") continue;
+      saw = true;
+      EXPECT_EQ(value, static_cast<double>(span->wall_ns));  // fms-lint: allow(float-eq) -- an integer carried exactly
+    }
+  }
+  EXPECT_TRUE(saw);
+  EXPECT_NE(obs::self_time_table(report).find("wall_ms"), std::string::npos);
+}
+
 TEST_F(ProfileTest, LedgerCountsTensorLifecyclesExactly) {
-  obs::set_alloc_tracking_enabled(true);
+  obs::set_profiling_enabled(true);
   obs::reset_alloc_stats();
   {
     Tensor a({64}, 1.0F);            // 256 B
@@ -206,7 +302,7 @@ TEST_F(ProfileTest, LedgerCountsTensorLifecyclesExactly) {
     (void)c;
   }
   const obs::AllocStats s = obs::alloc_stats();
-  obs::set_alloc_tracking_enabled(false);
+  obs::set_profiling_enabled(false);
 
   EXPECT_EQ(s.allocs, 4U);  // a, copy, d, d=a
   EXPECT_EQ(s.frees, 4U);   // d's old storage + 3 live tensors at scope end
@@ -236,7 +332,7 @@ TEST_F(ProfileTest, SearchAllocCountsAreExactReproducibleAndLeakFree) {
     w.cfg.supernet.num_nodes = 1;
     w.cfg.threads = threads;
     FederatedSearch search(w.cfg, w.data.train, w.partition);
-    obs::set_alloc_tracking_enabled(true);
+    obs::set_profiling_enabled(true);
     obs::reset_alloc_stats();
     search.run_warmup(1);
     search.run_search(25, opts);  // warm phase: saturates every op cache
@@ -247,7 +343,7 @@ TEST_F(ProfileTest, SearchAllocCountsAreExactReproducibleAndLeakFree) {
     }
     per_run.push_back(obs::alloc_stats());
     per_round_live.push_back(live);
-    obs::set_alloc_tracking_enabled(false);
+    obs::set_profiling_enabled(false);
     obs::reset_alloc_stats();
   }
 
@@ -286,21 +382,21 @@ TEST_F(ProfileTest, ResumedSearchMatchesOriginalAllocCounters) {
   original.run_search(1, opts);
   const SearchCheckpoint ckpt = original.checkpoint();
 
-  obs::set_alloc_tracking_enabled(true);
+  obs::set_profiling_enabled(true);
   obs::reset_alloc_stats();
   const std::vector<RoundRecord> tail = original.run_search(2, opts);
   const obs::AllocStats original_delta = obs::alloc_stats();
-  obs::set_alloc_tracking_enabled(false);
+  obs::set_profiling_enabled(false);
   obs::reset_alloc_stats();
 
   TinyWorld w2 = make_world();
   FederatedSearch resumed(w2.cfg, w2.data.train, w2.partition);
   resumed.restore(ckpt);
-  obs::set_alloc_tracking_enabled(true);
+  obs::set_profiling_enabled(true);
   obs::reset_alloc_stats();
   const std::vector<RoundRecord> replay = resumed.run_search(2, opts);
   const obs::AllocStats resumed_delta = obs::alloc_stats();
-  obs::set_alloc_tracking_enabled(false);
+  obs::set_profiling_enabled(false);
   obs::reset_alloc_stats();
 
   // Allocation traffic (new tensors, bytes) must match the original
@@ -316,11 +412,11 @@ TEST_F(ProfileTest, ResumedSearchMatchesOriginalAllocCounters) {
   TinyWorld w3 = make_world();
   FederatedSearch resumed2(w3.cfg, w3.data.train, w3.partition);
   resumed2.restore(ckpt);
-  obs::set_alloc_tracking_enabled(true);
+  obs::set_profiling_enabled(true);
   obs::reset_alloc_stats();
   resumed2.run_search(2, opts);
   const obs::AllocStats resumed2_delta = obs::alloc_stats();
-  obs::set_alloc_tracking_enabled(false);
+  obs::set_profiling_enabled(false);
   obs::reset_alloc_stats();
   EXPECT_EQ(resumed_delta.allocs, resumed2_delta.allocs);
   EXPECT_EQ(resumed_delta.frees, resumed2_delta.frees);
@@ -343,14 +439,12 @@ TEST_F(ProfileTest, ProfilingOnVersusOffIsBitIdentical) {
     TinyWorld w = make_tiny_world(55);
     FederatedSearch search(w.cfg, w.data.train, w.partition);
     obs::set_profiling_enabled(profiled);
-    obs::set_alloc_tracking_enabled(profiled);
     obs::reset_profiler();
     obs::reset_alloc_stats();
     search.run_warmup(1);
     std::vector<RoundRecord> records = search.run_search(3, opts);
     const Genotype genotype = search.derive();
     obs::set_profiling_enabled(false);
-    obs::set_alloc_tracking_enabled(false);
     return std::make_pair(std::move(records), genotype.to_string());
   };
   const auto off = run(false);

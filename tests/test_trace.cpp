@@ -109,11 +109,11 @@ TEST_F(TraceTest, RecordStampsSimTimeAndCohortTraceIds) {
                 /*chrome_path=*/"fms_test_trace_buffer.json",
                 /*flight_capacity=*/0, /*flight_dump_path=*/"");
 
-  ctx.begin_round(0);
+  obs::Telemetry::instance().set_round(0);
   ctx.record(0, obs::Stage::kDispatch, 0.0, 0.0);
   ctx.record(0, obs::Stage::kTransmit, 0.25, 0.5, 1024.0);
   ctx.end_round(2.0);
-  ctx.begin_round(1);
+  obs::Telemetry::instance().set_round(1);
   // A stale arrival in round 1 keyed to its round-0 dispatch cohort.
   ctx.record(0, obs::Stage::kArrive, 0.5, 0.0, /*value=*/1.0, "stale",
              /*origin_round=*/0);
@@ -147,7 +147,7 @@ TEST_F(TraceTest, RecordStampsSimTimeAndCohortTraceIds) {
 TEST_F(TraceTest, EmptyRoundStillAdvancesTheClock) {
   obs::TraceContext& ctx = obs::TraceContext::instance();
   ctx.configure(true, 1, "fms_test_trace_buffer.json", 0, "");
-  ctx.begin_round(0);
+  obs::Telemetry::instance().set_round(0);
   ctx.end_round(0.0);  // everyone offline: zero committed duration
   EXPECT_GT(ctx.round_base_s(), 0.0);
 }
@@ -220,7 +220,7 @@ TEST_F(TraceTest, ExportChromeWritesConfiguredFile) {
   const std::string path = "fms_test_trace_export.json";
   obs::TraceContext& ctx = obs::TraceContext::instance();
   ctx.configure(true, 9, path, 0, "");
-  ctx.begin_round(0);
+  obs::Telemetry::instance().set_round(0);
   ctx.record(0, obs::Stage::kDispatch, 0.0, 0.0);
   ctx.end_round(1.0);
   ctx.export_chrome();
@@ -298,7 +298,7 @@ TEST_F(TraceTest, ContextDumpFlightUsesConfiguredPath) {
   ctx.configure(true, 3, /*chrome_path=*/"", /*flight_capacity=*/8, path);
   ASSERT_NE(ctx.flight(), nullptr);
   EXPECT_EQ(ctx.flight()->capacity(), 8);
-  ctx.begin_round(0);
+  obs::Telemetry::instance().set_round(0);
   ctx.record(1, obs::Stage::kDrop, 0.0, 0.0, 0.0, "crash");
   // No chrome path: events feed only the flight ring, not the buffer.
   EXPECT_EQ(ctx.num_events(), 0U);

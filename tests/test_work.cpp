@@ -113,6 +113,16 @@ TEST_F(WorkTest, CostModelsArePinnedForKnownShapes) {
   EXPECT_EQ(bn_eval.flops, 4U * 2048 + 3U * 8);
   EXPECT_EQ(bn_eval.bytes_written, 4U * 2048);
 
+  // ReLU: an eval forward writes y; a train forward also the byte mask.
+  const obs::OpCost relu_eval = obs::relu_fwd_cost(64, false);
+  EXPECT_EQ(relu_eval.flops, 64U);
+  EXPECT_EQ(relu_eval.bytes_read, 256U);
+  EXPECT_EQ(relu_eval.bytes_written, 256U);
+  EXPECT_EQ(relu_eval.elements, 64U);
+  const obs::OpCost relu_train = obs::relu_fwd_cost(64, true);
+  EXPECT_EQ(relu_train.bytes_read, 256U);
+  EXPECT_EQ(relu_train.bytes_written, 256U + 64U);
+
   const obs::OpCost mean = obs::agg_mean_cost(10, 100);
   EXPECT_EQ(mean.flops, 1100U);          // m*d sums + d scales
   EXPECT_EQ(mean.bytes_read, 4000U);     // every update, once

@@ -136,10 +136,8 @@ std::vector<BenchResult> run_benchmarks(
       // and work). Saved and restored around the pass so the harness
       // composes with externally enabled profiling.
       const bool prof_was = obs::profiling_enabled();
-      const bool alloc_was = obs::alloc_tracking_enabled();
       const obs::AllocStats before_stats = obs::alloc_stats();
       obs::set_profiling_enabled(true);
-      obs::set_alloc_tracking_enabled(true);
       obs::reset_profiler();
       obs::reset_alloc_stats();
       for (int i = 0; i < bench.iters; ++i) iteration();
@@ -158,7 +156,6 @@ std::vector<BenchResult> run_benchmarks(
         result.zones[z.path] = ZoneSummary{z.calls, z.incl_ns, z.excl_ns};
       }
       obs::set_profiling_enabled(prof_was);
-      obs::set_alloc_tracking_enabled(alloc_was);
       obs::restore_alloc_stats(before_stats);
       obs::reset_profiler();
     }
