@@ -569,12 +569,11 @@ int main(int argc, char** argv) {
                             ? static_cast<double>(top->cost.flops) /
                                   static_cast<double>(top->incl_ns)
                             : 0.0;
-      const double roof = obs::roofline_gflops(peak, ai);
       std::printf(
           "roofline: vector %.2f GF/s scalar %.2f GF/s stream %.2f GB/s; "
           "top %s %.3f GF/s AI %.2f (%.1f%% of roof)\n",
           peak.vector_gflops, peak.scalar_gflops, peak.stream_gbps,
-          top->op.c_str(), gf, ai, roof > 0.0 ? 100.0 * gf / roof : 0.0);
+          top->op.c_str(), gf, ai, obs::roof_percent(peak, gf, ai));
     } else {
       std::printf(
           "roofline: vector %.2f GF/s scalar %.2f GF/s stream %.2f GB/s; "

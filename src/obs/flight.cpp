@@ -34,15 +34,10 @@ std::string event_json(const LifecycleEvent& ev) {
     line += json_escape(ev.detail);
     line += "\"";
   }
-  char idbuf[24];
-  std::snprintf(idbuf, sizeof(idbuf), "0x%016llx",
-                static_cast<unsigned long long>(ev.trace_id));
   line += ",\"trace_id\":\"";
-  line += idbuf;
-  std::snprintf(idbuf, sizeof(idbuf), "0x%016llx",
-                static_cast<unsigned long long>(ev.span_id));
+  append_hex_id(line, ev.trace_id);
   line += "\",\"span_id\":\"";
-  line += idbuf;
+  append_hex_id(line, ev.span_id);
   line += "\"}\n";
   return line;
 }

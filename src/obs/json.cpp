@@ -210,4 +210,11 @@ void json_number(std::string& out, double v) {
   out += buf;
 }
 
+void append_hex_id(std::string& out, std::uint64_t id) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(id));
+  out += buf;
+}
+
 }  // namespace fms::obs

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <utility>
@@ -70,5 +71,9 @@ std::string json_escape(const std::string& s);
 
 // Appends `v` under the number rule above.
 void json_number(std::string& out, double v);
+
+// Appends a lifecycle trace/span id as 0x plus 16 lowercase hex digits
+// (a JSON string body; the caller writes the quotes).
+void append_hex_id(std::string& out, std::uint64_t id);
 
 }  // namespace fms::obs

@@ -339,8 +339,8 @@ ProfileReport collect_profile() {
   return report;
 }
 
-std::string self_time_table(const ProfileReport& report,
-                            std::size_t max_rows) {
+std::vector<const ZoneStats*> top_self_time(const ProfileReport& report,
+                                            std::size_t max_rows) {
   std::vector<const ZoneStats*> rows;
   rows.reserve(report.zones.size());
   for (const ZoneStats& z : report.zones) rows.push_back(&z);
@@ -350,7 +350,12 @@ std::string self_time_table(const ProfileReport& report,
               return a->path < b->path;  // deterministic tie-break
             });
   if (rows.size() > max_rows) rows.resize(max_rows);
+  return rows;
+}
 
+std::string self_time_table(const ProfileReport& report,
+                            std::size_t max_rows) {
+  const std::vector<const ZoneStats*> rows = top_self_time(report, max_rows);
   std::uint64_t total_excl = 0;
   for (const ZoneStats& z : report.zones) total_excl += z.excl_ns;
 

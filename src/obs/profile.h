@@ -102,8 +102,14 @@ struct ProfileReport {
 // contribute their finished calls only.
 ProfileReport collect_profile();
 
-// Human-readable table sorted by exclusive (self) time, one row per
-// zone, for fms_search_cli --profile and fms_bench --profile.
+// The first `max_rows` zones by exclusive (self) time, descending, path
+// as the tie-break: the rows of self_time_table and fms_report's Phases
+// table.
+std::vector<const ZoneStats*> top_self_time(const ProfileReport& report,
+                                            std::size_t max_rows);
+
+// Human-readable table of top_self_time's rows, for fms_search_cli
+// --profile and fms_bench --profile.
 std::string self_time_table(const ProfileReport& report,
                             std::size_t max_rows = 40);
 

@@ -79,6 +79,7 @@ ProfileReport latest_profile(const std::vector<Event>& events) {
     z.calls = int_field<std::uint64_t>(*ev, "calls");
     z.incl_ns = int_field<std::uint64_t>(*ev, "incl_ns");
     z.excl_ns = int_field<std::uint64_t>(*ev, "excl_ns");
+    z.wall_ns = int_field<std::uint64_t>(*ev, "wall_ns");
     z.cost.flops = int_field<std::uint64_t>(*ev, "flops");
     z.cost.bytes_read = int_field<std::uint64_t>(*ev, "bytes_read");
     z.cost.bytes_written = int_field<std::uint64_t>(*ev, "bytes_written");
@@ -208,29 +209,26 @@ void render_phases(std::string* out, const ProfileReport& profile) {
     section_close(out);
     return;
   }
-  std::vector<const ZoneStats*> rows;
-  rows.reserve(profile.zones.size());
   double total_excl = 0.0;
   for (const ZoneStats& z : profile.zones) {
-    rows.push_back(&z);
     total_excl += static_cast<double>(z.excl_ns);
   }
-  std::sort(rows.begin(), rows.end(),
-            [](const ZoneStats* a, const ZoneStats* b) {
-              if (a->excl_ns != b->excl_ns) return a->excl_ns > b->excl_ns;
-              return a->path < b->path;
-            });
-  if (rows.size() > 15) rows.resize(15);
   *out += "<table><tr><th>zone</th><th>self ms</th><th>self %</th>"
-          "<th>incl ms</th><th>calls</th><th></th></tr>\n";
-  for (const ZoneStats* z : rows) {
+          "<th>incl ms</th><th>wall ms</th><th>calls</th><th></th></tr>\n";
+  for (const ZoneStats* z : top_self_time(profile, 15)) {
     const double excl = static_cast<double>(z->excl_ns);
     const double pct = total_excl > 0.0 ? 100.0 * excl / total_excl : 0.0;
+    // Plain ops have no wall time; only spans read the wall clock.
+    const std::string wall =
+        z->wall_ns == 0
+            ? "-"
+            : fmt_fixed(static_cast<double>(z->wall_ns) / 1e6, 3);
     *out += "<tr><td>" + html_escape(z->path) + "</td><td>" +
             fmt_fixed(excl / 1e6, 3) + "</td><td>" + fmt_fixed(pct, 1) +
             "</td><td>" +
             fmt_fixed(static_cast<double>(z->incl_ns) / 1e6, 3) +
-            "</td><td>" + fmt(static_cast<double>(z->calls)) +
+            "</td><td>" + wall + "</td><td>" +
+            fmt(static_cast<double>(z->calls)) +
             "</td><td><div class=\"bar\" style=\"width:" +
             fmt_fixed(std::min(100.0, pct) * 2.0, 1) + "px\"></div></td>"
             "</tr>\n";
@@ -267,12 +265,6 @@ void render_work(std::string* out, const WorkReport& work) {
   }
   *out += "</table>\n";
   section_close(out);
-}
-
-// Achieved GF/s as a percentage of the roof at `ai`; 0 without a roof.
-double pct_of_roof(double gflops, double ai, const MachinePeak& peak) {
-  const double roof = roofline_gflops(peak, ai);
-  return roof > 0.0 ? 100.0 * gflops / roof : 0.0;
 }
 
 // Op-level roofline scatter: achieved GFLOP/s = a work row's FLOPs over
@@ -356,7 +348,7 @@ void render_roofline(std::string* out, const WorkReport& work,
             fmt_fixed(pt.gflops, 3) + "</td><td>" + fmt_fixed(pt.ai, 3) +
             "</td>";
     if (peak.valid()) {
-      *out += "<td>" + fmt_fixed(pct_of_roof(pt.gflops, pt.ai, peak), 1) +
+      *out += "<td>" + fmt_fixed(roof_percent(peak, pt.gflops, pt.ai), 1) +
               "</td>";
     }
     *out += "</tr>\n";
@@ -507,7 +499,7 @@ void render_bench(std::string* out, const std::string& bench_json,
             fmt_fixed(median, 1) + "</td><td>" + fmt_fixed(gf, 3) +
             "</td><td>" + fmt_fixed(ai, 3) + "</td>";
     if (peak.valid()) {
-      *out += "<td>" + fmt_fixed(pct_of_roof(gf, ai, peak), 1) + "</td>";
+      *out += "<td>" + fmt_fixed(roof_percent(peak, gf, ai), 1) + "</td>";
     }
     // Sparkline of history medians (lower is better).
     *out += "<td>";

@@ -146,6 +146,11 @@ double roofline_gflops(const MachinePeak& peak, double ai) {
   return std::min(peak.vector_gflops, ai * peak.stream_gbps);
 }
 
+double roof_percent(const MachinePeak& peak, double gflops, double ai) {
+  const double roof = roofline_gflops(peak, ai);
+  return roof > 0.0 ? 100.0 * gflops / roof : 0.0;
+}
+
 void emit_roofline_telemetry(const MachinePeak& peak) {
   if (!telemetry_enabled()) return;
   MetricsRegistry& registry = Telemetry::instance().registry();

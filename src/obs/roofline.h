@@ -42,6 +42,10 @@ MachinePeak load_or_calibrate(const std::string& path);
 // classic roofline: min(peak compute, ai * peak bandwidth).
 double roofline_gflops(const MachinePeak& peak, double ai);
 
+// Achieved `gflops` as a percentage of the roof at `ai`; 0 without a
+// roof (invalid peak or ai <= 0).
+double roof_percent(const MachinePeak& peak, double gflops, double ai);
+
 // Sets the fms.roofline.scalar_gflops / fms.roofline.vector_gflops /
 // fms.roofline.stream_gbps gauges. No-op when telemetry is disabled.
 void emit_roofline_telemetry(const MachinePeak& peak);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <utility>
@@ -27,13 +26,6 @@ std::uint64_t splitmix64(std::uint64_t x) {
 // Sim seconds -> integer microsecond ticks (Chrome trace "ts"/"dur").
 long long sim_us(double seconds) {
   return static_cast<long long>(std::llround(seconds * 1e6));
-}
-
-void append_hex_id(std::string& out, std::uint64_t id) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "0x%016llx",
-                static_cast<unsigned long long>(id));
-  out += buf;
 }
 
 }  // namespace

@@ -126,6 +126,55 @@ TEST(FmsAnalyze, CommentsAndStringsNeverDefineSalts) {
                   .empty());
 }
 
+TEST(FmsAnalyze, DigitSeparatedSaltReadsAsOneValue) {
+  const std::string src = "constexpr std::uint64_t kSaltA = 0x9e37'79b9;\n";
+  EXPECT_TRUE(analyze_sources({{"src/a.cpp", src}}, "0x9e3779b9 kSaltA\n",
+                              "registry.txt", "", "design.md")
+                  .empty());
+  const std::vector<Finding> unregistered = analyze_sources(
+      {{"src/a.cpp", src}}, "", "registry.txt", "", "design.md");
+  ASSERT_EQ(unregistered.size(), 1U);
+  EXPECT_EQ(unregistered[0].message.rfind("kSaltA = 0x9E3779B9 is not in", 0),
+            0U);
+}
+
+TEST(FmsAnalyze, QualifiedDefinitionsPairAndMemberCallsDoNotDefine) {
+  // Lines 2-3 call serialize/restore as members; a brace after the call
+  // must not make either a definition. Lines 5 and 9 define the pair.
+  const std::string src =
+      "void helper(A& obj, A* p, ByteWriter& w, ByteReader& r) {\n"
+      "  obj.serialize(w), [&] { w.write_string(s); }();\n"
+      "  p->restore(r), [&] { r.read_vector<float>(); }();\n"
+      "}\n"
+      "void A::B::serialize(ByteWriter& w) const {\n"
+      "  w.write(n_);\n"
+      "  obj.serialize(w);\n"
+      "}\n"
+      "void A::B::restore(ByteReader& r) {\n"
+      "  s_ = r.read_string();\n"
+      "  obj.restore(r);\n"
+      "}\n";
+  const std::vector<Finding> found = analyze_sources(
+      {{"src/state.cpp", src}}, "", "registry.txt", "", "design.md");
+  ASSERT_EQ(check_lines(found),
+            (PCL{{"src/state.cpp", "checkpoint-asymmetry", 10}}));
+  EXPECT_EQ(found[0].message,
+            "A::B::serialize writes op 1 as [scalar] (line 6) but "
+            "A::B::restore reads [string]");
+}
+
+TEST(FmsAnalyze, DesignRowCarriesSeveralBacktickKeys) {
+  const std::string src =
+      "void f(Registry& reg) { reg.counter(\"fms.a.one\").add(1); }\n";
+  const std::string design =
+      "<!-- fms-analyze: metric-table-begin -->\n"
+      "| `fms.a.one` and `fms.a.two` | counter | two keys, one row |\n"
+      "<!-- fms-analyze: metric-table-end -->\n";
+  EXPECT_EQ(check_lines(analyze_sources({{"src/t.cpp", src}}, "",
+                                        "registry.txt", design, "design.md")),
+            (PCL{{"design.md", "metric-stale", 2}}));
+}
+
 TEST(FmsAnalyze, MetricAuditIsSrcScoped) {
   // fms.* literals in tests/bench/tools (e.g. assertions on key names)
   // are not emissions and never need documenting.

@@ -191,6 +191,33 @@ TEST(FmsLint, IntegerEqualityIsLegal) {
                   .empty());
 }
 
+TEST(FmsLint, FloatEqTableOfLiteralForms) {
+  auto lint_cmp = [](const std::string& cmp) {
+    return rule_lines(lint_source(
+        "x.cpp", "bool f(double x, double y) { return " + cmp + "; }\n"));
+  };
+  for (const char* cmp :
+       {"x == 1.", ".5 != y", "x == +1.5", "x == 1e-3f", "x == 2.0L"}) {
+    EXPECT_EQ(lint_cmp(cmp), (RL{{"float-eq", 1}})) << cmp;
+  }
+  for (const char* cmp : {"x <= 1.0", "n == 0", "x == 0x10", "a.b == 1"}) {
+    EXPECT_TRUE(lint_cmp(cmp).empty()) << cmp;
+  }
+}
+
+TEST(FmsLint, UnterminatedLiteralEndsAtLineEnd) {
+  // C++ allows no raw newline in an ordinary literal, so a stray quote
+  // must not hide the next line from the rules.
+  EXPECT_EQ(rule_lines(lint_source("x.cpp",
+                                   "const char* s = \"no closing quote;\n"
+                                   "int r = rand();\n")),
+            (RL{{"unseeded-rng", 2}}));
+  EXPECT_EQ(rule_lines(lint_source("x.cpp",
+                                   "char c = 'x;\n"
+                                   "int r = rand();\n")),
+            (RL{{"unseeded-rng", 2}}));
+}
+
 TEST(FmsLint, AllowChainsAcrossCommentLines) {
   const std::string src =
       "// fms-lint: allow(float-eq) -- reason\n"

@@ -2,21 +2,25 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdint>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <map>
-#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/common/check.h"
+#include "tools/source_scan/source_scan.h"
 
 namespace fms::analyze {
 namespace {
+
+using source_scan::ident_end;
+using source_scan::is_ident_char;
+using source_scan::Line;
+using source_scan::read_file;
+using source_scan::scan;
+using source_scan::skip_space;
+using source_scan::source_files;
 
 constexpr const char* kCheckSaltCollision = "salt-collision";
 constexpr const char* kCheckSaltUnregistered = "salt-unregistered";
@@ -27,204 +31,14 @@ constexpr const char* kCheckMetricStale = "metric-stale";
 constexpr const char* kCheckDetectorUndoc = "detector-undocumented";
 constexpr const char* kCheckDetectorStale = "detector-stale";
 
-bool is_ident_char(char c) {
-  return (std::isalnum(static_cast<unsigned char>(c)) != 0) || c == '_';
-}
-
-// ---------------------------------------------------------------------------
-// Scanner. Like the fms_lint scanner it strips comments and hollows out
-// string bodies from `code`, but it additionally keeps every string
-// literal's contents per line (the metric audit reads them) and parses
-// `fms-analyze: allow(...)` markers.
-
-struct ScannedLine {
-  std::string code;                   // literals hollowed out, comments gone
-  std::vector<std::string> literals;  // string literal bodies, in order
-  std::set<std::string> allowed;
-};
-
-void collect_allowances(const std::string& comment,
-                        std::set<std::string>* out) {
-  static const std::string kMarker = "fms-analyze: allow(";
-  std::size_t pos = 0;
-  while ((pos = comment.find(kMarker, pos)) != std::string::npos) {
-    const std::size_t open = pos + kMarker.size();
-    const std::size_t close = comment.find(')', open);
-    if (close == std::string::npos) break;
-    std::string id;
-    for (std::size_t i = open; i <= close; ++i) {
-      const char c = comment[i];
-      if (c == ',' || c == ')') {
-        if (!id.empty()) out->insert(id);
-        id.clear();
-      } else if (std::isspace(static_cast<unsigned char>(c)) == 0) {
-        id.push_back(c);
-      }
-    }
-    pos = close + 1;
-  }
-}
-
-std::vector<ScannedLine> scan(const std::string& contents) {
-  std::vector<ScannedLine> lines;
-  lines.emplace_back();
-
-  enum class State { kCode, kBlockComment, kString, kChar, kRawString };
-  State state = State::kCode;
-  std::string raw_delim;
-  std::string comment_buf;
-  std::string literal_buf;
-  int literal_line = 0;  // line index the current literal started on
-  char prev_code = '\0';
-
-  const std::size_t n = contents.size();
-  std::size_t i = 0;
-  auto newline = [&] {
-    collect_allowances(comment_buf, &lines.back().allowed);
-    comment_buf.clear();
-    lines.emplace_back();
-  };
-  auto close_literal = [&] {
-    lines[static_cast<std::size_t>(literal_line)].literals.push_back(
-        literal_buf);
-    literal_buf.clear();
-  };
-  while (i < n) {
-    const char c = contents[i];
-    const char next = i + 1 < n ? contents[i + 1] : '\0';
-    switch (state) {
-      case State::kCode:
-        if (c == '\n') {
-          newline();
-        } else if (c == '/' && next == '/') {
-          std::size_t j = i + 2;
-          while (j < n && contents[j] != '\n') {
-            comment_buf.push_back(contents[j]);
-            ++j;
-          }
-          i = j;
-          if (i < n) newline();
-        } else if (c == '/' && next == '*') {
-          state = State::kBlockComment;
-          ++i;
-        } else if (c == '"') {
-          literal_line = static_cast<int>(lines.size()) - 1;
-          if (prev_code == 'R') {
-            std::string delim;
-            std::size_t j = i + 1;
-            while (j < n && contents[j] != '(' && delim.size() < 18) {
-              delim.push_back(contents[j]);
-              ++j;
-            }
-            raw_delim = ")" + delim + "\"";
-            state = State::kRawString;
-            lines.back().code.push_back('"');
-            i = j;
-          } else {
-            state = State::kString;
-            lines.back().code.push_back('"');
-          }
-          prev_code = '"';
-        } else if (c == '\'' && !is_ident_char(prev_code)) {
-          state = State::kChar;
-          lines.back().code.push_back('\'');
-          prev_code = '\'';
-        } else {
-          lines.back().code.push_back(c);
-          if (std::isspace(static_cast<unsigned char>(c)) == 0) prev_code = c;
-        }
-        break;
-      case State::kBlockComment:
-        if (c == '\n') {
-          newline();
-        } else if (c == '*' && next == '/') {
-          state = State::kCode;
-          ++i;
-        } else {
-          comment_buf.push_back(c);
-        }
-        break;
-      case State::kString:
-        if (c == '\\') {
-          if (next == '\n') {
-            newline();
-          } else {
-            literal_buf.push_back(next);
-          }
-          ++i;
-        } else if (c == '"') {
-          state = State::kCode;
-          lines.back().code.push_back('"');
-          close_literal();
-        } else if (c == '\n') {
-          newline();  // unterminated; tolerate
-          close_literal();
-          state = State::kCode;
-        } else {
-          literal_buf.push_back(c);
-        }
-        break;
-      case State::kChar:
-        if (c == '\\') {
-          ++i;
-        } else if (c == '\'') {
-          state = State::kCode;
-          lines.back().code.push_back('\'');
-        } else if (c == '\n') {
-          newline();
-          state = State::kCode;
-        }
-        break;
-      case State::kRawString:
-        if (c == ')' &&
-            contents.compare(i, raw_delim.size(), raw_delim) == 0) {
-          i += raw_delim.size() - 1;
-          lines.back().code.push_back('"');
-          close_literal();
-          state = State::kCode;
-        } else if (c == '\n') {
-          newline();
-          literal_buf.push_back('\n');
-        } else {
-          literal_buf.push_back(c);
-        }
-        break;
-    }
-    ++i;
-  }
-  collect_allowances(comment_buf, &lines.back().allowed);
-  return lines;
-}
-
 struct ScannedFile {
   std::string path;  // '/'-normalized
-  std::vector<ScannedLine> lines;
-  std::vector<std::set<std::string>> effective;  // allowances per line
+  std::vector<Line> lines;
 };
-
-// Same chaining semantics as fms_lint: an allow() on a comment-only line
-// suppresses the next code line, chaining across consecutive comment
-// lines; an allow() sharing a line with code suppresses that line.
-void compute_effective_allowances(ScannedFile* file) {
-  file->effective.assign(file->lines.size(), {});
-  std::set<std::string> pending;
-  for (std::size_t idx = 0; idx < file->lines.size(); ++idx) {
-    file->effective[idx] = file->lines[idx].allowed;
-    file->effective[idx].insert(pending.begin(), pending.end());
-    const std::string& c = file->lines[idx].code;
-    if (c.find_first_not_of(" \t") == std::string::npos) {
-      pending.insert(file->lines[idx].allowed.begin(),
-                     file->lines[idx].allowed.end());
-    } else {
-      pending.clear();
-    }
-  }
-}
 
 bool allowed(const ScannedFile& file, int line, const char* check) {
   const std::size_t idx = static_cast<std::size_t>(line - 1);
-  return idx < file.effective.size() &&
-         file.effective[idx].count(check) != 0;
+  return idx < file.lines.size() && file.lines[idx].allowed.count(check) != 0;
 }
 
 // src/-scoped checks (metric emission, checkpoint pairs) apply to paths
@@ -254,20 +68,31 @@ struct SaltDef {
   int line = 0;
 };
 
+// `kSalt<name> = 0x<hex>` definitions (digit separators allowed).
 std::vector<SaltDef> extract_salts(const ScannedFile& file) {
-  static const std::regex salt_re(
-      R"((?:^|[^A-Za-z0-9_])(kSalt[A-Za-z0-9_]*)\s*=\s*(0[xX][0-9a-fA-F']+))");
   std::vector<SaltDef> out;
   for (std::size_t idx = 0; idx < file.lines.size(); ++idx) {
     const std::string& code = file.lines[idx].code;
-    auto it = std::sregex_iterator(code.begin(), code.end(), salt_re);
-    const auto end = std::sregex_iterator();
-    for (; it != end; ++it) {
-      std::string digits = (*it)[2].str().substr(2);
-      digits.erase(std::remove(digits.begin(), digits.end(), '\''),
-                   digits.end());
+    for (std::size_t pos = code.find("kSalt"); pos != std::string::npos;
+         pos = code.find("kSalt", pos + 1)) {
+      if (pos > 0 && is_ident_char(code[pos - 1])) continue;
+      const std::size_t name_end = ident_end(code, pos);
+      std::size_t p = skip_space(code, name_end);
+      if (p >= code.size() || code[p] != '=') continue;
+      p = skip_space(code, p + 1);
+      if (code.compare(p, 2, "0x") != 0 && code.compare(p, 2, "0X") != 0) {
+        continue;
+      }
+      std::string digits;
+      for (p += 2; p < code.size() &&
+                   (std::isxdigit(static_cast<unsigned char>(code[p])) != 0 ||
+                    code[p] == '\'');
+           ++p) {
+        if (code[p] != '\'') digits.push_back(code[p]);
+      }
+      if (digits.empty()) continue;
       SaltDef def;
-      def.ident = (*it)[1].str();
+      def.ident = code.substr(pos, name_end - pos);
       def.value = std::stoull(digits, nullptr, 16);
       def.path = file.path;
       def.line = static_cast<int>(idx) + 1;
@@ -470,33 +295,51 @@ void extract_ops(const ScannedFile& file, int lineno, FuncDef* fn) {
   }
 }
 
+bool checkpoint_name(const std::string& name) {
+  return name.rfind("serialize", 0) == 0 ||
+         name.rfind("deserialize", 0) == 0 ||
+         name.rfind("restore", 0) == 0 || name == "checkpoint";
+}
+
 // Finds serialize/deserialize/restore/checkpoint function *definitions*
 // and their body op sequences. Returns defs in file order.
 std::vector<FuncDef> extract_functions(const ScannedFile& file) {
-  static const std::regex def_re(
-      R"(((?:[A-Za-z_][A-Za-z0-9_]*::)*)(serialize[A-Za-z0-9_]*|deserialize[A-Za-z0-9_]*|restore[A-Za-z0-9_]*|checkpoint)\s*\()");
   std::vector<FuncDef> out;
   const std::size_t n = file.lines.size();
   for (std::size_t idx = 0; idx < n; ++idx) {
     const std::string& code = file.lines[idx].code;
-    auto it = std::sregex_iterator(code.begin(), code.end(), def_re);
-    const auto end = std::sregex_iterator();
-    for (; it != end; ++it) {
-      const std::size_t match_pos = static_cast<std::size_t>(it->position(0));
-      // A definition's name is not preceded by an identifier char (that
-      // would be a longer name), '.', or '->' (member calls).
-      if (match_pos > 0) {
-        const char before = code[match_pos - 1];
-        if (is_ident_char(before) || before == '.' || before == ':') continue;
-        if (before == '>' && match_pos > 1 && code[match_pos - 2] == '-') {
-          continue;
+    for (std::size_t b = 0; b < code.size(); ++b) {
+      if (!is_ident_char(code[b])) continue;
+      const std::size_t name_end = ident_end(code, b);
+      const std::string name = code.substr(b, name_end - b);
+      const std::size_t name_pos = b;
+      b = name_end;
+      const std::size_t open = skip_space(code, name_end);
+      if (!checkpoint_name(name) || open >= code.size() || code[open] != '(') {
+        continue;
+      }
+      // Qualifier: the `A::B::` chain right before the name.
+      std::size_t start = name_pos;
+      while (start >= 2 && code[start - 1] == ':' && code[start - 2] == ':') {
+        std::size_t scope = start - 2;
+        while (scope > 0 && is_ident_char(code[scope - 1])) --scope;
+        if (scope == start - 2 ||
+            std::isdigit(static_cast<unsigned char>(code[scope])) != 0) {
+          break;
         }
+        start = scope;
+      }
+      // A definition is not preceded by an identifier char (that would be
+      // a longer name), '.', ':' or '->' (member calls).
+      if (start > 0) {
+        const char before = code[start - 1];
+        if (is_ident_char(before) || before == '.' || before == ':') continue;
+        if (before == '>' && start > 1 && code[start - 2] == '-') continue;
       }
       // Walk from the opening paren across lines: balance parens, then
       // the next '{' starts a body, a ';' means declaration/call — skip.
       std::size_t l = idx;
-      std::size_t c =
-          match_pos + static_cast<std::size_t>(it->length(0)) - 1;
+      std::size_t c = open;
       int paren = 0;
       bool is_def = false;
       std::size_t body_line = 0, body_col = 0;
@@ -525,8 +368,8 @@ std::vector<FuncDef> extract_functions(const ScannedFile& file) {
       if (!is_def) continue;
 
       FuncDef fn;
-      fn.qual = (*it)[1].str();
-      fn.name = (*it)[2].str();
+      fn.qual = code.substr(start, name_pos - start);
+      fn.name = name;
       fn.line = static_cast<int>(idx) + 1;
       fn.suppressed = allowed(file, fn.line, kCheckCkptAsymmetry);
 
@@ -557,14 +400,14 @@ std::vector<FuncDef> extract_functions(const ScannedFile& file) {
           bc = 0;
         }
       }
-      for (const std::size_t b : body_lines) {
-        extract_ops(file, static_cast<int>(b) + 1, &fn);
+      for (const std::size_t body : body_lines) {
+        extract_ops(file, static_cast<int>(body) + 1, &fn);
       }
       out.push_back(std::move(fn));
       // Resume scanning after the body (nested candidates inside the
       // body were already consumed as ops, not definitions).
       idx = end_line;
-      break;  // re-run regex on the post-body line via outer loop
+      break;
     }
   }
   return out;
@@ -703,7 +546,6 @@ DocKeys parse_design_doc(const std::string& text, const std::string& path) {
   int lineno = 0;
   enum class Table { kNone, kMetric, kDetector };
   Table table = Table::kNone;
-  static const std::regex tick_re("`([^`]+)`");
   while (std::getline(in, line)) {
     ++lineno;
     if (line.find("fms-analyze: metric-table-begin") != std::string::npos) {
@@ -720,10 +562,17 @@ DocKeys parse_design_doc(const std::string& text, const std::string& path) {
       continue;
     }
     if (table == Table::kNone) continue;
-    auto it = std::sregex_iterator(line.begin(), line.end(), tick_re);
-    const auto end = std::sregex_iterator();
-    for (; it != end; ++it) {
-      const std::string token = (*it)[1].str();
+    // Each `token`: a backtick, at least one other char, a backtick.
+    std::size_t open = line.find('`');
+    while (open != std::string::npos) {
+      const std::size_t close = line.find('`', open + 1);
+      if (close == std::string::npos) break;
+      if (close == open + 1) {  // empty pair: the second may open a token
+        open = close;
+        continue;
+      }
+      const std::string token = line.substr(open + 1, close - open - 1);
+      open = line.find('`', close + 1);
       if (table == Table::kMetric) {
         if (token.rfind("fms.", 0) != 0) continue;
         KeyUse use;
@@ -873,8 +722,7 @@ std::vector<Finding> analyze_sources(
     ScannedFile sf;
     sf.path = path;
     std::replace(sf.path.begin(), sf.path.end(), '\\', '/');
-    sf.lines = scan(contents);
-    compute_effective_allowances(&sf);
+    sf.lines = scan(contents, "fms-analyze");
     scanned.push_back(std::move(sf));
   }
   std::vector<Finding> out;
@@ -890,51 +738,14 @@ std::vector<Finding> analyze_sources(
 
 std::vector<Finding> analyze_tree(const std::vector<std::string>& roots,
                                   const Options& opts) {
-  namespace fs = std::filesystem;
-  auto skip = [](const fs::path& p) {
-    for (const auto& part : p) {
-      const std::string s = part.string();
-      if (s == "lint_fixtures" || s == "analyze_fixtures" || s == ".git" ||
-          s == "build" || s.rfind("build-", 0) == 0) {
-        return true;
-      }
-    }
-    return false;
-  };
-  auto analyzable = [](const fs::path& p) {
-    const std::string ext = p.extension().string();
-    return ext == ".h" || ext == ".hpp" || ext == ".cpp" || ext == ".cc";
-  };
-  std::vector<std::string> paths;
-  for (const std::string& root : roots) {
-    const fs::path rp(root);
-    FMS_CHECK_MSG(fs::exists(rp), "fms_analyze: no such path: " << root);
-    if (fs::is_directory(rp)) {
-      for (const auto& entry : fs::recursive_directory_iterator(rp)) {
-        if (entry.is_regular_file() && analyzable(entry.path()) &&
-            !skip(entry.path())) {
-          paths.push_back(entry.path().string());
-        }
-      }
-    } else {
-      paths.push_back(rp.string());
-    }
-  }
-  std::sort(paths.begin(), paths.end());
-
-  auto slurp = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    FMS_CHECK_MSG(in.good(), "fms_analyze: cannot open " << path);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-  };
   std::vector<std::pair<std::string, std::string>> files;
-  files.reserve(paths.size());
-  for (const std::string& p : paths) files.emplace_back(p, slurp(p));
-  return analyze_sources(files, slurp(opts.salt_registry_path),
-                         opts.salt_registry_path,
-                         slurp(opts.design_doc_path), opts.design_doc_path);
+  for (const std::string& p : source_files(roots, "fms_analyze")) {
+    files.emplace_back(p, read_file(p, "fms_analyze"));
+  }
+  return analyze_sources(
+      files, read_file(opts.salt_registry_path, "fms_analyze"),
+      opts.salt_registry_path,
+      read_file(opts.design_doc_path, "fms_analyze"), opts.design_doc_path);
 }
 
 }  // namespace fms::analyze

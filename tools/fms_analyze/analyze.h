@@ -18,8 +18,9 @@
 //     tables in DESIGN.md (between the fms-analyze table markers), and
 //     every documented key must still exist in code, both directions.
 //
-// Like the linter, the analysis is textual (comments and strings are
-// handled by a scanner; no build needed) and suppressible in place:
+// Like the linter, the analysis is textual (it reads files through the
+// shared scanner in tools/source_scan; no build needed) and suppressible
+// in place:
 //   // fms-analyze: allow(<check>[,<check>...])  -- reason
 // on the offending line, on a comment line directly above it, or — for
 // checkpoint-asymmetry — on the function's definition line to waive the
@@ -74,8 +75,8 @@ struct Options {
   std::string design_doc_path;     // e.g. DESIGN.md
 };
 
-// Reads every .h/.hpp/.cpp/.cc under `roots` (skipping lint_fixtures/,
-// analyze_fixtures/, .git/ and build trees, same as fms_lint), loads the
+// Reads every .h/.hpp/.cpp/.cc under `roots` (source_scan's skip list:
+// lint_fixtures/, analyze_fixtures/, .git/ and build trees), loads the
 // registry and design doc named in `opts`, and runs every check. Throws
 // fms::CheckError when a root, the registry, or the doc cannot be read.
 std::vector<Finding> analyze_tree(const std::vector<std::string>& roots,

@@ -279,9 +279,8 @@ double achieved_gflops(const BenchResult& r) {
 }
 
 double bench_arithmetic_intensity(const BenchResult& r) {
-  const std::uint64_t bytes = r.bytes_read + r.bytes_written;
-  if (bytes == 0) return 0.0;
-  return static_cast<double>(r.flops) / static_cast<double>(bytes);
+  return obs::arithmetic_intensity(
+      obs::OpCost{r.flops, r.bytes_read, r.bytes_written, 0});
 }
 
 std::string history_row_json(const std::vector<BenchResult>& results,

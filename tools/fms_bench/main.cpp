@@ -178,10 +178,8 @@ int main(int argc, char** argv) {
         const double gf = fms::bench::achieved_gflops(r);
         if (gf <= 0.0) continue;
         const double ai = fms::bench::bench_arithmetic_intensity(r);
-        const double roof = fms::obs::roofline_gflops(peak, ai);
-        const double pct = roof > 0.0 ? 100.0 * gf / roof : 0.0;
         std::printf("%-28s %10.3f %8.2f %7.1f%%\n", r.name.c_str(), gf,
-                    ai, pct);
+                    ai, fms::obs::roof_percent(peak, gf, ai));
       }
     }
     return 0;

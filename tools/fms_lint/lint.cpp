@@ -2,19 +2,23 @@
 
 #include <algorithm>
 #include <cctype>
-#include <filesystem>
-#include <fstream>
 #include <map>
-#include <regex>
-#include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/common/check.h"
+#include "tools/source_scan/source_scan.h"
 
 namespace fms::lint {
 namespace {
+
+using source_scan::has_token;
+using source_scan::ident_end;
+using source_scan::is_ident_char;
+using source_scan::Line;
+using source_scan::read_file;
+using source_scan::scan;
+using source_scan::skip_space;
+using source_scan::source_files;
 
 constexpr const char* kRuleRng = "unseeded-rng";
 constexpr const char* kRuleWallClock = "wall-clock";
@@ -23,193 +27,6 @@ constexpr const char* kRuleFloatEq = "float-eq";
 constexpr const char* kRulePragmaOnce = "pragma-once";
 constexpr const char* kRuleBareThrow = "bare-throw";
 constexpr const char* kRuleNarrowingAccum = "narrowing-accum";
-
-bool is_ident_char(char c) {
-  return (std::isalnum(static_cast<unsigned char>(c)) != 0) || c == '_';
-}
-
-// One source line after comment/string stripping, plus the rules any
-// comment on that line explicitly allows.
-struct ScannedLine {
-  std::string code;            // literals hollowed out, comments removed
-  std::string raw;             // original text (pragma-once looks here)
-  std::set<std::string> allowed;
-};
-
-// Parses every `fms-lint: allow(a,b)` marker inside a comment chunk.
-void collect_allowances(const std::string& comment, std::set<std::string>* out) {
-  static const std::string kMarker = "fms-lint: allow(";
-  std::size_t pos = 0;
-  while ((pos = comment.find(kMarker, pos)) != std::string::npos) {
-    const std::size_t open = pos + kMarker.size();
-    const std::size_t close = comment.find(')', open);
-    if (close == std::string::npos) break;
-    std::string id;
-    for (std::size_t i = open; i <= close; ++i) {
-      const char c = comment[i];
-      if (c == ',' || c == ')') {
-        if (!id.empty()) out->insert(id);
-        id.clear();
-      } else if (!std::isspace(static_cast<unsigned char>(c))) {
-        id.push_back(c);
-      }
-    }
-    pos = close + 1;
-  }
-}
-
-// Splits `contents` into lines with comments removed and string/char
-// literal bodies hollowed out (delimiters stay, so `""` still reads as an
-// expression). Line numbering is preserved across multi-line constructs.
-std::vector<ScannedLine> scan(const std::string& contents) {
-  std::vector<ScannedLine> lines;
-  lines.emplace_back();
-
-  enum class State { kCode, kBlockComment, kString, kChar, kRawString };
-  State state = State::kCode;
-  std::string raw_delim;       // raw-string closing delimiter, ")<delim>\""
-  std::string comment_buf;     // accumulates comment text for allow()
-  char prev_code = '\0';       // last significant code char (digit seps)
-
-  const std::size_t n = contents.size();
-  std::size_t i = 0;
-  auto newline = [&] {
-    collect_allowances(comment_buf, &lines.back().allowed);
-    comment_buf.clear();
-    lines.emplace_back();
-  };
-  while (i < n) {
-    const char c = contents[i];
-    const char next = i + 1 < n ? contents[i + 1] : '\0';
-    if (c != '\n') lines.back().raw.push_back(c);
-    switch (state) {
-      case State::kCode:
-        if (c == '\n') {
-          newline();
-        } else if (c == '/' && next == '/') {
-          // Line comment: swallow to end of line, keep text for allow().
-          std::size_t j = i + 2;
-          while (j < n && contents[j] != '\n') {
-            comment_buf.push_back(contents[j]);
-            lines.back().raw.push_back(contents[j]);
-            ++j;
-          }
-          i = j;
-          if (i < n) newline();  // consume the '\n'
-        } else if (c == '/' && next == '*') {
-          state = State::kBlockComment;
-          lines.back().raw.push_back(next);
-          ++i;
-        } else if (c == '"') {
-          if (prev_code == 'R') {
-            // Raw string: R"delim( ... )delim"
-            std::string delim;
-            std::size_t j = i + 1;
-            while (j < n && contents[j] != '(' && delim.size() < 18) {
-              delim.push_back(contents[j]);
-              ++j;
-            }
-            raw_delim = ")" + delim + "\"";
-            state = State::kRawString;
-            lines.back().code.push_back('"');
-            // skip the delimiter + '(' without copying it into code
-            for (std::size_t k = i + 1; k <= j && k < n; ++k) {
-              lines.back().raw.push_back(contents[k]);
-            }
-            i = j;
-          } else {
-            state = State::kString;
-            lines.back().code.push_back('"');
-          }
-          prev_code = '"';
-        } else if (c == '\'' && !is_ident_char(prev_code)) {
-          state = State::kChar;
-          lines.back().code.push_back('\'');
-          prev_code = '\'';
-        } else {
-          lines.back().code.push_back(c);
-          if (std::isspace(static_cast<unsigned char>(c)) == 0) prev_code = c;
-        }
-        break;
-      case State::kBlockComment:
-        if (c == '\n') {
-          newline();
-        } else if (c == '*' && next == '/') {
-          state = State::kCode;
-          lines.back().raw.push_back(next);
-          ++i;
-        } else {
-          comment_buf.push_back(c);
-        }
-        break;
-      case State::kString:
-        if (c == '\\') {
-          if (next == '\n') {
-            newline();
-          } else {
-            lines.back().raw.push_back(next);
-          }
-          ++i;
-        } else if (c == '"') {
-          state = State::kCode;
-          lines.back().code.push_back('"');
-        } else if (c == '\n') {
-          newline();  // unterminated; tolerate
-        }
-        break;
-      case State::kChar:
-        if (c == '\\') {
-          if (next != '\n' && next != '\0') lines.back().raw.push_back(next);
-          ++i;
-        } else if (c == '\'') {
-          state = State::kCode;
-          lines.back().code.push_back('\'');
-        } else if (c == '\n') {
-          newline();
-        }
-        break;
-      case State::kRawString:
-        if (c == '\n') {
-          newline();
-        } else if (c == ')' && contents.compare(i, raw_delim.size(),
-                                                raw_delim) == 0) {
-          for (std::size_t k = 1; k < raw_delim.size() && i + k < n; ++k) {
-            lines.back().raw.push_back(contents[i + k]);
-          }
-          i += raw_delim.size() - 1;
-          lines.back().code.push_back('"');
-          state = State::kCode;
-        }
-        break;
-    }
-    ++i;
-  }
-  collect_allowances(comment_buf, &lines.back().allowed);
-  return lines;
-}
-
-// True when `token` occurs in `code` as a whole identifier; when
-// `call_form` is set, the token must additionally be followed by '('
-// (so `#include <ctime>` or `steady_clock` never trip call-only rules).
-bool has_token(const std::string& code, const std::string& token,
-               bool call_form) {
-  std::size_t pos = 0;
-  while ((pos = code.find(token, pos)) != std::string::npos) {
-    const bool lhs_ok = pos == 0 || !is_ident_char(code[pos - 1]);
-    std::size_t after = pos + token.size();
-    const bool rhs_ok = after >= code.size() || !is_ident_char(code[after]);
-    if (lhs_ok && rhs_ok) {
-      if (!call_form) return true;
-      while (after < code.size() &&
-             std::isspace(static_cast<unsigned char>(code[after])) != 0) {
-        ++after;
-      }
-      if (after < code.size() && code[after] == '(') return true;
-    }
-    pos += token.size();
-  }
-  return false;
-}
 
 bool path_ends_with(const std::string& path, const std::string& suffix) {
   return path.size() >= suffix.size() &&
@@ -230,33 +47,79 @@ bool ordering_sensitive(const std::string& path) {
          base.find("checkpoint") != std::string::npos;
 }
 
+// End of the decimal literal at `pos`, or `pos` when none starts there:
+//   (digits [. digits*] | . digits) [(e|E) [+|-] digits] [f|F|l|L]*
+std::size_t decimal_end(const std::string& s, std::size_t pos) {
+  auto digits_end = [&s](std::size_t p) {
+    while (p < s.size() && std::isdigit(static_cast<unsigned char>(s[p]))) {
+      ++p;
+    }
+    return p;
+  };
+  std::size_t end = digits_end(pos);
+  if (end < s.size() && s[end] == '.') {
+    const std::size_t frac_end = digits_end(end + 1);
+    if (end > pos || frac_end > end + 1) end = frac_end;
+  }
+  if (end == pos) return pos;
+  if (end < s.size() && (s[end] == 'e' || s[end] == 'E')) {
+    std::size_t exp = end + 1;
+    if (exp < s.size() && (s[exp] == '+' || s[exp] == '-')) ++exp;
+    if (digits_end(exp) > exp) end = digits_end(exp);
+  }
+  while (end < s.size() && (s[end] == 'f' || s[end] == 'F' ||
+                            s[end] == 'l' || s[end] == 'L')) {
+    ++end;
+  }
+  return end;
+}
+
+// A decimal literal may start at `pos` only at a token boundary.
+bool literal_boundary(const std::string& s, std::size_t pos) {
+  return pos == 0 || (!is_ident_char(s[pos - 1]) && s[pos - 1] != '.');
+}
+
+bool is_eq_op(const std::string& s, std::size_t pos) {
+  return pos + 1 < s.size() && (s[pos] == '=' || s[pos] == '!') &&
+         s[pos + 1] == '=';
+}
+
 // ==/!= where either operand is a floating-point literal. Pure textual
 // heuristic: identifier-vs-identifier comparisons pass (types unknown),
-// which keeps the rule quiet outside the obviously wrong cases.
+// which keeps the rule quiet outside the obviously wrong cases. Integer
+// literals (`count() == 0`, `x == 0x10`) stay legal.
 bool float_equality(const std::string& code) {
-  static const std::regex rhs_literal(
-      R"((?:^|[^<>!=&|+\-*/%^])[!=]=\s*([+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?[fFlL]*)(?:$|[^=A-Za-z0-9_.]))");
-  static const std::regex lhs_literal(
-      R"((?:^|[^A-Za-z0-9_.])((?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?[fFlL]*)\s*[!=]=(?:$|[^=]))");
-  std::smatch m;
-  // The captured literal must actually be floating-point — integer
-  // comparisons like `count() == 0` stay legal.
-  auto is_floaty = [](const std::string& lit) {
-    return lit.find('.') != std::string::npos ||
-           lit.find('e') != std::string::npos ||
-           lit.find('E') != std::string::npos ||
-           lit.find('f') != std::string::npos ||
-           lit.find('F') != std::string::npos;
+  auto floaty = [&code](std::size_t b, std::size_t e) {
+    return code.substr(b, e - b).find_first_of(".eEfF") != std::string::npos;
   };
-  auto search = [&](const std::regex& re) {
-    std::string::const_iterator it = code.cbegin();
-    while (std::regex_search(it, code.cend(), m, re)) {
-      if (is_floaty(m[1].str())) return true;
-      it = m[0].second;
+  for (std::size_t op = 0; op < code.size(); ++op) {
+    // `x == 1.5`: not the tail of <=, >=, +=, &&= and the like.
+    if (!is_eq_op(code, op) ||
+        (op > 0 && std::string("<>!=&|+-*/%^").find(code[op - 1]) !=
+                       std::string::npos)) {
+      continue;
     }
-    return false;
-  };
-  return search(rhs_literal) || search(lhs_literal);
+    std::size_t b = skip_space(code, op + 2);
+    if (b < code.size() && (code[b] == '+' || code[b] == '-')) ++b;
+    const std::size_t e = decimal_end(code, b);
+    if (e > b && floaty(b, e) &&
+        (e == code.size() ||
+         (!is_ident_char(code[e]) && code[e] != '.' && code[e] != '='))) {
+      return true;
+    }
+  }
+  for (std::size_t b = 0; b < code.size(); ++b) {
+    // `1.5 == x`: the literal, then the operator (not `===`).
+    if (!literal_boundary(code, b)) continue;
+    const std::size_t e = decimal_end(code, b);
+    if (e == b) continue;
+    const std::size_t op = skip_space(code, e);
+    if (is_eq_op(code, op) && floaty(b, e) &&
+        (op + 2 == code.size() || code[op + 2] != '=')) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void add(std::vector<Finding>* out, const std::string& path, int line,
@@ -273,9 +136,42 @@ bool accumulation_hot_path(const std::string& path) {
 }
 
 bool rhs_has_floating_literal(const std::string& rhs) {
-  static const std::regex float_lit(
-      R"((?:^|[^A-Za-z0-9_.])(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)");
-  return std::regex_search(rhs, float_lit);
+  for (std::size_t b = 0; b < rhs.size(); ++b) {
+    if (!literal_boundary(rhs, b)) continue;
+    const std::size_t e = decimal_end(rhs, b);
+    if (rhs.find('.', b) < e) return true;
+  }
+  return false;
+}
+
+// Adds every `float x =` / `double x {` / `int x;` style declaration on
+// `code` to `decl_type` (name -> type; the first declaration wins).
+void collect_declarations(const std::string& code,
+                          std::map<std::string, std::string>* decl_type) {
+  for (std::size_t b = 0; b < code.size(); ++b) {
+    if (!is_ident_char(code[b])) continue;
+    const std::size_t e = ident_end(code, b);
+    const std::string type = code.substr(b, e - b);
+    const bool after_scope_or_template =
+        b > 0 && (code[b - 1] == ':' || code[b - 1] == '<');
+    b = e;
+    if ((type != "float" && type != "double" && type != "int") ||
+        after_scope_or_template || e == code.size() ||
+        std::isspace(static_cast<unsigned char>(code[e])) == 0) {
+      continue;
+    }
+    const std::size_t name = skip_space(code, e);
+    const std::size_t name_end = ident_end(code, name);
+    if (name_end == name ||
+        std::isdigit(static_cast<unsigned char>(code[name])) != 0) {
+      continue;
+    }
+    const std::size_t next = skip_space(code, name_end);
+    if (next < code.size() &&
+        (code[next] == '=' || code[next] == '{' || code[next] == ';')) {
+      decl_type->emplace(code.substr(name, name_end - name), type);
+    }
+  }
 }
 
 // True when `code` contains a +=/-= whose value is narrowed per element:
@@ -356,49 +252,23 @@ std::vector<Finding> lint_source(const std::string& path,
   const bool unordered_applies = ordering_sensitive(p);
   const bool narrowing_applies = accumulation_hot_path(p);
 
-  const std::vector<ScannedLine> lines = scan(contents);
+  const std::vector<Line> lines = scan(contents, "fms-lint");
   std::vector<Finding> out;
 
   // Textual declaration map for narrowing-accum: the declared type of
   // every `float x = ...` / `int x = ...` style local in the file.
   std::map<std::string, std::string> decl_type;
   if (narrowing_applies) {
-    static const std::regex decl_re(
-        R"((?:^|[^A-Za-z0-9_:<])(float|double|int)\s+([A-Za-z_][A-Za-z0-9_]*)\s*(?:=|\{|;))");
-    for (const ScannedLine& ln : lines) {
-      auto it = std::sregex_iterator(ln.code.begin(), ln.code.end(), decl_re);
-      const auto end = std::sregex_iterator();
-      for (; it != end; ++it) {
-        decl_type.emplace((*it)[2].str(), (*it)[1].str());
-      }
-    }
+    for (const Line& ln : lines) collect_declarations(ln.code, &decl_type);
   }
 
   bool saw_pragma_once = false;
   bool pragma_once_allowed = false;
-  for (const ScannedLine& ln : lines) {
+  for (const Line& ln : lines) {
     std::string trimmed = ln.raw;
     trimmed.erase(0, trimmed.find_first_not_of(" \t"));
     if (trimmed.rfind("#pragma once", 0) == 0) saw_pragma_once = true;
     if (ln.allowed.count(kRulePragmaOnce) != 0) pragma_once_allowed = true;
-  }
-
-  // An allow() on a comment-only line suppresses the next code line (the
-  // NOLINTNEXTLINE style), chaining across consecutive comment lines; an
-  // allow() sharing a line with code suppresses that line.
-  std::vector<std::set<std::string>> effective(lines.size());
-  {
-    std::set<std::string> pending;
-    for (std::size_t idx = 0; idx < lines.size(); ++idx) {
-      effective[idx] = lines[idx].allowed;
-      effective[idx].insert(pending.begin(), pending.end());
-      const std::string& c = lines[idx].code;
-      if (c.find_first_not_of(" \t") == std::string::npos) {
-        pending.insert(lines[idx].allowed.begin(), lines[idx].allowed.end());
-      } else {
-        pending.clear();
-      }
-    }
   }
 
   // Loop-body tracking for narrowing-accum: a stack of the brace depths
@@ -410,12 +280,12 @@ std::vector<Finding> lint_source(const std::string& path,
   std::vector<int> loop_open_depth;
 
   for (std::size_t idx = 0; idx < lines.size(); ++idx) {
-    const ScannedLine& ln = lines[idx];
+    const Line& ln = lines[idx];
     const std::string& code = ln.code;
     const int lineno = static_cast<int>(idx) + 1;
     if (code.empty()) continue;
     auto allowed = [&](const char* rule) {
-      return effective[idx].count(rule) != 0;
+      return ln.allowed.count(rule) != 0;
     };
 
     if (!rng_sanctioned && !allowed(kRuleRng)) {
@@ -516,52 +386,14 @@ std::vector<Finding> lint_source(const std::string& path,
 }
 
 std::vector<Finding> lint_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  FMS_CHECK_MSG(in.good(), "fms_lint: cannot open " << path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return lint_source(path, ss.str());
+  return lint_source(path, read_file(path, "fms_lint"));
 }
 
 std::vector<Finding> lint_tree(const std::vector<std::string>& roots) {
-  namespace fs = std::filesystem;
-  auto skip = [](const fs::path& p) {
-    for (const auto& part : p) {
-      const std::string s = part.string();
-      if (s == "lint_fixtures" || s == "analyze_fixtures" || s == ".git" ||
-          s == "build" || s.rfind("build-", 0) == 0) {
-        return true;
-      }
-    }
-    return false;
-  };
-  auto lintable = [](const fs::path& p) {
-    const std::string ext = p.extension().string();
-    return ext == ".h" || ext == ".hpp" || ext == ".cpp" || ext == ".cc";
-  };
-  std::vector<std::string> files;
-  for (const std::string& root : roots) {
-    const fs::path rp(root);
-    FMS_CHECK_MSG(fs::exists(rp), "fms_lint: no such path: " << root);
-    if (fs::is_directory(rp)) {
-      for (const auto& entry : fs::recursive_directory_iterator(rp)) {
-        if (entry.is_regular_file() && lintable(entry.path()) &&
-            !skip(entry.path())) {
-          files.push_back(entry.path().string());
-        }
-      }
-    } else {
-      // Explicitly named files are always linted — the exclusion list
-      // only guards directory recursion (fixtures are known-bad by
-      // design, but asking for one by name is deliberate).
-      files.push_back(rp.string());
-    }
-  }
-  std::sort(files.begin(), files.end());
   std::vector<Finding> out;
-  for (const std::string& f : files) {
-    std::vector<Finding> fs_ = lint_file(f);
-    out.insert(out.end(), fs_.begin(), fs_.end());
+  for (const std::string& f : source_files(roots, "fms_lint")) {
+    std::vector<Finding> found = lint_file(f);
+    out.insert(out.end(), found.begin(), found.end());
   }
   return out;
 }

@@ -8,7 +8,8 @@
 // and clang-tidy do not know these project rules, so this linter encodes
 // them and runs as a tier-1 ctest (`ctest -L lint`).
 //
-// The scanner is deliberately textual (comments and string literals are
+// The linter is deliberately textual: it reads each file through the
+// shared scanner in tools/source_scan (comments and string literals are
 // stripped first, so prose mentioning rand() never fires). It trades
 // type-awareness for zero build-time cost and total predictability;
 // genuine exceptions are annotated in place with
@@ -69,9 +70,8 @@ std::vector<Finding> lint_source(const std::string& path,
 // Reads `path` from disk and lints it. Throws fms::CheckError on IO error.
 std::vector<Finding> lint_file(const std::string& path);
 
-// Recursively lints every .h/.hpp/.cpp/.cc under `roots`. During
-// directory recursion, paths containing a "lint_fixtures" or "build"
-// component are skipped — the fixtures are known-bad by design and build
+// Recursively lints every .h/.hpp/.cpp/.cc under `roots`, with
+// source_scan's skip list: the fixtures are known-bad by design and build
 // trees hold generated code. A root naming a file directly is always
 // linted.
 std::vector<Finding> lint_tree(const std::vector<std::string>& roots);
