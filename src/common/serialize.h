@@ -21,16 +21,15 @@ class ByteWriter {
   template <typename T>
   void write(const T& v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-    buf_.insert(buf_.end(), p, p + sizeof(T));
+    append(reinterpret_cast<const std::uint8_t*>(&v), sizeof(T));
   }
 
   template <typename T>
   void write_vector(const std::vector<T>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     write(static_cast<std::uint64_t>(v.size()));
-    const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
-    buf_.insert(buf_.end(), p, p + v.size() * sizeof(T));
+    append(reinterpret_cast<const std::uint8_t*>(v.data()),
+           v.size() * sizeof(T));
   }
 
   void write_string(const std::string& s) {
@@ -43,6 +42,13 @@ class ByteWriter {
   std::size_t size() const { return buf_.size(); }
 
  private:
+  // Kept out of line: GCC 12 under -fsanitize=thread, with this insert
+  // inlined into a caller writing a small scalar, reports a false
+  // -Wstringop-overflow (an error under -Werror).
+  [[gnu::noinline]] void append(const std::uint8_t* p, std::size_t n) {
+    buf_.insert(buf_.end(), p, p + n);
+  }
+
   std::vector<std::uint8_t> buf_;
 };
 
@@ -91,10 +97,6 @@ class ByteReader {
   const std::vector<std::uint8_t>& buf_;
   std::size_t pos_ = 0;
 };
-
-inline double bytes_to_mb(std::size_t bytes) {
-  return static_cast<double>(bytes) / (1024.0 * 1024.0);
-}
 
 // --- CRC32 framing (durability path: journal frames, checkpoint trailer) ---
 //

@@ -4,42 +4,14 @@
 // "Param(M)" a deployment would actually carry.
 #pragma once
 
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "src/common/config.h"
 #include "src/nas/cell.h"
 #include "src/nas/genotype.h"
-#include "src/nn/layers.h"
 #include "src/nn/net.h"
 
 namespace fms {
-
-class DiscreteCell {
- public:
-  DiscreteCell(const Genotype& genotype, const CellSpec& spec, Rng& rng);
-
-  int out_channels() const { return spec_.nodes * spec_.c; }
-
-  Tensor forward(const Tensor& s0, const Tensor& s1, bool train);
-  std::pair<Tensor, Tensor> backward(const Tensor& grad_out);
-
-  void collect_params(std::vector<Param*>& out);
-
- private:
-  struct Edge {
-    int input;
-    std::unique_ptr<Module> op;
-  };
-
-  CellSpec spec_;
-  std::unique_ptr<Module> pre0_;
-  std::unique_ptr<Module> pre1_;
-  std::vector<std::vector<Edge>> node_edges_;  // per node
-  std::vector<Tensor> states_;
-  bool has_cache_ = false;
-};
 
 class DiscreteNet : public TrainableNet {
  public:
@@ -56,10 +28,7 @@ class DiscreteNet : public TrainableNet {
 
  private:
   Genotype genotype_;
-  std::unique_ptr<Module> stem_;
-  std::vector<std::unique_ptr<DiscreteCell>> cells_;
-  std::unique_ptr<GlobalAvgPool> gap_;
-  std::unique_ptr<Linear> classifier_;
+  CellStack stack_;
   std::vector<Param*> params_;
   std::size_t param_count_ = 0;
   bool has_cache_ = false;

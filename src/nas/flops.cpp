@@ -15,27 +15,17 @@ std::uint64_t elementwise_macs(int channels, int hw) {
   return static_cast<std::uint64_t>(channels) * hw * hw;
 }
 
-struct CellShape {
-  int c_prev_prev, c_prev, c;
-  int hw_in, hw_out;
-  bool reduction, reduction_prev;
-};
-
-std::uint64_t preprocess_macs(const CellShape& s) {
-  std::uint64_t macs = 0;
-  // pre0: factorized reduce (1x1 stride 2) or 1x1 conv; both land on
-  // (c, hw_pre0) where hw matches pre1's output.
-  const int hw0 = s.reduction_prev ? s.hw_in : s.hw_in;
-  macs += conv_macs(s.c_prev_prev, s.c, 1, s.reduction_prev ? hw0 / 1 : hw0, 1);
-  macs += elementwise_macs(s.c, hw0);
-  // pre1: 1x1 conv.
-  macs += conv_macs(s.c_prev, s.c, 1, s.hw_in, 1);
-  macs += elementwise_macs(s.c, s.hw_in);
-  return macs;
+// Cell preprocessing: pre0 (factorized reduce after a reduction cell, a
+// 1x1 conv otherwise) and pre1 (1x1 conv), each + BN, both landing on
+// (c, hw) at the cell's input resolution.
+std::uint64_t preprocess_macs(const CellSpec& s, int hw) {
+  return conv_macs(s.c_prev_prev, s.c, 1, hw, 1) + elementwise_macs(s.c, hw) +
+         conv_macs(s.c_prev, s.c, 1, hw, 1) + elementwise_macs(s.c, hw);
 }
 
-// Walks the stacked-cell structure exactly as Supernet/DiscreteNet build
-// it and sums op MACs via `edge_cost(reduction, edge_index, stride, shape)`.
+// Sums MACs over the stack cell_specs(cfg) lays out, the schedule
+// Supernet and DiscreteNet are built from, charging each cell's (node,
+// input) edges `edge_cost(spec, edge_index, node, input, hw, stride)`.
 template <typename EdgeCost>
 std::uint64_t stacked_macs(const SupernetConfig& cfg, EdgeCost edge_cost) {
   std::uint64_t macs = 0;
@@ -43,35 +33,24 @@ std::uint64_t stacked_macs(const SupernetConfig& cfg, EdgeCost edge_cost) {
   // Stem conv 3x3 + BN.
   macs += conv_macs(cfg.image_channels, cfg.stem_channels, 3, hw, 1);
   macs += elementwise_macs(cfg.stem_channels, hw);
-
-  int c_prev_prev = cfg.stem_channels;
-  int c_prev = cfg.stem_channels;
-  int c_curr = cfg.stem_channels;
-  bool reduction_prev = false;
-  for (int i = 0; i < cfg.num_cells; ++i) {
-    const bool reduction =
-        cfg.num_cells >= 3 &&
-        (i == cfg.num_cells / 3 || i == 2 * cfg.num_cells / 3);
-    if (reduction) c_curr *= 2;
-    CellShape shape{c_prev_prev, c_prev, c_curr, hw,
-                    reduction ? hw / 2 : hw, reduction, reduction_prev};
-    macs += preprocess_macs(shape);
-    for (int node = 0; node < cfg.num_nodes; ++node) {
-      for (int input = 0; input < 2 + node; ++input) {
-        const int e = node * (node + 3) / 2 + input;
-        const int stride = (reduction && input < 2) ? 2 : 1;
-        macs += edge_cost(reduction, e, c_curr,
-                          stride == 2 ? shape.hw_in : shape.hw_out, stride);
+  int c_out = cfg.stem_channels;
+  for (const CellSpec& s : cell_specs(cfg)) {
+    const int hw_out = s.reduction ? hw / 2 : hw;
+    macs += preprocess_macs(s, hw);
+    int e = 0;
+    for (int node = 0; node < s.nodes; ++node) {
+      for (int input = 0; input < 2 + node; ++input, ++e) {
+        const int stride = edge_stride(s, input);
+        macs += edge_cost(s, e, node, input, stride == 2 ? hw : hw_out,
+                          stride);
       }
     }
-    hw = shape.hw_out;
-    reduction_prev = reduction;
-    c_prev_prev = c_prev;
-    c_prev = cfg.num_nodes * c_curr;
+    hw = hw_out;
+    c_out = s.nodes * s.c;
   }
   // Classifier: global average pool + linear.
-  macs += static_cast<std::uint64_t>(c_prev) * hw * hw;
-  macs += static_cast<std::uint64_t>(c_prev) * cfg.num_classes;
+  macs += static_cast<std::uint64_t>(c_out) * hw * hw;
+  macs += static_cast<std::uint64_t>(c_out) * cfg.num_classes;
   return macs;
 }
 
@@ -119,20 +98,20 @@ std::uint64_t op_macs(OpType op, int channels, int hw, int stride) {
 std::uint64_t submodel_macs(const SupernetConfig& cfg, const Mask& mask) {
   FMS_CHECK(static_cast<int>(mask.normal.size()) ==
             Cell::num_edges(cfg.num_nodes));
-  return stacked_macs(cfg, [&](bool reduction, int e, int channels, int hw,
+  return stacked_macs(cfg, [&](const CellSpec& s, int e, int, int, int hw,
                                int stride) {
-    const auto& m = reduction ? mask.reduce : mask.normal;
-    return op_macs(static_cast<OpType>(m[static_cast<std::size_t>(e)]),
-                   channels, hw, stride);
+    const auto& m = s.reduction ? mask.reduce : mask.normal;
+    return op_macs(static_cast<OpType>(m[static_cast<std::size_t>(e)]), s.c,
+                   hw, stride);
   });
 }
 
 std::uint64_t supernet_mixed_macs(const SupernetConfig& cfg) {
-  return stacked_macs(cfg, [&](bool /*reduction*/, int /*e*/, int channels,
-                               int hw, int stride) {
+  return stacked_macs(cfg, [](const CellSpec& s, int, int, int, int hw,
+                              int stride) {
     std::uint64_t macs = 0;
     for (int op = 0; op < kNumOps; ++op) {
-      macs += op_macs(static_cast<OpType>(op), channels, hw, stride);
+      macs += op_macs(static_cast<OpType>(op), s.c, hw, stride);
     }
     return macs;
   });
@@ -140,23 +119,14 @@ std::uint64_t supernet_mixed_macs(const SupernetConfig& cfg) {
 
 std::uint64_t genotype_macs(const SupernetConfig& cfg, const Genotype& g) {
   FMS_CHECK(g.nodes == cfg.num_nodes);
-  return stacked_macs(cfg, [&](bool reduction, int e, int channels, int hw,
-                               int stride) -> std::uint64_t {
-    // Genotype keeps 2 edges per node; map flat edge index back to
-    // (node, input) and charge only selected edges.
-    int node = 0, base = 0;
-    while (base + 2 + node <= e) {
-      base += 2 + node;
-      ++node;
-    }
-    const int input = e - base;
-    const auto& edges = reduction ? g.reduce : g.normal;
+  return stacked_macs(cfg, [&](const CellSpec& s, int, int node, int input,
+                               int hw, int stride) {
+    // A genotype keeps 2 edges per node: charge the ones reading `input`.
+    const auto& edges = s.reduction ? g.reduce : g.normal;
     std::uint64_t macs = 0;
     for (int k = 0; k < 2; ++k) {
       const GenotypeEdge& ge = edges[static_cast<std::size_t>(2 * node + k)];
-      if (ge.input == input) {
-        macs += op_macs(ge.op, channels, hw, stride);
-      }
+      if (ge.input == input) macs += op_macs(ge.op, s.c, hw, stride);
     }
     return macs;
   });

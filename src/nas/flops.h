@@ -5,7 +5,8 @@
 // compute estimates *without running the model* — the server must reason
 // about a sub-model's cost before dispatching it. Counts follow the
 // standard conv MAC formula (Cout * Cin/g * k^2 * Hout * Wout) and include
-// the stem, cell preprocessing, and classifier.
+// the stem, cell preprocessing, and classifier. Every count walks
+// cell_specs(cfg), the schedule Supernet and DiscreteNet are built from.
 #pragma once
 
 #include <cstdint>

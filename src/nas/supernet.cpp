@@ -4,51 +4,9 @@
 #include "src/tensor/ops.h"
 
 namespace fms {
-namespace {
 
-void accumulate(Tensor& dst, const Tensor& src) {
-  if (dst.empty()) {
-    dst = src;
-  } else {
-    dst += src;
-  }
-}
-
-}  // namespace
-
-Supernet::Supernet(const SupernetConfig& cfg, Rng& rng) : cfg_(cfg) {
-  FMS_CHECK(cfg.num_cells >= 1 && cfg.num_nodes >= 1);
-  // Stem: 3x3 conv + BN to stem_channels.
-  auto stem = std::make_unique<Sequential>();
-  stem->add(std::make_unique<Conv2d>(cfg.image_channels, cfg.stem_channels, 3,
-                                     Conv2dSpec{1, 1, 1, 1}, rng));
-  stem->add(std::make_unique<BatchNorm2d>(cfg.stem_channels));
-  stem_ = std::move(stem);
-
-  int c_prev_prev = cfg.stem_channels;
-  int c_prev = cfg.stem_channels;
-  int c_curr = cfg.stem_channels;
-  bool reduction_prev = false;
-  for (int i = 0; i < cfg.num_cells; ++i) {
-    const bool reduction =
-        cfg.num_cells >= 3 &&
-        (i == cfg.num_cells / 3 || i == 2 * cfg.num_cells / 3);
-    if (reduction) c_curr *= 2;
-    CellSpec spec;
-    spec.nodes = cfg.num_nodes;
-    spec.c_prev_prev = c_prev_prev;
-    spec.c_prev = c_prev;
-    spec.c = c_curr;
-    spec.reduction = reduction;
-    spec.reduction_prev = reduction_prev;
-    cells_.push_back(std::make_unique<Cell>(spec, rng));
-    cell_is_reduction_.push_back(reduction);
-    reduction_prev = reduction;
-    c_prev_prev = c_prev;
-    c_prev = cells_.back()->out_channels();
-  }
-  gap_ = std::make_unique<GlobalAvgPool>();
-  classifier_ = std::make_unique<Linear>(c_prev, cfg.num_classes, rng);
+Supernet::Supernet(const SupernetConfig& cfg, Rng& rng)
+    : cfg_(cfg), stack_(cfg, nullptr, rng) {
   build_param_index();
 }
 
@@ -63,29 +21,29 @@ void Supernet::build_param_index() {
   };
   {
     std::vector<Param*> ps;
-    stem_->collect_params(ps);
+    stack_.stem->collect_params(ps);
     add_shared(std::move(ps));
   }
-  for (std::size_t ci = 0; ci < cells_.size(); ++ci) {
+  for (auto& cell : stack_.cells) {
     {
       std::vector<Param*> ps;
-      cells_[ci]->collect_shared_params(ps);
+      cell->collect_shared_params(ps);
       add_shared(std::move(ps));
     }
-    for (int e = 0; e < cells_[ci]->num_edges(); ++e) {
+    for (int e = 0; e < cell->num_edges(); ++e) {
       for (int op = 0; op < kNumOps; ++op) {
         std::vector<Param*> ps;
-        cells_[ci]->collect_op_params(e, op, ps);
+        cell->collect_op_params(e, op, ps);
         for (Param* p : ps) {
           params_.push_back(p);
-          tags_.push_back(ParamTag{false, cell_is_reduction_[ci], e, op});
+          tags_.push_back(ParamTag{false, cell->spec().reduction, e, op});
         }
       }
     }
   }
   {
     std::vector<Param*> ps;
-    classifier_->collect_params(ps);
+    stack_.classifier->collect_params(ps);
     add_shared(std::move(ps));
   }
 }
@@ -95,77 +53,45 @@ Tensor Supernet::forward(const Tensor& x, const Mask& mask, bool train) {
   FMS_CHECK(static_cast<int>(mask.normal.size()) == num_edges());
   FMS_CHECK(static_cast<int>(mask.reduce.size()) == num_edges());
   mixed_mode_ = false;
-  cached_batch_ = x.dim(0);
-  Tensor stem_out = stem_->forward(x, train);
-  Tensor s_pp = stem_out, s_p = stem_out;
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    const auto& m = cell_is_reduction_[i] ? mask.reduce : mask.normal;
-    Tensor out = cells_[i]->forward(s_pp, s_p, m, train);
-    s_pp = std::move(s_p);
-    s_p = std::move(out);
-  }
-  Tensor pooled = gap_->forward(s_p, train);
+  Tensor logits = stack_.forward(
+      x, train, [&](Cell& cell, const Tensor& s0, const Tensor& s1) {
+        return cell.forward(
+            s0, s1, cell.spec().reduction ? mask.reduce : mask.normal, train);
+      });
   has_cache_ = train;
-  return classifier_->forward(pooled, train);
+  return logits;
 }
 
 void Supernet::backward(const Tensor& grad_logits) {
   FMS_OP("nas.backward", {});
   FMS_CHECK_MSG(has_cache_ && !mixed_mode_,
                 "Supernet::backward without masked train forward");
-  Tensor g = classifier_->backward(grad_logits);
-  g = gap_->backward(g);
-  std::vector<Tensor> gstate(cells_.size() + 2);
-  accumulate(gstate[cells_.size() + 1], g);
-  for (int i = static_cast<int>(cells_.size()) - 1; i >= 0; --i) {
-    auto [g0, g1] =
-        cells_[static_cast<std::size_t>(i)]->backward(
-            gstate[static_cast<std::size_t>(i) + 2]);
-    accumulate(gstate[static_cast<std::size_t>(i)], g0);
-    accumulate(gstate[static_cast<std::size_t>(i) + 1], g1);
-  }
-  Tensor stem_grad = gstate[0];
-  stem_grad += gstate[1];
-  stem_->backward(stem_grad);
+  stack_.backward(grad_logits, [](Cell& cell, const Tensor& g) {
+    return cell.backward(g);
+  });
   has_cache_ = false;
 }
 
 Tensor Supernet::forward_mixed(const Tensor& x, const EdgeWeights& w_normal,
                                const EdgeWeights& w_reduce, bool train) {
   mixed_mode_ = true;
-  cached_batch_ = x.dim(0);
-  Tensor stem_out = stem_->forward(x, train);
-  Tensor s_pp = stem_out, s_p = stem_out;
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    const auto& w = cell_is_reduction_[i] ? w_reduce : w_normal;
-    Tensor out = cells_[i]->forward_mixed(s_pp, s_p, w, train);
-    s_pp = std::move(s_p);
-    s_p = std::move(out);
-  }
-  Tensor pooled = gap_->forward(s_p, train);
+  Tensor logits = stack_.forward(
+      x, train, [&](Cell& cell, const Tensor& s0, const Tensor& s1) {
+        return cell.forward_mixed(
+            s0, s1, cell.spec().reduction ? w_reduce : w_normal, train);
+      });
   has_cache_ = train;
-  return classifier_->forward(pooled, train);
+  return logits;
 }
 
 void Supernet::backward_mixed(const Tensor& grad_logits,
                               EdgeWeights& gw_normal, EdgeWeights& gw_reduce) {
   FMS_CHECK_MSG(has_cache_ && mixed_mode_,
                 "Supernet::backward_mixed without mixed train forward");
-  Tensor g = classifier_->backward(grad_logits);
-  g = gap_->backward(g);
-  std::vector<Tensor> gstate(cells_.size() + 2);
-  accumulate(gstate[cells_.size() + 1], g);
-  for (int i = static_cast<int>(cells_.size()) - 1; i >= 0; --i) {
-    auto& gw = cell_is_reduction_[static_cast<std::size_t>(i)] ? gw_reduce
-                                                               : gw_normal;
-    auto [g0, g1] = cells_[static_cast<std::size_t>(i)]->backward_mixed(
-        gstate[static_cast<std::size_t>(i) + 2], gw);
-    accumulate(gstate[static_cast<std::size_t>(i)], g0);
-    accumulate(gstate[static_cast<std::size_t>(i) + 1], g1);
-  }
-  Tensor stem_grad = gstate[0];
-  stem_grad += gstate[1];
-  stem_->backward(stem_grad);
+  stack_.backward(grad_logits, [&](Cell& cell, const Tensor& g) {
+    return cell.backward_mixed(g, cell.spec().reduction ? gw_reduce
+                                                        : gw_normal);
+  });
   has_cache_ = false;
 }
 

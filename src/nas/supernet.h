@@ -34,7 +34,7 @@ class Supernet {
 
   const SupernetConfig& config() const { return cfg_; }
   int num_edges() const { return Cell::num_edges(cfg_.num_nodes); }
-  int num_cells() const { return static_cast<int>(cells_.size()); }
+  int num_cells() const { return static_cast<int>(stack_.cells.size()); }
 
   // --- sub-model (masked) mode: what participants actually run ---
   Tensor forward(const Tensor& x, const Mask& mask, bool train);
@@ -104,18 +104,13 @@ class Supernet {
   void build_param_index();
 
   SupernetConfig cfg_;
-  std::unique_ptr<Module> stem_;
-  std::vector<std::unique_ptr<Cell>> cells_;
-  std::vector<bool> cell_is_reduction_;
-  std::unique_ptr<GlobalAvgPool> gap_;
-  std::unique_ptr<Linear> classifier_;
+  CellStack stack_;
 
   std::vector<Param*> params_;
   std::vector<ParamTag> tags_;
   std::vector<std::size_t> offsets_;  // offset of each param in flat layout
 
   // Backward caches.
-  int cached_batch_ = 0;
   bool has_cache_ = false;
   bool mixed_mode_ = false;
 };

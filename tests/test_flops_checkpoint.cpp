@@ -75,6 +75,45 @@ TEST(Flops, GenotypeMacsPositiveAndBelowFullSepSupernet) {
   EXPECT_LE(macs, submodel_macs(cfg, all_sep5));
 }
 
+// Exact counts on a 4-cell, 3-node stack (reduction cells at 1 and 2, so
+// cell 3 also has a reduction predecessor), recorded before the stack
+// schedule moved into cell_specs(): they pin the Table V cost model.
+SupernetConfig pinned_stack() {
+  SupernetConfig cfg;
+  cfg.num_cells = 4;
+  cfg.num_nodes = 3;
+  cfg.stem_channels = 8;
+  cfg.image_size = 16;
+  cfg.num_classes = 10;
+  cfg.image_channels = 3;
+  return cfg;
+}
+
+TEST(Flops, SubmodelMacsPinned) {
+  const Mask mixed_ops{{0, 1, 2, 3, 4, 5, 6, 7, 1}, {7, 6, 5, 4, 3, 2, 1, 0, 4}};
+  const Mask sep_and_skip{{4, 4, 4, 4, 4, 4, 4, 4, 4},
+                          {1, 1, 1, 1, 1, 1, 1, 1, 1}};
+  EXPECT_EQ(submodel_macs(pinned_stack(), mixed_ops), 1510336u);
+  EXPECT_EQ(submodel_macs(pinned_stack(), sep_and_skip), 1718720u);
+}
+
+TEST(Flops, GenotypeMacsPinned) {
+  // Edge inputs within a node deliberately do not ascend.
+  Genotype g;
+  g.nodes = 3;
+  g.normal = {{1, OpType::kSepConv3}, {0, OpType::kIdentity},
+              {2, OpType::kDilConv5}, {0, OpType::kMaxPool3},
+              {3, OpType::kSepConv5}, {1, OpType::kAvgPool3}};
+  g.reduce = {{1, OpType::kMaxPool3}, {0, OpType::kSepConv5},
+              {2, OpType::kIdentity}, {1, OpType::kDilConv3},
+              {3, OpType::kSepConv3}, {0, OpType::kIdentity}};
+  EXPECT_EQ(genotype_macs(pinned_stack(), g), 1267648u);
+}
+
+TEST(Flops, SupernetMixedMacsPinned) {
+  EXPECT_EQ(supernet_mixed_macs(pinned_stack()), 8925632u);
+}
+
 TEST(Checkpoint, SerializeRoundTrip) {
   SearchCheckpoint ckpt;
   ckpt.num_edges = 5;

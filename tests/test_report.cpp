@@ -40,6 +40,23 @@ void write_file(const std::string& path, const std::string& text) {
   out << text;
 }
 
+// Diffs two runs given as JSONL text. The files are named after the
+// running test: ctest runs each case as its own process in one shared
+// directory, so fixed names would let parallel cases clobber each other.
+obs::RunDiff diff_texts(const std::string& a, const std::string& b) {
+  const std::string stem =
+      std::string("fms_test_diff_") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  const std::string path_a = stem + "_a.jsonl";
+  const std::string path_b = stem + "_b.jsonl";
+  write_file(path_a, a);
+  write_file(path_b, b);
+  obs::RunDiff diff = obs::diff_runs(path_a, path_b);
+  std::remove(path_a.c_str());
+  std::remove(path_b.c_str());
+  return diff;
+}
+
 TEST(ReportTest, GoldenReportMatchesCommittedFixture) {
   // The report is a deterministic function of its inputs; any change to
   // the HTML (layout, numbers, section order) must show up as a diff of
@@ -123,10 +140,7 @@ TEST(ReportTest, DiffReportsIdenticalRunsAsIdentical) {
       "\"mean_reward\":0.5,\"arrived\":4}\n"
       "{\"type\":\"round\",\"name\":\"round\",\"round\":1,"
       "\"mean_reward\":0.625,\"arrived\":4}\n";
-  write_file("fms_test_diff_a.jsonl", text);
-  write_file("fms_test_diff_b.jsonl", text);
-  const obs::RunDiff diff =
-      obs::diff_runs("fms_test_diff_a.jsonl", "fms_test_diff_b.jsonl");
+  const obs::RunDiff diff = diff_texts(text, text);
   EXPECT_TRUE(diff.identical);
   EXPECT_EQ(diff.rounds_a, 2);
   EXPECT_EQ(diff.rounds_b, 2);
@@ -134,8 +148,6 @@ TEST(ReportTest, DiffReportsIdenticalRunsAsIdentical) {
   EXPECT_NE(obs::diff_summary(diff).find("identical"), std::string::npos);
   EXPECT_NE(obs::generate_diff_html(diff, "a", "b").find("IDENTICAL"),
             std::string::npos);
-  std::remove("fms_test_diff_a.jsonl");
-  std::remove("fms_test_diff_b.jsonl");
 }
 
 TEST(ReportTest, DiffPinpointsFirstDivergingRoundAndField) {
@@ -146,16 +158,13 @@ TEST(ReportTest, DiffPinpointsFirstDivergingRoundAndField) {
       "\"mean_reward\":0.5,\"moving_avg\":0.5}\n"
       "{\"type\":\"round\",\"name\":\"round\",\"round\":1,"
       "\"mean_reward\":0.625,\"moving_avg\":0.5625}\n";
-  write_file("fms_test_diff_a.jsonl",
-             head +
-                 "{\"type\":\"round\",\"name\":\"round\",\"round\":2,"
-                 "\"mean_reward\":0.75,\"moving_avg\":0.65625}\n");
-  write_file("fms_test_diff_b.jsonl",
-             head +
-                 "{\"type\":\"round\",\"name\":\"round\",\"round\":2,"
-                 "\"mean_reward\":0.8125,\"moving_avg\":0.65625}\n");
-  const obs::RunDiff diff =
-      obs::diff_runs("fms_test_diff_a.jsonl", "fms_test_diff_b.jsonl");
+  const obs::RunDiff diff = diff_texts(
+      head +
+          "{\"type\":\"round\",\"name\":\"round\",\"round\":2,"
+          "\"mean_reward\":0.75,\"moving_avg\":0.65625}\n",
+      head +
+          "{\"type\":\"round\",\"name\":\"round\",\"round\":2,"
+          "\"mean_reward\":0.8125,\"moving_avg\":0.65625}\n");
   EXPECT_FALSE(diff.identical);
   EXPECT_EQ(diff.first_diverging_round, 2);
   EXPECT_EQ(diff.first_diverging_field, "mean_reward");
@@ -166,28 +175,22 @@ TEST(ReportTest, DiffPinpointsFirstDivergingRoundAndField) {
   EXPECT_NE(summary.find("mean_reward"), std::string::npos);
   EXPECT_NE(obs::generate_diff_html(diff, "a", "b").find("DIVERGED"),
             std::string::npos);
-  std::remove("fms_test_diff_a.jsonl");
-  std::remove("fms_test_diff_b.jsonl");
 }
 
 TEST(ReportTest, DiffFlagsTruncatedRuns) {
   const std::string round0 =
       "{\"type\":\"round\",\"name\":\"round\",\"round\":0,"
       "\"mean_reward\":0.5}\n";
-  write_file("fms_test_diff_a.jsonl",
-             round0 +
-                 "{\"type\":\"round\",\"name\":\"round\",\"round\":1,"
-                 "\"mean_reward\":0.625}\n");
-  write_file("fms_test_diff_b.jsonl", round0);
-  const obs::RunDiff diff =
-      obs::diff_runs("fms_test_diff_a.jsonl", "fms_test_diff_b.jsonl");
+  const obs::RunDiff diff = diff_texts(
+      round0 +
+          "{\"type\":\"round\",\"name\":\"round\",\"round\":1,"
+          "\"mean_reward\":0.625}\n",
+      round0);
   EXPECT_FALSE(diff.identical);
   EXPECT_EQ(diff.first_diverging_round, 1);
   EXPECT_EQ(diff.first_diverging_field, "(missing round)");
   ASSERT_EQ(diff.notes.size(), 1U);
   EXPECT_NE(diff.notes[0].find("round counts differ"), std::string::npos);
-  std::remove("fms_test_diff_a.jsonl");
-  std::remove("fms_test_diff_b.jsonl");
 }
 
 TEST(ReportTest, DiffSkipsLinesWhoseRoundIsNotAnInt) {
@@ -196,18 +199,14 @@ TEST(ReportTest, DiffSkipsLinesWhoseRoundIsNotAnInt) {
   const std::string round0 =
       "{\"type\":\"round\",\"name\":\"round\",\"round\":0,"
       "\"mean_reward\":0.5}\n";
-  write_file("fms_test_diff_a.jsonl",
-             round0 +
-                 "{\"type\":\"round\",\"name\":\"round\",\"round\":1e999,"
-                 "\"mean_reward\":0.625}\n");
-  write_file("fms_test_diff_b.jsonl", round0);
-  const obs::RunDiff diff =
-      obs::diff_runs("fms_test_diff_a.jsonl", "fms_test_diff_b.jsonl");
+  const obs::RunDiff diff = diff_texts(
+      round0 +
+          "{\"type\":\"round\",\"name\":\"round\",\"round\":1e999,"
+          "\"mean_reward\":0.625}\n",
+      round0);
   EXPECT_TRUE(diff.identical);
   EXPECT_EQ(diff.rounds_a, 1);
   EXPECT_EQ(diff.rounds_b, 1);
-  std::remove("fms_test_diff_a.jsonl");
-  std::remove("fms_test_diff_b.jsonl");
 }
 
 TEST(ReportTest, OutOfRangeDegradeModeReadsAsNormal) {
