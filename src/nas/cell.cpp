@@ -90,28 +90,32 @@ Module& Cell::op(std::size_t k, int o) {
 
 Tensor Cell::run(const Tensor& s0, const Tensor& s1, bool train,
                  const EdgeForward& edge) {
-  states_.clear();
-  states_.push_back(pre0_->forward(s0, train));
-  states_.push_back(pre1_->forward(s1, train));
+  std::vector<Tensor> states;
+  states.push_back(pre0_->forward(s0, train));
+  states.push_back(pre1_->forward(s1, train));
   for (std::size_t k = 0; k < edges_.size(); ++k) {
     const Edge& e = edges_[k];
     // edges_ is node-major: the first edge of a node opens its state.
-    if (states_.size() == static_cast<std::size_t>(2 + e.node)) {
-      states_.emplace_back();
+    if (states.size() == static_cast<std::size_t>(2 + e.node)) {
+      states.emplace_back();
     }
-    edge(k, states_[static_cast<std::size_t>(e.input)], states_.back());
+    edge(k, states[static_cast<std::size_t>(e.input)], states.back());
   }
   has_cache_ = train;
-  std::vector<Tensor> outs(states_.begin() + 2, states_.end());
-  return concat_channels(outs);
+  state_shapes_.resize(states.size());
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    state_shapes_[i] = states[i].shape();
+  }
+  states.erase(states.begin(), states.begin() + 2);
+  return concat_channels(states);
 }
 
 std::pair<Tensor, Tensor> Cell::run_backward(const Tensor& grad_out,
                                              const EdgeBackward& edge) {
   std::vector<Tensor> node_grads = split_channels(grad_out, spec_.nodes);
-  std::vector<Tensor> grad_states(states_.size());
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    grad_states[i] = Tensor(states_[i].shape());
+  std::vector<Tensor> grad_states;
+  for (const std::vector<int>& shape : state_shapes_) {
+    grad_states.emplace_back(shape);
   }
   for (int node = 0; node < spec_.nodes; ++node) {
     grad_states[static_cast<std::size_t>(2 + node)] +=
@@ -238,10 +242,11 @@ CellStack::CellStack(const SupernetConfig& cfg, const Genotype* genotype,
 
 Tensor CellStack::forward(const Tensor& x, bool train,
                           const CellForward& step) {
-  Tensor stem_out = stem->forward(x, train);
-  Tensor s_pp = stem_out, s_p = stem_out;
+  // The first cell reads the stem's output as both of its inputs.
+  Tensor s_p = stem->forward(x, train);
+  Tensor s_pp;
   for (auto& cell : cells) {
-    Tensor out = step(*cell, s_pp, s_p);
+    Tensor out = step(*cell, s_pp.empty() ? s_p : s_pp, s_p);
     s_pp = std::move(s_p);
     s_p = std::move(out);
   }
@@ -253,13 +258,13 @@ void CellStack::backward(const Tensor& grad_logits, const CellBackward& step) {
   Tensor g = classifier->backward(grad_logits);
   g = gap->backward(g);
   std::vector<Tensor> gstate(cells.size() + 2);
-  accumulate(gstate[cells.size() + 1], g);
+  accumulate(gstate[cells.size() + 1], std::move(g));
   for (std::size_t i = cells.size(); i-- > 0;) {
     auto [g0, g1] = step(*cells[i], gstate[i + 2]);
-    accumulate(gstate[i], g0);
-    accumulate(gstate[i + 1], g1);
+    accumulate(gstate[i], std::move(g0));
+    accumulate(gstate[i + 1], std::move(g1));
   }
-  Tensor stem_grad = gstate[0];
+  Tensor stem_grad = std::move(gstate[0]);
   stem_grad += gstate[1];
   stem->backward(stem_grad);
 }

@@ -120,8 +120,9 @@ class Cell {
   std::unique_ptr<Module> pre1_;
   std::vector<Edge> edges_;  // node-major
 
-  // Caches for backward.
-  std::vector<Tensor> states_;
+  // Caches for backward: the shapes of pre0's and pre1's outputs and of
+  // the node states, in that order.
+  std::vector<std::vector<int>> state_shapes_;
   std::vector<int> active_;  // the op each edge runs in sub-model mode
   EdgeWeights cached_weights_;
   // Mixed mode: per-edge per-op outputs, for dL/dweight.

@@ -46,6 +46,12 @@ void Supernet::build_param_index() {
     stack_.classifier->collect_params(ps);
     add_shared(std::move(ps));
   }
+  offsets_.clear();
+  std::size_t pos = 0;
+  for (Param* p : params_) {
+    offsets_.push_back(pos);
+    pos += p->numel();
+  }
 }
 
 Tensor Supernet::forward(const Tensor& x, const Mask& mask, bool train) {
@@ -171,16 +177,8 @@ void Supernet::scatter_add_grads(const std::vector<std::size_t>& ids,
 }
 
 std::vector<float> Supernet::gather_from_flat(
-    const std::vector<float>& flat, const std::vector<std::size_t>& ids) {
+    const std::vector<float>& flat, const std::vector<std::size_t>& ids) const {
   obs::ScopedOp op("nas.gather");
-  if (offsets_.empty()) {
-    offsets_.reserve(params_.size());
-    std::size_t pos = 0;
-    for (Param* p : params_) {
-      offsets_.push_back(pos);
-      pos += p->numel();
-    }
-  }
   FMS_CHECK(flat.size() == param_count());
   std::vector<float> out;
   for (std::size_t id : ids) {
@@ -194,16 +192,8 @@ std::vector<float> Supernet::gather_from_flat(
 }
 
 std::vector<float> Supernet::dense_from_masked(
-    const std::vector<std::size_t>& ids, const std::vector<float>& flat) {
+    const std::vector<std::size_t>& ids, const std::vector<float>& flat) const {
   FMS_OP("nas.densify", obs::copy_cost(flat.size()));
-  if (offsets_.empty()) {
-    offsets_.reserve(params_.size());
-    std::size_t pos = 0;
-    for (Param* p : params_) {
-      offsets_.push_back(pos);
-      pos += p->numel();
-    }
-  }
   std::vector<float> dense(param_count(), 0.0F);
   std::size_t pos = 0;
   for (std::size_t id : ids) {
@@ -220,16 +210,8 @@ std::vector<float> Supernet::dense_from_masked(
 }
 
 std::vector<std::uint8_t> Supernet::presence_from_masked(
-    const std::vector<std::size_t>& ids) {
+    const std::vector<std::size_t>& ids) const {
   FMS_OP("nas.presence", {});
-  if (offsets_.empty()) {
-    offsets_.reserve(params_.size());
-    std::size_t pos = 0;
-    for (Param* p : params_) {
-      offsets_.push_back(pos);
-      pos += p->numel();
-    }
-  }
   std::vector<std::uint8_t> present(param_count(), 0);
   for (std::size_t id : ids) {
     const std::size_t off = offsets_[id];

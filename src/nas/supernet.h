@@ -70,19 +70,20 @@ class Supernet {
   // Gathers the masked subset out of a whole-net flat snapshot — lets the
   // delay-compensated update read stale sub-model weights out of the
   // memory pool without materializing a stale supernet.
-  std::vector<float> gather_from_flat(const std::vector<float>& flat,
-                                      const std::vector<std::size_t>& ids);
+  std::vector<float> gather_from_flat(
+      const std::vector<float>& flat,
+      const std::vector<std::size_t>& ids) const;
   // Inverse of gather_from_flat for gradients: scatters a masked flat
   // vector into a dense whole-net vector, exact zero elsewhere — the
   // coordinate space the robust aggregators (src/agg) estimate in, with
   // unsampled ops contributing zero exactly as the plain average does.
   std::vector<float> dense_from_masked(const std::vector<std::size_t>& ids,
-                                       const std::vector<float>& flat);
+                                       const std::vector<float>& flat) const;
   // Companion presence mask: 1 over the coordinates `ids` select, 0
   // elsewhere — tells the participation-aware estimators which zeros in
   // the dense vector are real gradients and which are unsampled ops.
   std::vector<std::uint8_t> presence_from_masked(
-      const std::vector<std::size_t>& ids);
+      const std::vector<std::size_t>& ids) const;
   // Adds a dense whole-net flat vector into every param's .grad (the
   // aggregated-gradient commit path).
   void add_flat_grads(const std::vector<float>& flat);

@@ -28,6 +28,33 @@ constexpr int kMaxTaps = kMaxKernel * kMaxKernel;
 // time, so its workspace stays small whatever the plane size.
 constexpr int kColFloats = 4096;
 
+// Eight floats (or lane masks) in one register: a GCC/Clang vector
+// extension. The GEMM and pool kernels keep their accumulators in these
+// across a loop whose length is known only at run time; plain arrays there
+// round-trip through memory on every step.
+using Vec8 = float __attribute__((vector_size(32)));
+constexpr int kVec = 8;
+
+// Vec8 values go through references: passing one by value changes the
+// calling convention with the target's vector width (-Wpsabi).
+inline void load8(const float* src, Vec8& v) { std::memcpy(&v, src, sizeof v); }
+
+// dst[i] = src[i] over a row, eight floats at a time.
+inline void copy_row(const float* src, float* dst, int len) {
+  int i = 0;
+  for (; i + kVec <= len; i += kVec) {
+    std::memcpy(dst + i, src + i, sizeof(Vec8));
+  }
+  for (; i < len; ++i) dst[i] = src[i];
+}
+
+// Grows a thread-local conv workspace to at least `len` floats. The
+// workspaces never shrink, so a steady-state call allocates nothing.
+float* grown(std::vector<float>& buf, std::size_t len) {
+  if (buf.size() < len) buf.resize(len);
+  return buf.data();
+}
+
 // y[i * incy] = x[i * incx] * a + y[i * incy], one fused step per element.
 // Each element keeps its own accumulation order, so vectorizing across i
 // (unit strides) changes no result.
@@ -163,12 +190,222 @@ struct ConvGeom {
   }
 };
 
+// acc[l] = fmadd(a, b[l], acc[l]) for every lane. GCC compiles the lane
+// loop to one vfmadd231ps where fmadd is fused.
+inline void fma8(float a, const Vec8& b, Vec8& acc) {
+  Vec8 r{};
+  for (int l = 0; l < kVec; ++l) r[l] = fmadd(a, b[l], acc[l]);
+  acc = r;
+}
+
+// One R-row by V-vector register tile of gemm: c[r][j] for r < R and
+// j < V * kVec, each a chain from +0 over p ascending.
+template <int R, int V>
+void gemm_tile(int k, const float* a, std::size_t a_row, std::size_t a_col,
+               const float* b, std::size_t ldb, float* c, std::size_t ldc) {
+  std::array<std::array<Vec8, V>, R> acc{};
+  for (int p = 0; p < k; ++p, a += a_col, b += ldb) {
+    std::array<Vec8, V> bv{};
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) load8(b + v * kVec, bv[v]);
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const float ar = a[r * a_row];
+#pragma GCC unroll 2
+      for (int v = 0; v < V; ++v) fma8(ar, bv[v], acc[r][v]);
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < V; ++v) {
+      std::memcpy(c + r * ldc + v * kVec, &acc[r][v], sizeof(Vec8));
+    }
+  }
+}
+
+// The rows of one V-vector column block: 4-row tiles, then one narrower
+// tile for the m % 4 rows left.
+template <int V>
+void gemm_block(int m, int k, const float* a, std::size_t a_row,
+                std::size_t a_col, const float* b, std::size_t ldb, float* c,
+                std::size_t ldc) {
+  int i = 0;
+  for (; i + 4 <= m; i += 4) {
+    gemm_tile<4, V>(k, a + i * a_row, a_row, a_col, b, ldb, c + i * ldc, ldc);
+  }
+  a += i * a_row;
+  c += i * ldc;
+  switch (m - i) {
+    case 3: gemm_tile<3, V>(k, a, a_row, a_col, b, ldb, c, ldc); break;
+    case 2: gemm_tile<2, V>(k, a, a_row, a_col, b, ldb, c, ldc); break;
+    case 1: gemm_tile<1, V>(k, a, a_row, a_col, b, ldb, c, ldc); break;
+    default: break;
+  }
+}
+
+// C[m x n] = A[m x k] * B[k x n]. A is read at a[i * a_row + p * a_col],
+// so a transposed A costs nothing; B and C are row-major with leading
+// dimensions ldb and ldc. n must be a multiple of kVec: callers zero-pad
+// B's columns and copy out only C's real ones. Every C[i][j] is one chain
+// that starts at +0 and adds A[i][p] * B[p][j] for p ascending, one fmadd
+// per term, with no split of k, so its value does not depend on the tile
+// it lands in.
+void gemm(int m, int n, int k, const float* a, std::size_t a_row,
+          std::size_t a_col, const float* b, std::size_t ldb, float* c,
+          std::size_t ldc) {
+  int j = 0;
+  for (; j + 2 * kVec <= n; j += 2 * kVec) {
+    gemm_block<2>(m, k, a, a_row, a_col, b + j, ldb, c + j, ldc);
+  }
+  if (j < n) gemm_block<1>(m, k, a, a_row, a_col, b + j, ldb, c + j, ldc);
+}
+
+std::size_t round_to_vec(int len) {
+  return static_cast<std::size_t>((len + kVec - 1) / kVec * kVec);
+}
+
+// The output positions (n, oh, ow) of a 1x1 conv without padding, in
+// order, as GEMM columns: position (oh, ow) reads input pixel
+// (oh * stride, ow * stride) of an h x w plane. Packed rows are `ld`
+// floats long, the position count rounded up to a whole vector.
+struct Pointwise {
+  int n = 0, h = 0, w = 0, stride = 1;
+  int ho = 0, wo = 0;
+  int cols = 0;        // n * ho * wo
+  std::size_t ld = 0;
+
+  Pointwise(int n_, int h_, int w_, int stride_)
+      : n(n_), h(h_), w(w_), stride(stride_), ho((h_ - 1) / stride_ + 1),
+        wo((w_ - 1) / stride_ + 1), cols(n_ * ho * wo),
+        ld(round_to_vec(cols)) {}
+
+  // The same columns over the output planes, where position p reads p.
+  Pointwise outputs() const { return {n, ho, wo, 1}; }
+
+  // Calls f(position, pixel) for every position of one plane, in order.
+  template <typename F>
+  void each_pixel(F&& f) const {
+    if (stride == 1) {
+      for (int o = 0; o < ho * wo; ++o) f(o, o);
+      return;
+    }
+    int o = 0;
+    for (int oh = 0; oh < ho; ++oh) {
+      for (int ow = 0; ow < wo; ++ow) f(o++, (oh * w + ow) * stride);
+    }
+  }
+
+  // Plane (image in, channel c) of an NCHW tensor with `channels` planes
+  // per image.
+  std::size_t plane(int in, int c, int channels) const {
+    return (static_cast<std::size_t>(in) * channels + c) * h * w;
+  }
+
+  // dst[c * ld + j] = channel c's pixel of column j in the NCHW tensor
+  // src, for every channel; the padding columns are zero.
+  void pack_rows(const float* src, int channels, float* dst) const {
+    const int per_image = ho * wo;
+    for (int c = 0; c < channels; ++c) {
+      float* row = dst + c * ld;
+      for (int in = 0; in < n; ++in, row += per_image) {
+        const float* p = src + plane(in, c, channels);
+        each_pixel([&](int o, int i) { row[o] = p[i]; });
+      }
+      std::fill(row, dst + (c + 1) * ld, 0.0F);
+    }
+  }
+
+  // The inverse of pack_rows: column j of each row goes back to its pixel.
+  // Pixels no column reads (stride > 1) are left alone.
+  void unpack_rows(const float* src, int channels, float* dst) const {
+    const int per_image = ho * wo;
+    for (int c = 0; c < channels; ++c) {
+      const float* row = src + c * ld;
+      for (int in = 0; in < n; ++in, row += per_image) {
+        float* p = dst + plane(in, c, channels);
+        each_pixel([&](int o, int i) { p[i] = row[o]; });
+      }
+    }
+  }
+
+  // pack_rows transposed: dst[j * ldt + c], with rows ldt >= channels
+  // long whose padding is zero.
+  void pack_cols(const float* src, int channels, float* dst,
+                 std::size_t ldt) const {
+    const int per_image = ho * wo;
+    for (int j = 0; j < cols; ++j) {
+      std::fill(dst + j * ldt + channels, dst + (j + 1) * ldt, 0.0F);
+    }
+    for (int in = 0; in < n; ++in) {
+      float* col = dst + static_cast<std::size_t>(in) * per_image * ldt;
+      for (int c = 0; c < channels; ++c) {
+        const float* p = src + plane(in, c, channels);
+        each_pixel([&](int o, int i) { col[o * ldt + c] = p[i]; });
+      }
+    }
+  }
+};
+
+// A 1x1 conv without padding or groups (the DARTS pointwise convs and the
+// factorized reduce) is one GEMM per output; other convs take the per-tap
+// path.
+bool is_pointwise(int kh, int kw, const Conv2dSpec& spec) {
+  return kh == 1 && kw == 1 && spec.padding == 0 && spec.groups == 1;
+}
+
+// Packing buffers of the pointwise convs.
+thread_local std::vector<float> pack_in, pack_out, pack_grad;
+
+// y = W * X, with x packed as [cin, cols].
+Tensor pointwise_forward(const Tensor& x, const Tensor& w, int stride) {
+  const int n = x.dim(0), cin = x.dim(1), cout = w.dim(0);
+  const Pointwise pw(n, x.dim(2), x.dim(3), stride);
+  float* xs = grown(pack_in, cin * pw.ld);
+  float* ys = grown(pack_out, cout * pw.ld);
+  pw.pack_rows(x.data(), cin, xs);
+  gemm(cout, static_cast<int>(pw.ld), cin, w.data(), cin, 1, xs, pw.ld, ys,
+       pw.ld);
+  Tensor y({n, cout, pw.ho, pw.wo});
+  pw.outputs().unpack_rows(ys, cout, y.data());
+  return y;
+}
+
+// grad_x = W^T * GY over oc ascending, scattered back to the pixels the
+// forward read (the rest stay 0); grad_w = GY * X^T over the positions
+// in order, with x packed as [cols, cin].
+Conv2dGrads pointwise_backward(const Tensor& x, const Tensor& w,
+                               const Tensor& grad_y, int stride) {
+  const int n = x.dim(0), cin = x.dim(1), cout = w.dim(0);
+  const Pointwise pw(n, x.dim(2), x.dim(3), stride);
+  FMS_CHECK(grad_y.dim(2) == pw.ho && grad_y.dim(3) == pw.wo);
+  Conv2dGrads g{Tensor({n, cin, pw.h, pw.w}), Tensor({cout, cin, 1, 1})};
+
+  float* gys = grown(pack_grad, cout * pw.ld);
+  pw.outputs().pack_rows(grad_y.data(), cout, gys);
+  float* gxs = grown(pack_out, cin * pw.ld);
+  gemm(cin, static_cast<int>(pw.ld), cout, w.data(), 1, cin, gys, pw.ld, gxs,
+       pw.ld);
+  pw.unpack_rows(gxs, cin, g.grad_x.data());
+
+  const std::size_t ldt = round_to_vec(cin);
+  float* xt = grown(pack_in, pw.cols * ldt);
+  pw.pack_cols(x.data(), cin, xt, ldt);
+  float* gws = grown(pack_out, cout * ldt);
+  gemm(cout, static_cast<int>(ldt), pw.cols, gys, pw.ld, 1, xt, ldt, gws, ldt);
+  for (int oc = 0; oc < cout; ++oc) {
+    copy_row(gws + oc * ldt, g.grad_w.data() + oc * cin, cin);
+  }
+  return g;
+}
+
 }  // namespace
 
 // The kernels vectorize across output elements while every element keeps
 // the reduction order of the direct loops they replaced (kept as the test
 // oracle in tests/conv_reference.h), one fused multiply-add (fmadd) per
-// term, so their results are bit-identical to those loops':
+// term, so their results are bit-identical to those loops'. A 1x1 conv
+// without padding or groups is one gemm per output over packed columns
+// (pointwise_forward, pointwise_backward): y over ic ascending, grad_x
+// over oc ascending, grad_w over (n, oh, ow) ascending. Other convs run:
 //   y       taps in (ic, r, c) order: one shifted axpy per tap;
 //   grad_x  oc-major, then taps in (r, c) descending order, which is
 //           (oh, ow) ascending for each input element;
@@ -192,6 +429,7 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& w,
                                                << " groups=" << g);
   const int ho = conv_out_size(h, kh, spec.stride, spec.padding, spec.dilation);
   const int wo = conv_out_size(ww, kw, spec.stride, spec.padding, spec.dilation);
+  if (is_pointwise(kh, kw, spec)) return pointwise_forward(x, w, spec.stride);
   const int cout_g = cout / g;
   const ConvGeom geom(h, ww, ho, wo, kh, kw, spec);
   const std::size_t x_plane = static_cast<std::size_t>(h) * ww;
@@ -224,6 +462,9 @@ Conv2dGrads conv2d_backward(const Tensor& x, const Tensor& w,
   const int g = spec.groups;
   const int ho = grad_y.dim(2), wo = grad_y.dim(3);
   FMS_CHECK(grad_y.dim(0) == n && grad_y.dim(1) == cout);
+  if (is_pointwise(kh, kw, spec)) {
+    return pointwise_backward(x, w, grad_y, spec.stride);
+  }
   const int cout_g = cout / g;
   const ConvGeom geom(h, ww, ho, wo, kh, kw, spec);
   const std::size_t x_plane = static_cast<std::size_t>(h) * ww;
@@ -309,10 +550,8 @@ Conv2dGrads conv2d_backward(const Tensor& x, const Tensor& w,
   // Dense and grouped: im2col rows in chunks of at most kColFloats, each
   // folded into every weight row of its group in output-position order.
   const int chunk = std::clamp(kColFloats / k, 1, positions);
-  thread_local std::vector<float> col;
-  if (col.size() < static_cast<std::size_t>(chunk) * k) {
-    col.resize(static_cast<std::size_t>(chunk) * k);
-  }
+  thread_local std::vector<float> col_buf;
+  float* const col = grown(col_buf, static_cast<std::size_t>(chunk) * k);
   for (int in = 0; in < n; ++in) {
     for (int gi = 0; gi < g; ++gi) {
       const float* xg = geom.padded_planes(
@@ -320,7 +559,7 @@ Conv2dGrads conv2d_backward(const Tensor& x, const Tensor& w,
           cin_g, padded);
       for (int p0 = 0; p0 < positions; p0 += chunk) {
         const int p1 = std::min(positions, p0 + chunk);
-        float* row = col.data();
+        float* row = col;
         for (int p = p0; p < p1; ++p) {
           const float* base = xg + geom.pad_base(p);
           for (int ic = 0; ic < cin_g; ++ic, base += geom.padded_plane) {
@@ -334,7 +573,7 @@ Conv2dGrads conv2d_backward(const Tensor& x, const Tensor& w,
           const float* gyp =
               grad_y.data() +
               (static_cast<std::size_t>(in) * cout + oc) * y_plane;
-          const float* crow = col.data();
+          const float* crow = col;
           for (int p = p0; p < p1; ++p, crow += k) {
             axpy(k, gyp[p], crow, 1, gwp, 1);
           }
@@ -563,21 +802,11 @@ void batchnorm2d_backward(const Shape4& s, const float* __restrict gy,
 
 namespace {
 
-// Eight floats (or lane masks) in one register: a GCC/Clang vector
-// extension. The pool kernels keep their accumulators in these across a
-// tap loop whose length is known only at run time; plain arrays there
-// round-trip through memory on every tap.
-using Vec8 = float __attribute__((vector_size(32)));
 using Mask8 = std::int32_t __attribute__((vector_size(32)));
-constexpr int kVec = 8;
 // Vectors per register block: enough independent chains to cover the
 // latency of an add or a compare-and-blend.
 constexpr std::size_t kChains = 4;
 constexpr std::size_t kPoolLanes = kChains * kVec;  // slots per block
-
-// Vec8 values go through references: passing one by value changes the
-// calling convention with the target's vector width (-Wpsabi).
-inline void load8(const float* src, Vec8& v) { std::memcpy(&v, src, sizeof v); }
 
 // dst[i] = src[i] * scale over a row, eight floats at a time.
 inline void scale_row(const float* src, float scale, float* dst, int len) {
@@ -602,15 +831,6 @@ inline void narrow_row(const int* src, std::uint8_t* dst, int len) {
     std::memcpy(dst + i, &b, sizeof b);
   }
   for (; i < len; ++i) dst[i] = static_cast<std::uint8_t>(src[i]);
-}
-
-// dst[i] = src[i] over a row, eight floats at a time.
-inline void copy_row(const float* src, float* dst, int len) {
-  int i = 0;
-  for (; i + kVec <= len; i += kVec) {
-    std::memcpy(dst + i, src + i, sizeof(Vec8));
-  }
-  for (; i < len; ++i) dst[i] = src[i];
 }
 
 // A stride-2 pool's row split: even elements to `even`, odd ones to `odd`.

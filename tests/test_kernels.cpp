@@ -92,6 +92,21 @@ ConvCase draw_case(Rng& rng) {
   return cc;
 }
 
+// One 1x1 conv without padding or groups: the convs that run as a GEMM in
+// 4-row by 16-column tiles. M is Cout for y and grad_w and Cin for grad_x,
+// so both reach full row tiles and 1-3-row tails; N*Ho*Wo reaches past two
+// vectors of output positions and ends in a partial vector.
+ConvCase draw_pointwise_case(Rng& rng) {
+  ConvCase cc;
+  cc.n = rng.randint(1, 3);
+  cc.cin = rng.randint(1, 20);
+  cc.cout = rng.randint(5, 15);
+  cc.spec.stride = rng.randint(1, 2);
+  cc.h = rng.randint(3, 10);
+  cc.w = rng.randint(3, 10);
+  return cc;
+}
+
 struct ConvData {
   Tensor x, w, gy;
 };
@@ -112,9 +127,11 @@ ConvData draw_data(const ConvCase& cc, Rng& rng) {
 
 TEST(ConvKernel, MatchesOracleBitForBitOnRandomShapes) {
   Rng rng(0xC0DE);
-  int batch1 = 0, tiny = 0, depthwise = 0;
-  for (int draw = 0; draw < kDraws; ++draw) {
-    const ConvCase cc = draw_case(rng);
+  int batch1 = 0, tiny = 0, depthwise = 0, gemm_tails = 0;
+  // kDraws general draws, then half as many 1x1 draws.
+  for (int draw = 0; draw < kDraws + kDraws / 2; ++draw) {
+    const bool pointwise = draw >= kDraws;
+    const ConvCase cc = pointwise ? draw_pointwise_case(rng) : draw_case(rng);
     const ConvData d = draw_data(cc, rng);
     SCOPED_TRACE("draw " + std::to_string(draw) + ": " + cc.str());
     const Conv2dGrads g = conv2d_backward(d.x, d.w, d.gy, cc.spec);
@@ -123,6 +140,11 @@ TEST(ConvKernel, MatchesOracleBitForBitOnRandomShapes) {
                           ref::conv2d_forward(d.x, d.w, cc.spec)));
     EXPECT_TRUE(bit_equal("grad_x", g.grad_x, want.grad_x));
     EXPECT_TRUE(bit_equal("grad_w", g.grad_w, want.grad_w));
+    if (pointwise) {
+      const int cols = cc.n * cc.out_h() * cc.out_w();
+      gemm_tails += cc.cout % 4 != 0 && cols > 16 && cols % 8 != 0 ? 1 : 0;
+      continue;
+    }
     batch1 += cc.n == 1 ? 1 : 0;
     tiny += cc.out_h() <= 2 && cc.out_w() <= 2 ? 1 : 0;
     depthwise += cc.spec.groups == cc.cin && cc.cin > 1 ? 1 : 0;
@@ -131,6 +153,7 @@ TEST(ConvKernel, MatchesOracleBitForBitOnRandomShapes) {
   EXPECT_GE(batch1, kDraws / 10);
   EXPECT_GE(tiny, kDraws / 10);
   EXPECT_GE(depthwise, kDraws / 10);
+  EXPECT_GE(gemm_tails, kDraws / 10);
 }
 
 double dot(const Tensor& a, const Tensor& b) {

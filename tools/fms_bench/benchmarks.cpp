@@ -162,6 +162,31 @@ std::vector<Benchmark> default_benchmarks() {
                       }
                     };
                   }});
+  // The pointwise convs of a batch-16 search at their in-situ shapes:
+  // C=12 on 4x4 planes and C=24 on 2x2 planes, each one GEMM per output.
+  list.push_back({"nn.conv1x1_fwd_bwd", 40, []() -> std::function<void()> {
+                    Rng rng(14);
+                    struct Layer {
+                      Conv2d conv;
+                      Tensor x;
+                      Tensor g;
+                    };
+                    auto layers = std::make_shared<std::vector<Layer>>();
+                    for (const auto& [c, hw] : {std::pair{12, 4},
+                                               std::pair{24, 2}}) {
+                      Conv2d conv(c, c, 1, Conv2dSpec{1, 0, 1, 1}, rng);
+                      Tensor x = Tensor::randn({16, c, hw, hw}, rng);
+                      Tensor g = Tensor::randn({16, c, hw, hw}, rng);
+                      layers->push_back(
+                          {std::move(conv), std::move(x), std::move(g)});
+                    }
+                    return [layers] {
+                      for (Layer& l : *layers) {
+                        l.conv.forward(l.x, /*train=*/true);
+                        l.conv.backward(l.g);
+                      }
+                    };
+                  }});
   list.push_back({"nn.bn_fwd", 60, []() -> std::function<void()> {
                     Rng rng(3);
                     auto bn = std::make_shared<BatchNorm2d>(8);
