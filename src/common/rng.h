@@ -6,6 +6,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <sstream>
@@ -47,8 +48,16 @@ class Rng {
   }
 
   // Samples an index according to the (unnormalized, non-negative) weights.
+  // Weights whose sum is not a positive finite number (a NaN, an Inf, all
+  // zeros) carry no distribution; std::discrete_distribution requires one,
+  // so those draw an index uniformly instead.
   int categorical(const std::vector<float>& weights) {
     FMS_CHECK(!weights.empty());
+    double sum = 0.0;
+    for (float w : weights) sum += w;
+    if (!(sum > 0.0 && std::isfinite(sum))) {
+      return randint(0, static_cast<int>(weights.size()) - 1);
+    }
     std::discrete_distribution<int> d(weights.begin(), weights.end());
     return d(engine_);
   }

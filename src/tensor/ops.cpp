@@ -48,9 +48,10 @@ inline void copy_row(const float* src, float* dst, int len) {
   for (; i < len; ++i) dst[i] = src[i];
 }
 
-// Grows a thread-local conv workspace to at least `len` floats. The
+// Grows a thread-local conv workspace to at least `len` elements. The
 // workspaces never shrink, so a steady-state call allocates nothing.
-float* grown(std::vector<float>& buf, std::size_t len) {
+template <typename T>
+T* grown(std::vector<T>& buf, std::size_t len) {
   if (buf.size() < len) buf.resize(len);
   return buf.data();
 }
@@ -104,7 +105,6 @@ struct ConvGeom {
   int stride = 1, pad = 0;
   std::array<Tap, kMaxTaps> taps{};  // non-empty taps in (r, c) order
   int ntaps = 0;
-  int window_macs = 0;  // sum of the taps' window sizes
   // Zero-padded input planes (padded_planes) are wp wide and hp * wp
   // long; pad_off[k] is tap k's offset from an output position's base
   // (oh * stride) * wp + ow * stride in them.
@@ -138,7 +138,6 @@ struct ConvGeom {
             Tap{k, (rs.lo * stride - pad + r * dil) * w + cs.lo * stride -
                        pad + c * dil,
                 rs.lo * wo + cs.lo, rs.hi - rs.lo, cs.hi - cs.lo};
-        window_macs += (rs.hi - rs.lo) * (cs.hi - cs.lo);
       }
     }
   }
@@ -346,8 +345,7 @@ struct Pointwise {
 };
 
 // A 1x1 conv without padding or groups (the DARTS pointwise convs and the
-// factorized reduce) is one GEMM per output; other convs take the per-tap
-// path.
+// factorized reduce) is one GEMM per output.
 bool is_pointwise(int kh, int kw, const Conv2dSpec& spec) {
   return kh == 1 && kw == 1 && spec.padding == 0 && spec.groups == 1;
 }
@@ -397,27 +395,517 @@ Conv2dGrads pointwise_backward(const Tensor& x, const Tensor& w,
   return g;
 }
 
+// A depthwise conv: one input channel per group and one output channel per
+// input channel, with a kernel wider than one pixel (the first conv of
+// every DARTS separable and dilated conv). It runs with the channels in
+// the vector lanes.
+bool is_depthwise(int cin, int cout, int kh, int kw, const Conv2dSpec& spec) {
+  return spec.groups == cin && cout == cin && kh * kw > 1;
+}
+
+// acc[l] = fmadd(a[l], b[l], acc[l]) for every lane.
+inline void fma8(const Vec8& a, const Vec8& b, Vec8& acc) {
+  Vec8 r{};
+  for (int l = 0; l < kVec; ++l) r[l] = fmadd(a[l], b[l], acc[l]);
+  acc = r;
+}
+
+// Transposes the 8 x 8 block r in place: r[i][j] becomes r[j][i].
+inline void transpose8(std::array<Vec8, kVec>& r) {
+  std::array<Vec8, kVec> t;
+  for (int i = 0; i < kVec; i += 2) {
+    t[i] = __builtin_shufflevector(r[i], r[i + 1], 0, 8, 1, 9, 4, 12, 5, 13);
+    t[i + 1] =
+        __builtin_shufflevector(r[i], r[i + 1], 2, 10, 3, 11, 6, 14, 7, 15);
+  }
+  for (int i = 0; i < kVec; i += 4) {
+    for (int j = 0; j < 2; ++j) {
+      r[i + 2 * j] = __builtin_shufflevector(t[i + j], t[i + j + 2], 0, 1, 8,
+                                             9, 4, 5, 12, 13);
+      r[i + 2 * j + 1] = __builtin_shufflevector(t[i + j], t[i + j + 2], 2, 3,
+                                                 10, 11, 6, 7, 14, 15);
+    }
+  }
+  for (int i = 0; i < kVec / 2; ++i) {
+    t[i] = __builtin_shufflevector(r[i], r[i + 4], 0, 1, 2, 3, 8, 9, 10, 11);
+    t[i + 4] =
+        __builtin_shufflevector(r[i], r[i + 4], 4, 5, 6, 7, 12, 13, 14, 15);
+  }
+  r = t;
+}
+
+// Pixel i of `c` planes of `len` pixels goes to the cp lanes at
+// dst + cells[i], lanes c .. cp - 1 zero: dst[cells[i] + ch] =
+// src[ch * len + i]. Eight channels by eight pixels at a time go through
+// registers.
+void to_cells(const float* src, int c, int len, int cp,
+              const std::size_t* cells, float* dst) {
+  const auto n = static_cast<std::size_t>(len);
+  for (int b = 0; b < cp; b += kVec) {
+    const auto rows = static_cast<std::size_t>(std::min(kVec, c - b));
+    const float* block = src + static_cast<std::size_t>(b) * n;
+    std::size_t i = 0;
+    for (; i + kVec <= n; i += kVec) {
+      std::array<Vec8, kVec> r{};
+      for (std::size_t l = 0; l < rows; ++l) load8(block + l * n + i, r[l]);
+      transpose8(r);
+      for (std::size_t j = 0; j < kVec; ++j) {
+        std::memcpy(dst + cells[i + j] + b, &r[j], sizeof(Vec8));
+      }
+    }
+    for (; i < n; ++i) {
+      float* cell = dst + cells[i] + b;
+      for (std::size_t l = 0; l < kVec; ++l) {
+        cell[l] = l < rows ? block[l * n + i] : 0.0F;
+      }
+    }
+  }
+}
+
+// The inverse of to_cells over consecutive cells (cells[i] == i * cp);
+// the padding lanes are dropped.
+void from_lanes(const float* src, int c, int len, int cp, float* dst) {
+  const auto n = static_cast<std::size_t>(len);
+  const auto lanes = static_cast<std::size_t>(cp);
+  for (int b = 0; b < cp; b += kVec) {
+    const auto rows = static_cast<std::size_t>(std::min(kVec, c - b));
+    float* block = dst + static_cast<std::size_t>(b) * n;
+    std::size_t i = 0;
+    for (; i + kVec <= n; i += kVec) {
+      std::array<Vec8, kVec> r;
+      for (std::size_t j = 0; j < kVec; ++j) {
+        load8(src + (i + j) * lanes + b, r[j]);
+      }
+      transpose8(r);
+      for (std::size_t l = 0; l < rows; ++l) {
+        std::memcpy(block + l * n + i, &r[l], sizeof(Vec8));
+      }
+    }
+    for (; i < n; ++i) {
+      const float* cell = src + i * lanes + b;
+      for (std::size_t l = 0; l < rows; ++l) block[l * n + i] = cell[l];
+    }
+  }
+}
+
+// Output positions per register tile of the depthwise kernels.
+constexpr int kLaneTile = 8;
+
+// Calls f(std::integral_constant<int, n>) for a run-time 1 <= n <= kMax,
+// so that a register tile's size is a compile-time constant.
+template <int kMax, typename F>
+void with_count(int n, F&& f) {
+  if constexpr (kMax > 1) {
+    if (n < kMax) {
+      with_count<kMax - 1>(n, f);
+      return;
+    }
+  }
+  f(std::integral_constant<int, kMax>{});
+}
+
+// The taps one depthwise correlation runs, in chain order: tap t reads the
+// grid cell off[t] floats past an output position's base cell and weighs
+// it by lane vector k[t] of the packed weights.
+struct LaneTaps {
+  int n = 0;
+  std::array<std::size_t, kMaxTaps> off{};
+  std::array<int, kMaxTaps> k{};
+};
+
+// A grid of output positions (i, j), i < ni and j < nj: position (i, j)
+// is based at grid float base0 + i * base_i + j * base_j and writes its
+// cp lanes at out0 + i * out_i + j * out_j.
+struct LanePositions {
+  int ni = 0, nj = 0;
+  std::size_t base0 = 0, base_i = 0, base_j = 0;
+  std::size_t out0 = 0, out_i = 0, out_j = 0;
+};
+
+// T output positions of one 8-lane block, based at grid + base[i] and
+// written at out + dst[i]: each lane is a chain from +0 over the taps in
+// order.
+template <int T>
+void lane_tile(const float* grid, const std::size_t* base,
+               const LaneTaps& taps, const float* wl, int cp,
+               const std::size_t* dst, float* out) {
+  std::array<Vec8, T> acc{};
+  for (int t = 0; t < taps.n; ++t) {
+    const auto ti = static_cast<std::size_t>(t);
+    Vec8 wv;
+    load8(wl + static_cast<std::size_t>(taps.k[ti]) * cp, wv);
+    const float* g = grid + taps.off[ti];
+#pragma GCC unroll 8
+    for (int i = 0; i < T; ++i) {
+      Vec8 xv;
+      load8(g + base[i], xv);
+      fma8(xv, wv, acc[i]);
+    }
+  }
+  for (int i = 0; i < T; ++i) {
+    std::memcpy(out + dst[i], &acc[i], sizeof(Vec8));
+  }
+}
+
+// Correlates the taps with the grid at every position of `pos`; wl holds
+// the weights as [kh * kw][cp].
+void lane_correlate(const float* grid, const LanePositions& pos,
+                    const LaneTaps& taps, const float* wl, int cp,
+                    float* out) {
+  std::array<std::size_t, kLaneTile> base{}, dst{};
+  int i = 0, j = 0;
+  for (int left = pos.ni * pos.nj; left > 0;) {
+    const int np = std::min(kLaneTile, left);
+    for (int p = 0; p < np; ++p) {
+      const auto ui = static_cast<std::size_t>(i);
+      const auto uj = static_cast<std::size_t>(j);
+      base[static_cast<std::size_t>(p)] =
+          pos.base0 + ui * pos.base_i + uj * pos.base_j;
+      dst[static_cast<std::size_t>(p)] =
+          pos.out0 + ui * pos.out_i + uj * pos.out_j;
+      if (++j == pos.nj) {
+        j = 0;
+        ++i;
+      }
+    }
+    left -= np;
+    for (int b = 0; b < cp; b += kVec) {
+      with_count<kLaneTile>(np, [&](auto t) {
+        lane_tile<decltype(t)::value>(grid + b, base.data(), taps, wl + b, cp,
+                                      dst.data(), out + b);
+      });
+    }
+  }
+}
+
+// A depthwise conv's geometry. Only the taps ConvGeom keeps run, so each
+// grid spans just the rows r_lo .. r_hi and columns c_lo .. c_hi of the
+// kernel that some kept tap reads.
+//   y       a correlation over the input placed on a zero fh x fw grid
+//           (its padding): output (oh, ow) is a chain from +0 over the
+//           taps in (r, c) order.
+//   grad_x  a correlation at stride 1 over grad_y placed on a zero bh x bw
+//           grid upsampled by the stride, with the taps flipped: input
+//           (ih, iw) is a chain from +0 over the taps in (r, c)
+//           descending order, which is (oh, ow) ascending. Inputs run by
+//           phase (ih % stride, iw % stride), each with only the taps
+//           that land on grad_y cells.
+//   grad_w  each tap's lane vector is a chain over (n, oh, ow) ascending
+//           of grad_y times the input cell it read; the outputs that read
+//           only padding add nothing and are skipped.
+// A term the oracle skips reads 0 here: fmadd(0, v, acc) == acc for
+// finite v, and an accumulator that starts at +0 never becomes -0.
+struct DepthwiseGeom {
+  int c = 0, cp = 0;  // channels, and lanes per cell (c rounded up to kVec)
+  int h = 0, w = 0, ho = 0, wo = 0, stride = 1, taps = 0;
+  int fh = 0, fw = 0, f_top = 0, f_left = 0;  // the forward grid
+  int bh = 0, bw = 0, b_top = 0, b_left = 0;  // the grad_x grid
+  LaneTaps fwd, bwd;
+  // The grad_x phase (a, b) whose inputs tap t of bwd lands on grad_y
+  // cells for, as a * stride + b.
+  std::array<int, kMaxTaps> bwd_phase{};
+
+  DepthwiseGeom(int c_, int h_, int w_, int ho_, int wo_, int kh, int kw,
+                const Conv2dSpec& spec)
+      : c(c_), cp(static_cast<int>(round_to_vec(c_))), h(h_), w(w_), ho(ho_),
+        wo(wo_), stride(spec.stride), taps(kh * kw) {
+    const ConvGeom geom(h, w, ho, wo, kh, kw, spec);
+    const int d = spec.dilation, p = spec.padding;
+    // With no tap kept every output is +0, over any grid.
+    int r_lo = geom.ntaps > 0 ? kh : 0, r_hi = 0;
+    int c_lo = geom.ntaps > 0 ? kw : 0, c_hi = 0;
+    for (int t = 0; t < geom.ntaps; ++t) {
+      const int k = geom.taps[static_cast<std::size_t>(t)].k;
+      r_lo = std::min(r_lo, k / kw);
+      r_hi = std::max(r_hi, k / kw);
+      c_lo = std::min(c_lo, k % kw);
+      c_hi = std::max(c_hi, k % kw);
+    }
+    fh = (ho - 1) * stride + (r_hi - r_lo) * d + 1;
+    fw = (wo - 1) * stride + (c_hi - c_lo) * d + 1;
+    f_top = p - r_lo * d;
+    f_left = p - c_lo * d;
+    bh = h + (r_hi - r_lo) * d;
+    bw = w + (c_hi - c_lo) * d;
+    b_top = r_hi * d - p;
+    b_left = c_hi * d - p;
+    fwd.n = bwd.n = geom.ntaps;
+    for (int t = 0; t < geom.ntaps; ++t) {
+      const int k = geom.taps[static_cast<std::size_t>(t)].k;
+      const int r = k / kw, cc = k % kw;
+      const auto i = static_cast<std::size_t>(t);
+      fwd.k[i] = k;
+      fwd.off[i] = cell((r - r_lo) * d, (cc - c_lo) * d, fw);
+      const auto j = static_cast<std::size_t>(geom.ntaps - 1 - t);
+      bwd.k[j] = k;
+      bwd.off[j] = cell((r_hi - r) * d, (c_hi - cc) * d, bw);
+      // Grid row ih + (r_hi - r) * d holds grad_y where it is b_top
+      // modulo the stride; likewise for columns.
+      bwd_phase[j] = mod(b_top - (r_hi - r) * d) * stride +
+                     mod(b_left - (c_hi - cc) * d);
+    }
+  }
+
+  // Offset of cell (r, c) of a grid gw cells wide.
+  std::size_t cell(int r, int c, int gw) const {
+    return (static_cast<std::size_t>(r) * gw + c) * cp;
+  }
+  std::size_t in_cells() const { return static_cast<std::size_t>(h) * w; }
+  std::size_t out_cells() const { return static_cast<std::size_t>(ho) * wo; }
+  // Floats of a grid with one spare cell past its end, which takes the
+  // pixels that land outside it.
+  std::size_t grid_floats(int gh, int gw) const {
+    return (static_cast<std::size_t>(gh) * gw + 1) * cp;
+  }
+  // Whether the input fills the forward grid exactly (no padding read).
+  bool input_is_grid() const {
+    return fh == h && fw == w && f_top == 0 && f_left == 0;
+  }
+
+  // cells[i] = where pixel i of an hp x wp plane goes: cell (i / wp *
+  // step + top, i % wp * step + left) of a gh x gw grid, or its spare
+  // cell.
+  void place(int hp, int wp, int step, int top, int left, int gh, int gw,
+             std::size_t* cells) const {
+    const std::size_t spare = static_cast<std::size_t>(gh) * gw * cp;
+    for (int i = 0; i < hp; ++i) {
+      const int r = i * step + top;
+      for (int j = 0; j < wp; ++j, ++cells) {
+        const int cc = j * step + left;
+        *cells = r >= 0 && r < gh && cc >= 0 && cc < gw
+                     ? (static_cast<std::size_t>(r) * gw + cc) * cp
+                     : spare;
+      }
+    }
+  }
+
+  // The forward's output positions over its grid.
+  LanePositions forward_positions() const {
+    const auto s = static_cast<std::size_t>(stride);
+    const auto ucp = static_cast<std::size_t>(cp);
+    return {ho, wo, 0, s * fw * ucp, s * ucp, 0, wo * ucp, ucp};
+  }
+
+  // The inputs (ih, iw) of phase (a, b), ih % stride == a and iw % stride
+  // == b, as grad_x positions over the grad_x grid.
+  LanePositions phase_positions(int a, int b) const {
+    const auto s = static_cast<std::size_t>(stride);
+    const auto ucp = static_cast<std::size_t>(cp);
+    return {(h - a + stride - 1) / stride, (w - b + stride - 1) / stride,
+            cell(a, b, bw), s * bw * ucp, s * ucp,
+            (static_cast<std::size_t>(a) * w + b) * ucp, s * w * ucp,
+            s * ucp};
+  }
+
+  // phases[a * stride + b] = the grad_x taps, in order, that land on
+  // grad_y cells for the inputs of phase (a, b); the others read only
+  // zeros there.
+  void phase_taps(std::vector<LaneTaps>& phases) const {
+    phases.assign(static_cast<std::size_t>(stride) * stride, LaneTaps{});
+    for (int t = 0; t < bwd.n; ++t) {
+      const auto i = static_cast<std::size_t>(t);
+      LaneTaps& run = phases[static_cast<std::size_t>(bwd_phase[i])];
+      const auto n = static_cast<std::size_t>(run.n++);
+      run.off[n] = bwd.off[i];
+      run.k[n] = bwd.k[i];
+    }
+  }
+  int mod(int v) const { return (v % stride + stride) % stride; }
+};
+
+// Taps t0 .. t0 + G - 1 of grad_w for one 8-lane block: each tap's lane
+// vector in gwl advances by grad_y times its forward-grid cell, over the
+// output rows `rows` and columns `cols` in order.
+template <int G>
+void lane_wgrad(const DepthwiseGeom& dg, const float* xgrid,
+                const float* gygrid, Span rows, Span cols, int t0,
+                float* gwl) {
+  const std::size_t cp = static_cast<std::size_t>(dg.cp);
+  const std::size_t step = static_cast<std::size_t>(dg.stride) * cp;
+  std::array<Vec8, G> acc;
+  std::array<std::size_t, G> off;
+  for (int i = 0; i < G; ++i) {
+    const auto t = static_cast<std::size_t>(t0 + i);
+    load8(gwl + static_cast<std::size_t>(dg.fwd.k[t]) * cp, acc[i]);
+    off[i] = dg.fwd.off[t];
+  }
+  for (int oh = rows.lo; oh < rows.hi; ++oh) {
+    const int ow0 = cols.lo;
+    const float* x = xgrid + dg.cell(oh * dg.stride, ow0 * dg.stride, dg.fw);
+    const float* gy = gygrid + dg.cell(oh * dg.stride + dg.b_top,
+                                       ow0 * dg.stride + dg.b_left, dg.bw);
+    for (int ow = ow0; ow < cols.hi; ++ow, x += step, gy += step) {
+      Vec8 gv;
+      load8(gy, gv);
+#pragma GCC unroll 10
+      for (int i = 0; i < G; ++i) {
+        Vec8 xv;
+        load8(x + off[i], xv);
+        fma8(gv, xv, acc[i]);
+      }
+    }
+  }
+  for (int i = 0; i < G; ++i) {
+    const auto t = static_cast<std::size_t>(t0 + i);
+    std::memcpy(gwl + static_cast<std::size_t>(dg.fwd.k[t]) * cp, &acc[i],
+                sizeof(Vec8));
+  }
+}
+
+// Taps per grad_w pass: its chains, grad_y and one input vector stay in
+// registers.
+constexpr int kLaneTaps = 10;
+
+// Every kept tap's grad_w chains, advanced over one image's output
+// positions in passes of at most kLaneTaps taps. An output position whose
+// grad_y is not on the grad_x grid reads only padding.
+void lane_wgrad_image(const DepthwiseGeom& dg, const float* xgrid,
+                      const float* gygrid, float* gwl) {
+  const Span rows = tap_span(dg.bh, dg.ho, dg.stride, dg.b_top);
+  const Span cols = tap_span(dg.bw, dg.wo, dg.stride, dg.b_left);
+  const int passes = (dg.fwd.n + kLaneTaps - 1) / kLaneTaps;
+  for (int b = 0; b < dg.cp; b += kVec) {
+    for (int t0 = 0, left = dg.fwd.n, pass = passes; pass > 0; --pass) {
+      const int g = (left + pass - 1) / pass;
+      with_count<kLaneTaps>(g, [&](auto taps) {
+        lane_wgrad<decltype(taps)::value>(dg, xgrid + b, gygrid + b, rows,
+                                          cols, t0, gwl + b);
+      });
+      t0 += g;
+      left -= g;
+    }
+  }
+}
+
+// Per-call buffers of the depthwise convs: the two grids, the output
+// cells, the packed weights and weight gradient, and the cell tables.
+thread_local std::vector<float> lane_xgrid, lane_gygrid, lane_out, lane_w,
+    lane_gw;
+thread_local std::vector<std::size_t> lane_xcells, lane_gycells;
+thread_local std::vector<LaneTaps> lane_phases;
+
+// The kept taps' weights w[ch][0][k] as wl[k * cp + ch]; the other lanes
+// are never read.
+const float* pack_lane_weights(const DepthwiseGeom& dg, const Tensor& w) {
+  float* wl = grown(lane_w, static_cast<std::size_t>(dg.taps) * dg.cp);
+  for (int t = 0; t < dg.fwd.n; ++t) {
+    const int k = dg.fwd.k[static_cast<std::size_t>(t)];
+    float* row = wl + static_cast<std::size_t>(k) * dg.cp;
+    const float* wk = w.data() + k;
+    for (int ch = 0; ch < dg.c; ++ch, wk += dg.taps) row[ch] = *wk;
+    std::fill(row + dg.c, row + dg.cp, 0.0F);
+  }
+  return wl;
+}
+
+// The forward grid's cell of every input pixel.
+const std::size_t* input_cells(const DepthwiseGeom& dg) {
+  std::size_t* cells = grown(lane_xcells, dg.in_cells());
+  dg.place(dg.h, dg.w, 1, dg.f_top, dg.f_left, dg.fh, dg.fw, cells);
+  return cells;
+}
+
+// Image `in` of an NCHW tensor of `c` planes of `len` pixels placed on a
+// zero grid of `floats` floats.
+const float* fill_grid(const float* t, int in, int c, std::size_t len,
+                       int cp, const std::size_t* cells, std::size_t floats,
+                       bool covered, std::vector<float>& buf) {
+  float* grid = grown(buf, floats);
+  if (!covered) std::fill(grid, grid + floats, 0.0F);
+  to_cells(t + static_cast<std::size_t>(in) * c * len, c,
+           static_cast<int>(len), cp, cells, grid);
+  return grid;
+}
+
+Tensor depthwise_forward(const Tensor& x, const Tensor& w,
+                         const DepthwiseGeom& dg) {
+  const int n = x.dim(0);
+  Tensor y({n, dg.c, dg.ho, dg.wo});
+  const float* wl = pack_lane_weights(dg, w);
+  const std::size_t* xcells = input_cells(dg);
+  float* yl = grown(lane_out, dg.out_cells() * dg.cp);
+  const LanePositions pos = dg.forward_positions();
+  for (int in = 0; in < n; ++in) {
+    const float* grid = fill_grid(x.data(), in, dg.c, dg.in_cells(), dg.cp,
+                                  xcells, dg.grid_floats(dg.fh, dg.fw),
+                                  dg.input_is_grid(), lane_xgrid);
+    lane_correlate(grid, pos, dg.fwd, wl, dg.cp, yl);
+    from_lanes(yl, dg.c, static_cast<int>(dg.out_cells()), dg.cp,
+               y.data() + static_cast<std::size_t>(in) * dg.c * dg.out_cells());
+  }
+  return y;
+}
+
+Conv2dGrads depthwise_backward(const Tensor& x, const Tensor& w,
+                               const Tensor& grad_y, const DepthwiseGeom& dg) {
+  const int n = x.dim(0);
+  Conv2dGrads g{Tensor({n, dg.c, dg.h, dg.w}), Tensor(w.shape())};
+  const float* wl = pack_lane_weights(dg, w);
+  const std::size_t gw_floats = static_cast<std::size_t>(dg.taps) * dg.cp;
+  float* gwl = grown(lane_gw, gw_floats);
+  std::fill(gwl, gwl + gw_floats, 0.0F);
+  const std::size_t* xcells = input_cells(dg);
+  std::size_t* gycells = grown(lane_gycells, dg.out_cells());
+  dg.place(dg.ho, dg.wo, dg.stride, dg.b_top, dg.b_left, dg.bh, dg.bw,
+           gycells);
+  dg.phase_taps(lane_phases);
+  float* gxl = grown(lane_out, dg.in_cells() * dg.cp);
+  for (int in = 0; in < n; ++in) {
+    const float* gygrid = fill_grid(
+        grad_y.data(), in, dg.c, dg.out_cells(), dg.cp, gycells,
+        dg.grid_floats(dg.bh, dg.bw), false, lane_gygrid);
+    for (int a = 0; a < std::min(dg.stride, dg.h); ++a) {
+      for (int b = 0; b < std::min(dg.stride, dg.w); ++b) {
+        lane_correlate(gygrid, dg.phase_positions(a, b),
+                       lane_phases[static_cast<std::size_t>(a * dg.stride + b)],
+                       wl, dg.cp, gxl);
+      }
+    }
+    from_lanes(gxl, dg.c, static_cast<int>(dg.in_cells()), dg.cp,
+               g.grad_x.data() +
+                   static_cast<std::size_t>(in) * dg.c * dg.in_cells());
+    const float* xgrid = fill_grid(x.data(), in, dg.c, dg.in_cells(), dg.cp,
+                                   xcells, dg.grid_floats(dg.fh, dg.fw),
+                                   dg.input_is_grid(), lane_xgrid);
+    lane_wgrad_image(dg, xgrid, gygrid, gwl);
+  }
+  from_lanes(gwl, dg.c, dg.taps, dg.cp, g.grad_w.data());
+  return g;
+}
+
 }  // namespace
 
 // The kernels vectorize across output elements while every element keeps
 // the reduction order of the direct loops they replaced (kept as the test
 // oracle in tests/conv_reference.h), one fused multiply-add (fmadd) per
-// term, so their results are bit-identical to those loops'. A 1x1 conv
-// without padding or groups is one gemm per output over packed columns
-// (pointwise_forward, pointwise_backward): y over ic ascending, grad_x
-// over oc ascending, grad_w over (n, oh, ow) ascending. Other convs run:
-//   y       taps in (ic, r, c) order: one shifted axpy per tap;
-//   grad_x  oc-major, then taps in (r, c) descending order, which is
-//           (oh, ow) ascending for each input element;
-//   grad_w  over (n, oh, ow) ascending: rank-1 updates of each weight row
-//           by im2col rows, vectorized along the row; for depthwise convs
-//           (one input channel per group), the kh * kw chains of an output
-//           channel advanced together per output position.
-// Taps in the padding are skipped (y, grad_x) or read as 0 (grad_w, where
-// fma(g, 0, acc) == acc for finite g). The backward does not skip
-// grad_y == 0: with finite operands that term adds exactly nothing, and
-// with a NaN/Inf operand it now reaches the gradient instead of being
-// dropped.
+// term, so their results are bit-identical to those loops'. Three paths:
+//   1x1, no padding or groups: one gemm per output over packed columns
+//     (pointwise_forward, pointwise_backward): y over ic ascending, grad_x
+//     over oc ascending, grad_w over (n, oh, ow) ascending.
+//   depthwise (groups == cin == cout, kernel > 1): channels in the vector
+//     lanes. Each image's planes are packed as [rows][cols][cp], cp the
+//     channels rounded up to 8 with zero lanes, on a zero grid that holds
+//     the padding; weights pack as [kh * kw][cp] (DepthwiseGeom):
+//       y       per output, a chain from +0 over the taps in (r, c) order,
+//               in register tiles of 8 outputs;
+//       grad_x  the same correlation over grad_y placed on a zero grid
+//               upsampled by the stride, taps flipped: (r, c) descending,
+//               which is (oh, ow) ascending for each input element;
+//       grad_w  the kh * kw chains of an 8-channel block advanced
+//               together per output position, over (n, oh, ow)
+//               ascending, carried across images.
+//   the rest (dense, grouped with cin / groups > 1, channel multiplier >
+//     1): per-tap shifted axpys.
+//       y       taps in (ic, r, c) order;
+//       grad_x  oc-major, then taps in (r, c) descending order;
+//       grad_w  over (n, oh, ow) ascending: rank-1 updates of each weight
+//               row by im2col rows, vectorized along the row.
+// A tap whose window is all padding at every output position is dropped
+// (ConvGeom), as the oracle's bounds checks skipped it. Other padding is
+// skipped (the axpys) or read as 0 (grids, im2col), where fma(v, 0, acc)
+// == acc for finite v. The backward does not skip grad_y == 0: with
+// finite operands that term adds exactly nothing, and with a NaN/Inf
+// operand it now reaches the gradient instead of being dropped.
 Tensor conv2d_forward(const Tensor& x, const Tensor& w,
                       const Conv2dSpec& spec) {
   FMS_CHECK(x.ndim() == 4 && w.ndim() == 4);
@@ -430,6 +918,10 @@ Tensor conv2d_forward(const Tensor& x, const Tensor& w,
   const int ho = conv_out_size(h, kh, spec.stride, spec.padding, spec.dilation);
   const int wo = conv_out_size(ww, kw, spec.stride, spec.padding, spec.dilation);
   if (is_pointwise(kh, kw, spec)) return pointwise_forward(x, w, spec.stride);
+  if (is_depthwise(cin, cout, kh, kw, spec)) {
+    return depthwise_forward(x, w,
+                             DepthwiseGeom(cin, h, ww, ho, wo, kh, kw, spec));
+  }
   const int cout_g = cout / g;
   const ConvGeom geom(h, ww, ho, wo, kh, kw, spec);
   const std::size_t x_plane = static_cast<std::size_t>(h) * ww;
@@ -465,6 +957,10 @@ Conv2dGrads conv2d_backward(const Tensor& x, const Tensor& w,
   if (is_pointwise(kh, kw, spec)) {
     return pointwise_backward(x, w, grad_y, spec.stride);
   }
+  if (is_depthwise(cin, cout, kh, kw, spec)) {
+    return depthwise_backward(x, w, grad_y,
+                              DepthwiseGeom(cin, h, ww, ho, wo, kh, kw, spec));
+  }
   const int cout_g = cout / g;
   const ConvGeom geom(h, ww, ho, wo, kh, kw, spec);
   const std::size_t x_plane = static_cast<std::size_t>(h) * ww;
@@ -492,63 +988,11 @@ Conv2dGrads conv2d_backward(const Tensor& x, const Tensor& w,
     }
   }
 
-  // grad_w, read from zero-padded copies of each image's group planes.
+  // grad_w: im2col rows of zero-padded copies of each image's group
+  // planes, in chunks of at most kColFloats, each folded into every weight
+  // row of its group in output-position order.
   const int positions = ho * wo;
   thread_local std::vector<float> padded;
-  if (cin_g == 1) {
-    // Depthwise: an im2col row would serve one output channel only, so
-    // each channel's kh * kw weight chains run directly. On planes where
-    // most (position, tap) pairs fall in the padding (1x1, 2x2 with a wide
-    // kernel) each chain walks just its window; elsewhere all chains
-    // advance together per position over a zero-padded plane, trading
-    // reads of padding for independent FMAs (a lone chain waits out the
-    // FMA latency, about 4x its throughput cost).
-    const bool windowed = 4 * geom.window_macs < positions * taps;
-    std::array<float, kMaxTaps> acc{};
-    for (int in = 0; in < n; ++in) {
-      for (int gi = 0; gi < g; ++gi) {
-        const float* xp =
-            x.data() + (static_cast<std::size_t>(in) * cin + gi) * x_plane;
-        const float* xg =
-            windowed ? xp : geom.padded_planes(xp, 1, padded);
-        for (int oc = gi * cout_g; oc < (gi + 1) * cout_g; ++oc) {
-          float* gwp = out.grad_w.data() + static_cast<std::size_t>(oc) * taps;
-          const float* gyp =
-              grad_y.data() +
-              (static_cast<std::size_t>(in) * cout + oc) * y_plane;
-          if (windowed) {
-            for (int t = 0; t < geom.ntaps; ++t) {
-              const Tap& tap = geom.taps[static_cast<std::size_t>(t)];
-              float a = gwp[tap.k];
-              const float* gs = gyp + tap.out_off;
-              const float* xs = xg + tap.in_off;
-              for (int i = 0; i < tap.nrows;
-                   ++i, gs += wo, xs += geom.stride * ww) {
-                for (int j = 0; j < tap.len; ++j) {
-                  a = fmadd(gs[j], xs[j * geom.stride], a);
-                }
-              }
-              gwp[tap.k] = a;
-            }
-            continue;
-          }
-          std::copy(gwp, gwp + taps, acc.begin());
-          for (int p = 0; p < positions; ++p) {
-            const float gv = gyp[p];
-            const float* base = xg + geom.pad_base(p);
-            for (int t = 0; t < taps; ++t) {
-              const auto ti = static_cast<std::size_t>(t);
-              acc[ti] = fmadd(gv, base[geom.pad_off[ti]], acc[ti]);
-            }
-          }
-          std::copy(acc.begin(), acc.begin() + taps, gwp);
-        }
-      }
-    }
-    return out;
-  }
-  // Dense and grouped: im2col rows in chunks of at most kColFloats, each
-  // folded into every weight row of its group in output-position order.
   const int chunk = std::clamp(kColFloats / k, 1, positions);
   thread_local std::vector<float> col_buf;
   float* const col = grown(col_buf, static_cast<std::size_t>(chunk) * k);

@@ -141,17 +141,10 @@ class Tensor {
   }
 
   // --- arithmetic (elementwise, shape-checked) ---
-  Tensor& operator+=(const Tensor& o) {
-    FMS_CHECK(same_shape(o));
-    FMS_OP("tensor.axpy", obs::axpy_cost(data_.size()));
-    for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += o.data_[i];
-    return *this;
-  }
-  Tensor& operator-=(const Tensor& o) {
-    FMS_CHECK(same_shape(o));
-    for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= o.data_[i];
-    return *this;
-  }
+  // Out of line and eight floats at a time: GCC kept the inlined loop
+  // scalar.
+  Tensor& operator+=(const Tensor& o);
+  Tensor& operator-=(const Tensor& o);
   Tensor& operator*=(float s) {
     for (auto& v : data_) v *= s;
     return *this;

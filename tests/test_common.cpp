@@ -2,7 +2,9 @@
 // tables, thread pool, config scaling.
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <memory>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -61,6 +63,30 @@ TEST(Rng, CategoricalRespectsWeights) {
   Rng rng(4);
   std::vector<float> w{0.0F, 1.0F, 0.0F};
   for (int i = 0; i < 50; ++i) EXPECT_EQ(rng.categorical(w), 1);
+}
+
+// A softmax over NaN logits (an unscreened poisoned update) has no
+// distribution: the draw is still an index, and weights that do sum to a
+// positive number draw as before.
+TEST(Rng, CategoricalWithoutADistributionDrawsAnIndex) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  Rng rng(5);
+  for (const std::vector<float>& w :
+       {std::vector<float>{nan, 0.5F, 0.5F}, std::vector<float>{0.0F, 0.0F},
+        std::vector<float>{inf, 1.0F}, std::vector<float>{nan, nan, nan, nan}}) {
+    for (int i = 0; i < 20; ++i) {
+      const int k = rng.categorical(w);
+      EXPECT_GE(k, 0);
+      EXPECT_LT(k, static_cast<int>(w.size()));
+    }
+  }
+  Rng a(6), b(6);
+  const std::vector<float> w{0.2F, 0.5F, 0.3F};
+  for (int i = 0; i < 50; ++i) {
+    std::discrete_distribution<int> d(w.begin(), w.end());
+    EXPECT_EQ(a.categorical(w), d(b.engine()));
+  }
 }
 
 TEST(Stats, ExpMovingAverageMatchesEq9) {

@@ -107,6 +107,52 @@ ConvCase draw_pointwise_case(Rng& rng) {
   return cc;
 }
 
+// One depthwise conv wider than an 8-lane channel block (C from 7 to 40,
+// channel multiplier 1), at the strides and dilations the DARTS separable
+// and dilated convs use, with small planes drawn often: on planes of 2x2
+// or less most taps of a 3x3 or 5x5 kernel read only padding.
+ConvCase draw_depthwise_case(Rng& rng) {
+  ConvCase cc;
+  cc.n = rng.randint(1, 3);
+  cc.cin = rng.randint(7, 40);
+  cc.cout = cc.cin;
+  cc.spec.groups = cc.cin;
+  cc.k = rng.bernoulli(0.5) ? 3 : 5;
+  cc.spec.stride = rng.randint(1, 2);
+  cc.spec.dilation = rng.randint(1, 2);
+  const int eff = cc.spec.dilation * (cc.k - 1) + 1;
+  cc.spec.padding = rng.bernoulli(0.7) ? cc.spec.dilation * (cc.k / 2)
+                                       : rng.randint(0, eff / 2 + 1);
+  const int min_side = std::max(1, eff - 2 * cc.spec.padding);
+  const bool tiny = rng.bernoulli(0.5);
+  auto side = [&] {
+    return tiny ? std::max(min_side, rng.randint(1, 2))
+                : rng.randint(min_side, std::max(min_side, 10));
+  };
+  cc.h = side();
+  cc.w = side();
+  return cc;
+}
+
+// Whether some tap of the kernel reads only padding at every output
+// position.
+bool has_padding_only_tap(const ConvCase& cc) {
+  auto reads_inside = [&](int in, int out, int tap) {
+    for (int o = 0; o < out; ++o) {
+      const int i = o * cc.spec.stride - cc.spec.padding + tap * cc.spec.dilation;
+      if (i >= 0 && i < in) return true;
+    }
+    return false;
+  };
+  for (int t = 0; t < cc.k; ++t) {
+    if (!reads_inside(cc.h, cc.out_h(), t) ||
+        !reads_inside(cc.w, cc.out_w(), t)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 struct ConvData {
   Tensor x, w, gy;
 };
@@ -128,10 +174,15 @@ ConvData draw_data(const ConvCase& cc, Rng& rng) {
 TEST(ConvKernel, MatchesOracleBitForBitOnRandomShapes) {
   Rng rng(0xC0DE);
   int batch1 = 0, tiny = 0, depthwise = 0, gemm_tails = 0;
-  // kDraws general draws, then half as many 1x1 draws.
-  for (int draw = 0; draw < kDraws + kDraws / 2; ++draw) {
-    const bool pointwise = draw >= kDraws;
-    const ConvCase cc = pointwise ? draw_pointwise_case(rng) : draw_case(rng);
+  int lane_tails = 0, padding_taps = 0;
+  // kDraws general draws, then half as many 1x1 draws, then half as many
+  // wide depthwise draws.
+  for (int draw = 0; draw < 2 * kDraws; ++draw) {
+    const bool pointwise = draw >= kDraws && draw < kDraws + kDraws / 2;
+    const bool wide = draw >= kDraws + kDraws / 2;
+    const ConvCase cc = pointwise ? draw_pointwise_case(rng)
+                        : wide    ? draw_depthwise_case(rng)
+                                  : draw_case(rng);
     const ConvData d = draw_data(cc, rng);
     SCOPED_TRACE("draw " + std::to_string(draw) + ": " + cc.str());
     const Conv2dGrads g = conv2d_backward(d.x, d.w, d.gy, cc.spec);
@@ -145,6 +196,12 @@ TEST(ConvKernel, MatchesOracleBitForBitOnRandomShapes) {
       gemm_tails += cc.cout % 4 != 0 && cols > 16 && cols % 8 != 0 ? 1 : 0;
       continue;
     }
+    if (wide) {
+      lane_tails += cc.cin > 8 && cc.cin % 8 != 0 ? 1 : 0;
+      padding_taps +=
+          cc.h <= 2 && cc.w <= 2 && has_padding_only_tap(cc) ? 1 : 0;
+      continue;
+    }
     batch1 += cc.n == 1 ? 1 : 0;
     tiny += cc.out_h() <= 2 && cc.out_w() <= 2 ? 1 : 0;
     depthwise += cc.spec.groups == cc.cin && cc.cin > 1 ? 1 : 0;
@@ -154,6 +211,8 @@ TEST(ConvKernel, MatchesOracleBitForBitOnRandomShapes) {
   EXPECT_GE(tiny, kDraws / 10);
   EXPECT_GE(depthwise, kDraws / 10);
   EXPECT_GE(gemm_tails, kDraws / 10);
+  EXPECT_GE(lane_tails, kDraws / 10);
+  EXPECT_GE(padding_taps, kDraws / 10);
 }
 
 double dot(const Tensor& a, const Tensor& b) {
@@ -174,8 +233,10 @@ Tensor abs_of(Tensor t) {
 // float rounding, bounded relative to the sum of |x * w * g|.
 TEST(ConvKernel, AdjointIdentitiesHoldInDouble) {
   Rng rng(0xAD70);
-  for (int draw = 0; draw < kDraws; ++draw) {
-    const ConvCase cc = draw_case(rng);
+  // kDraws general draws, then half as many wide depthwise draws.
+  for (int draw = 0; draw < kDraws + kDraws / 2; ++draw) {
+    const ConvCase cc =
+        draw < kDraws ? draw_case(rng) : draw_depthwise_case(rng);
     const ConvData d = draw_data(cc, rng);
     SCOPED_TRACE("draw " + std::to_string(draw) + ": " + cc.str());
     const Conv2dGrads g = conv2d_backward(d.x, d.w, d.gy, cc.spec);
@@ -215,8 +276,10 @@ TEST(ConvKernel, AdjointIdentitiesHoldInDouble) {
 TEST(ConvKernel, NonFiniteInputsReachEveryOutputTheOracleMarks) {
   Rng rng(0xBAD);
   int oracle_non_finite = 0;
-  for (int draw = 0; draw < kDraws / 2; ++draw) {
-    const ConvCase cc = draw_case(rng);
+  // kDraws / 2 general draws, then half as many wide depthwise draws.
+  for (int draw = 0; draw < kDraws / 2 + kDraws / 4; ++draw) {
+    const ConvCase cc = draw < kDraws / 2 ? draw_case(rng)
+                                          : draw_depthwise_case(rng);
     ConvData d = draw_data(cc, rng);
     const int target = rng.randint(0, 2);  // x, w, or both
     if (target != 1) plant_non_finite(d.x, rng, rng.randint(1, 2));

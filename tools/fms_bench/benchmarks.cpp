@@ -21,6 +21,7 @@
 #include "src/nas/supernet.h"
 #include "src/net/transmission.h"
 #include "src/nn/layers.h"
+#include "src/tensor/ops.h"
 #include "src/tensor/tensor.h"
 #include "tools/fms_bench/bench.h"
 
@@ -130,6 +131,42 @@ std::vector<Benchmark> default_benchmarks() {
                     return [conv, x, g] {
                       conv->forward(*x, /*train=*/true);
                       conv->backward(*g);
+                    };
+                  }});
+  // The depthwise convs of a batch-16 search at their in-situ shapes: C=6
+  // on 8x8 planes (3x3 and 5x5), C=12 at stride 2 from 8x8 to 4x4, and
+  // C=24 on 2x2 planes (3x3, plain and at dilation 2).
+  list.push_back({"nn.dwconv_insitu_fwd_bwd", 40, []() -> std::function<void()> {
+                    Rng rng(15);
+                    struct Layer {
+                      Conv2d conv;
+                      Tensor x;
+                      Tensor g;
+                    };
+                    struct Shape {
+                      int c, hw, k, stride, dilation;
+                    };
+                    auto layers = std::make_shared<std::vector<Layer>>();
+                    for (const Shape& s : {Shape{6, 8, 3, 1, 1},
+                                           Shape{6, 8, 5, 1, 1},
+                                           Shape{12, 8, 3, 2, 1},
+                                           Shape{24, 2, 3, 1, 1},
+                                           Shape{24, 2, 3, 1, 2}}) {
+                      const Conv2dSpec spec{s.stride, s.dilation * (s.k / 2),
+                                            s.dilation, s.c};
+                      Conv2d conv(s.c, s.c, s.k, spec, rng);
+                      const int out = conv_out_size(s.hw, s.k, s.stride,
+                                                    spec.padding, s.dilation);
+                      Tensor x = Tensor::randn({16, s.c, s.hw, s.hw}, rng);
+                      Tensor g = Tensor::randn({16, s.c, out, out}, rng);
+                      layers->push_back(
+                          {std::move(conv), std::move(x), std::move(g)});
+                    }
+                    return [layers] {
+                      for (Layer& l : *layers) {
+                        l.conv.forward(l.x, /*train=*/true);
+                        l.conv.backward(l.g);
+                      }
                     };
                   }});
   // Batch 1 on the 2x2 (C=12) and 1x1 (C=24) planes a 4x4-image search
