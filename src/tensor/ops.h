@@ -2,7 +2,10 @@
 //
 // Convolutions support stride / padding / dilation / groups, which covers
 // everything the DARTS operation set needs (plain, depthwise-separable and
-// dilated separable convolutions). Shapes are NCHW.
+// dilated separable convolutions). Shapes are NCHW. They run two kernels
+// over one geometry: depthwise convs with the channels in the vector
+// lanes, every other conv as im2col columns into one register-tiled GEMM
+// (src/tensor/ops.cpp, DESIGN.md §5.6).
 #pragma once
 
 #include <cmath>
@@ -52,6 +55,7 @@ struct Conv2dGrads {
   Tensor grad_x;
   Tensor grad_w;
 };
+// grad_y must have the forward's output shape; anything else throws.
 Conv2dGrads conv2d_backward(const Tensor& x, const Tensor& w,
                             const Tensor& grad_y, const Conv2dSpec& spec);
 

@@ -134,6 +134,49 @@ ConvCase draw_depthwise_case(Rng& rng) {
   return cc;
 }
 
+// One dense conv shaped like the stem: Cin 1-4 (image channels), Cout
+// 5-20 so that the GEMM reaches full and tail row tiles, 3x3 or 5x5
+// kernels at stride and dilation 1-2, and padding that keeps the size or
+// is drawn. Stride 2 with dilation 2 leaves grad_x phases no tap lands in.
+ConvCase draw_dense_case(Rng& rng) {
+  ConvCase cc;
+  cc.n = rng.randint(1, 3);
+  cc.cin = rng.randint(1, 4);
+  cc.cout = rng.randint(5, 20);
+  cc.k = rng.bernoulli(0.5) ? 3 : 5;
+  cc.spec.stride = rng.randint(1, 2);
+  cc.spec.dilation = rng.randint(1, 2);
+  const int eff = cc.spec.dilation * (cc.k - 1) + 1;
+  cc.spec.padding = rng.bernoulli(0.7) ? cc.spec.dilation * (cc.k / 2)
+                                       : rng.randint(0, eff / 2 + 1);
+  const int min_side = std::max(1, eff - 2 * cc.spec.padding);
+  cc.h = rng.randint(min_side, std::max(min_side, 10));
+  cc.w = rng.randint(min_side, std::max(min_side, 10));
+  return cc;
+}
+
+// Whether some stride phase (ih % stride, iw % stride) of the input takes
+// no grad_x term at all: no kept tap lands on grad_y for it.
+bool has_empty_phase(const ConvCase& cc) {
+  const int s = cc.spec.stride;
+  auto reached = [&](int in, int out, int phase) {
+    for (int o = 0; o < out; ++o) {
+      for (int t = 0; t < cc.k; ++t) {
+        const int i = o * s - cc.spec.padding + t * cc.spec.dilation;
+        if (i >= 0 && i < in && i % s == phase) return true;
+      }
+    }
+    return false;
+  };
+  for (int a = 0; a < std::min(s, cc.h); ++a) {
+    if (!reached(cc.h, cc.out_h(), a)) return true;
+  }
+  for (int b = 0; b < std::min(s, cc.w); ++b) {
+    if (!reached(cc.w, cc.out_w(), b)) return true;
+  }
+  return false;
+}
+
 // Whether some tap of the kernel reads only padding at every output
 // position.
 bool has_padding_only_tap(const ConvCase& cc) {
@@ -174,14 +217,16 @@ ConvData draw_data(const ConvCase& cc, Rng& rng) {
 TEST(ConvKernel, MatchesOracleBitForBitOnRandomShapes) {
   Rng rng(0xC0DE);
   int batch1 = 0, tiny = 0, depthwise = 0, gemm_tails = 0;
-  int lane_tails = 0, padding_taps = 0;
+  int lane_tails = 0, padding_taps = 0, dense_tails = 0, empty_phases = 0;
   // kDraws general draws, then half as many 1x1 draws, then half as many
-  // wide depthwise draws.
-  for (int draw = 0; draw < 2 * kDraws; ++draw) {
+  // wide depthwise draws, then kDraws dense draws.
+  for (int draw = 0; draw < 3 * kDraws; ++draw) {
     const bool pointwise = draw >= kDraws && draw < kDraws + kDraws / 2;
-    const bool wide = draw >= kDraws + kDraws / 2;
+    const bool wide = draw >= kDraws + kDraws / 2 && draw < 2 * kDraws;
+    const bool dense = draw >= 2 * kDraws;
     const ConvCase cc = pointwise ? draw_pointwise_case(rng)
                         : wide    ? draw_depthwise_case(rng)
+                        : dense   ? draw_dense_case(rng)
                                   : draw_case(rng);
     const ConvData d = draw_data(cc, rng);
     SCOPED_TRACE("draw " + std::to_string(draw) + ": " + cc.str());
@@ -194,6 +239,12 @@ TEST(ConvKernel, MatchesOracleBitForBitOnRandomShapes) {
     if (pointwise) {
       const int cols = cc.n * cc.out_h() * cc.out_w();
       gemm_tails += cc.cout % 4 != 0 && cols > 16 && cols % 8 != 0 ? 1 : 0;
+      continue;
+    }
+    if (dense) {
+      const int cols = cc.n * cc.out_h() * cc.out_w();
+      dense_tails += cc.cout % 4 != 0 && cols % 8 != 0 ? 1 : 0;
+      empty_phases += cc.spec.stride == 2 && has_empty_phase(cc) ? 1 : 0;
       continue;
     }
     if (wide) {
@@ -213,6 +264,8 @@ TEST(ConvKernel, MatchesOracleBitForBitOnRandomShapes) {
   EXPECT_GE(gemm_tails, kDraws / 10);
   EXPECT_GE(lane_tails, kDraws / 10);
   EXPECT_GE(padding_taps, kDraws / 10);
+  EXPECT_GE(dense_tails, kDraws / 10);
+  EXPECT_GE(empty_phases, kDraws / 10);
 }
 
 double dot(const Tensor& a, const Tensor& b) {
@@ -233,10 +286,12 @@ Tensor abs_of(Tensor t) {
 // float rounding, bounded relative to the sum of |x * w * g|.
 TEST(ConvKernel, AdjointIdentitiesHoldInDouble) {
   Rng rng(0xAD70);
-  // kDraws general draws, then half as many wide depthwise draws.
-  for (int draw = 0; draw < kDraws + kDraws / 2; ++draw) {
-    const ConvCase cc =
-        draw < kDraws ? draw_case(rng) : draw_depthwise_case(rng);
+  // kDraws general draws, then half as many wide depthwise draws, then
+  // half as many dense draws.
+  for (int draw = 0; draw < 2 * kDraws; ++draw) {
+    const ConvCase cc = draw < kDraws                ? draw_case(rng)
+                        : draw < kDraws + kDraws / 2 ? draw_depthwise_case(rng)
+                                                     : draw_dense_case(rng);
     const ConvData d = draw_data(cc, rng);
     SCOPED_TRACE("draw " + std::to_string(draw) + ": " + cc.str());
     const Conv2dGrads g = conv2d_backward(d.x, d.w, d.gy, cc.spec);
@@ -276,10 +331,13 @@ TEST(ConvKernel, AdjointIdentitiesHoldInDouble) {
 TEST(ConvKernel, NonFiniteInputsReachEveryOutputTheOracleMarks) {
   Rng rng(0xBAD);
   int oracle_non_finite = 0;
-  // kDraws / 2 general draws, then half as many wide depthwise draws.
-  for (int draw = 0; draw < kDraws / 2 + kDraws / 4; ++draw) {
+  // kDraws / 2 general draws, then half as many wide depthwise draws, then
+  // half as many dense draws.
+  for (int draw = 0; draw < kDraws; ++draw) {
     const ConvCase cc = draw < kDraws / 2 ? draw_case(rng)
-                                          : draw_depthwise_case(rng);
+                        : draw < kDraws / 2 + kDraws / 4
+                            ? draw_depthwise_case(rng)
+                            : draw_dense_case(rng);
     ConvData d = draw_data(cc, rng);
     const int target = rng.randint(0, 2);  // x, w, or both
     if (target != 1) plant_non_finite(d.x, rng, rng.randint(1, 2));
@@ -296,6 +354,34 @@ TEST(ConvKernel, NonFiniteInputsReachEveryOutputTheOracleMarks) {
                                  &oracle_non_finite));
   }
   EXPECT_GT(oracle_non_finite, 0);
+}
+
+// grad_y must have the forward's output shape, whichever kernel the conv
+// runs: a larger one would be read past its end, a smaller one would
+// leave the gradients silently short.
+TEST(ConvKernel, MisShapedGradientIsRejected) {
+  Rng rng(5);
+  const Tensor x = Tensor::randn({2, 4, 4, 4}, rng);
+  struct Kind {
+    int cout, k, groups;
+  };
+  // 1x1, depthwise 3x3 and dense 3x3, each keeping the 4x4 size.
+  for (const Kind& kind : {Kind{6, 1, 1}, Kind{4, 3, 4}, Kind{6, 3, 1}}) {
+    const Conv2dSpec spec{1, kind.k / 2, 1, kind.groups};
+    const Tensor w =
+        Tensor::randn({kind.cout, 4 / kind.groups, kind.k, kind.k}, rng);
+    SCOPED_TRACE("k=" + std::to_string(kind.k) +
+                 " groups=" + std::to_string(kind.groups));
+    EXPECT_NO_THROW(conv2d_backward(x, w, Tensor({2, kind.cout, 4, 4}), spec));
+    for (const auto& [gh, gw] : {std::pair{6, 6}, std::pair{2, 2},
+                                 std::pair{4, 5}}) {
+      EXPECT_THROW(
+          conv2d_backward(x, w, Tensor({2, kind.cout, gh, gw}), spec),
+          CheckError);
+    }
+    EXPECT_THROW(conv2d_backward(x, w, Tensor({2, kind.cout + 1, 4, 4}), spec),
+                 CheckError);
+  }
 }
 
 // A NaN in a client's activations reaches its weight gradient, and the

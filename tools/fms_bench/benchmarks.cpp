@@ -224,6 +224,35 @@ std::vector<Benchmark> default_benchmarks() {
                       }
                     };
                   }});
+  // The 3x3 stem conv at the benchmark workloads' shapes: batch 16, 3->6
+  // on 8x8 (search_iid, hostile), batch 32, 3->8 on 8x8 (retrain_fixed)
+  // and batch 1, 3->6 on 4x4 (server_k50).
+  list.push_back({"nn.conv_stem_fwd_bwd", 10, []() -> std::function<void()> {
+                    Rng rng(16);
+                    struct Layer {
+                      Conv2d conv;
+                      Tensor x;
+                      Tensor g;
+                    };
+                    struct Shape {
+                      int n, cout, hw;
+                    };
+                    auto layers = std::make_shared<std::vector<Layer>>();
+                    for (const Shape& s : {Shape{16, 6, 8}, Shape{32, 8, 8},
+                                           Shape{1, 6, 4}}) {
+                      Conv2d conv(3, s.cout, 3, Conv2dSpec{1, 1, 1, 1}, rng);
+                      Tensor x = Tensor::randn({s.n, 3, s.hw, s.hw}, rng);
+                      Tensor g = Tensor::randn({s.n, s.cout, s.hw, s.hw}, rng);
+                      layers->push_back(
+                          {std::move(conv), std::move(x), std::move(g)});
+                    }
+                    return [layers] {
+                      for (Layer& l : *layers) {
+                        l.conv.forward(l.x, /*train=*/true);
+                        l.conv.backward(l.g);
+                      }
+                    };
+                  }});
   list.push_back({"nn.bn_fwd", 60, []() -> std::function<void()> {
                     Rng rng(3);
                     auto bn = std::make_shared<BatchNorm2d>(8);
