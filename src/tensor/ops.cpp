@@ -25,11 +25,12 @@ namespace {
 constexpr int kMaxKernel = 7;
 constexpr int kMaxTaps = kMaxKernel * kMaxKernel;
 
-// Eight floats (or lane masks) in one register: a GCC/Clang vector
-// extension. The GEMM and pool kernels keep their accumulators in these
+// Eight floats, or eight lane masks, in one register: a GCC/Clang vector
+// extension. The GEMM and lane kernels keep their accumulators in these
 // across a loop whose length is known only at run time; plain arrays there
 // round-trip through memory on every step.
 using Vec8 = float __attribute__((vector_size(32)));
+using Mask8 = std::int32_t __attribute__((vector_size(32)));
 constexpr int kVec = 8;
 
 // Vec8 values go through references: passing one by value changes the
@@ -85,6 +86,12 @@ inline void fma8(const Vec8& a, const Vec8& b, Vec8& acc) {
   Vec8 r{};
   for (int l = 0; l < kVec; ++l) r[l] = fmadd(a[l], b[l], acc[l]);
   acc = r;
+}
+
+// dst[l] = v[l] in the lanes where take[l] is set, bit for bit.
+inline void take_lanes(const Mask8& take, const Vec8& v, Vec8& dst) {
+  dst = __builtin_bit_cast(Vec8, (__builtin_bit_cast(Mask8, v) & take) |
+                                     (__builtin_bit_cast(Mask8, dst) & ~take));
 }
 
 // A gemm A operand: A[i][p] = data[i * row + p * col].
@@ -359,11 +366,11 @@ struct ConvGeom {
   }
 };
 
-// Per-call workspaces of both conv kernels: the input and grad_y grids
-// (the latter then GY's rows for the GEMM path's grad_w), the depthwise
-// kernel's cell tables, the grad_x phases' taps, the packed weights, and
-// two work matrices (the depthwise output and weight-gradient cells; the
-// GEMM path's im2col columns and product).
+// Per-call workspaces of both conv kernels and the pools: the input and
+// grad_y grids (the latter then GY's rows for the GEMM path's grad_w), the
+// lane kernel's cell tables, the grad_x phases' taps, the packed weights,
+// and two work matrices (the lane kernel's output and weight-gradient
+// cells; the GEMM path's im2col columns and product).
 thread_local std::vector<float> x_grid, gy_grid, packed_w, cols, product;
 thread_local std::vector<std::size_t> x_cells, gy_cells;
 thread_local std::vector<Taps> phases;
@@ -429,14 +436,26 @@ void to_cells(const float* src, int c, int len, int cp,
   }
 }
 
+// Stores eight lanes at dst: as floats, or as bytes (the tap numbers a
+// max pool carries in its float lanes).
+inline void store8(const Vec8& v, float* dst) {
+  std::memcpy(dst, &v, sizeof v);
+}
+inline void store8(const Vec8& v, std::uint8_t* dst) {
+  using Bytes8 = std::uint8_t __attribute__((vector_size(8)));
+  const Bytes8 bytes = __builtin_convertvector(v, Bytes8);
+  std::memcpy(dst, &bytes, sizeof bytes);
+}
+
 // The inverse of to_cells over consecutive cells (cells[i] == i * cp);
 // the padding lanes are dropped.
-void from_lanes(const float* src, int c, int len, int cp, float* dst) {
+template <typename T>
+void from_lanes(const float* src, int c, int len, int cp, T* dst) {
   const auto n = static_cast<std::size_t>(len);
   const auto lanes = static_cast<std::size_t>(cp);
   for (int b = 0; b < cp; b += kVec) {
     const auto rows = static_cast<std::size_t>(std::min(kVec, c - b));
-    float* block = dst + static_cast<std::size_t>(b) * n;
+    T* block = dst + static_cast<std::size_t>(b) * n;
     std::size_t i = 0;
     for (; i + kVec <= n; i += kVec) {
       std::array<Vec8, kVec> r;
@@ -444,55 +463,121 @@ void from_lanes(const float* src, int c, int len, int cp, float* dst) {
         load8(src + (i + j) * lanes + b, r[j]);
       }
       transpose8(r);
-      for (std::size_t l = 0; l < rows; ++l) {
-        std::memcpy(block + l * n + i, &r[l], sizeof(Vec8));
-      }
+      for (std::size_t l = 0; l < rows; ++l) store8(r[l], block + l * n + i);
     }
     for (; i < n; ++i) {
       const float* cell = src + i * lanes + b;
-      for (std::size_t l = 0; l < rows; ++l) block[l * n + i] = cell[l];
+      for (std::size_t l = 0; l < rows; ++l) {
+        block[l * n + i] = static_cast<T>(cell[l]);
+      }
     }
   }
 }
 
-// Output positions per register tile of the depthwise kernels.
+// What a lane correlation does per tap at one output position, eight
+// lanes at a time: start from first(i, j) at position (i, j), step(x, w)
+// for each tap's grid vector x and weight(k) w, then store.
+//
+// FmaStep: a chain from +0, acc = fmadd(x, w, acc), w tap k's lanes in
+// wl ([kh * kw][cp]). The depthwise conv's y and grad_x run it, and so do
+// the avg pool's window sums with weight 1: fmadd(x, 1, acc) == acc + x,
+// fused or not.
+struct FmaStep {
+  const float* wl = nullptr;
+  std::size_t cp = 0;
+  using Lanes = Vec8;
+
+  float first(int /*i*/, int /*j*/) const { return 0.0F; }
+  void start(float /*first*/, Lanes& acc) const { acc = Lanes{}; }
+  void weight(int k, int b, Vec8& w) const {
+    load8(wl + static_cast<std::size_t>(k) * cp + b, w);
+  }
+  void step(const Vec8& x, const Vec8& w, Lanes& acc) const {
+    fma8(x, w, acc);
+  }
+  void store(const Lanes& acc, float* at) const {
+    std::memcpy(at, &acc, sizeof acc);
+  }
+};
+
+// MaxStep: a max pool's running maximum and its tap k = r * kernel + c,
+// as a float. A value takes a lane over a smaller one, and as a NaN over a
+// number; an equal value leaves the earlier one. Output (oh, ow) starts at
+// -inf on its window's first in-bounds tap, which so holds the window
+// unless a later tap beats it, as in the scalar loop; padding reads -inf
+// and never takes a lane. The taps are stored `arg` floats past the
+// maxima.
+struct MaxStep {
+  Pool2dSpec p;
+  std::size_t arg = 0;
+  struct Lanes {
+    Vec8 best, tap;
+  };
+
+  float first(int oh, int ow) const {
+    const int r = std::max(0, p.padding - oh * p.stride);
+    const int c = std::max(0, p.padding - ow * p.stride);
+    return static_cast<float>(r * p.kernel + c);
+  }
+  void start(float tap, Lanes& s) const {
+    s.best = Vec8{} - std::numeric_limits<float>::infinity();
+    s.tap = Vec8{} + tap;
+  }
+  void weight(int k, int /*b*/, Vec8& w) const {
+    w = Vec8{} + static_cast<float>(k);
+  }
+  void step(const Vec8& v, const Vec8& tap, Lanes& s) const {
+    const Mask8 take = ~(v <= s.best) & (s.best == s.best);
+    take_lanes(take, v, s.best);
+    take_lanes(take, tap, s.tap);
+  }
+  void store(const Lanes& s, float* at) const {
+    std::memcpy(at, &s.best, sizeof s.best);
+    std::memcpy(at + arg, &s.tap, sizeof s.tap);
+  }
+};
+
+// Output positions per register tile of the lane kernels.
 constexpr int kLaneTile = 8;
 
-// T output positions of one 8-lane block, based at grid + base[i] and
-// written at out + dst[i]: each lane is a chain from +0 over the taps in
-// order.
-template <int T>
-void lane_tile(const float* grid, const std::size_t* base, const Taps& taps,
-               const float* wl, int cp, const std::size_t* dst, float* out) {
-  std::array<Vec8, T> acc{};
+// T output positions of lanes b .. b + 7, based at grid + base[i] and
+// written at out + dst[i], each stepped over the taps in order.
+template <int T, typename Step>
+void lane_tile(const float* grid, const std::size_t* base, const float* first,
+               const Taps& taps, const Step& step, int b,
+               const std::size_t* dst, float* out) {
+  std::array<typename Step::Lanes, T> acc;
+  for (int i = 0; i < T; ++i) step.start(first[i], acc[i]);
   for (int t = 0; t < taps.n; ++t) {
     const auto ti = static_cast<std::size_t>(t);
     Vec8 wv;
-    load8(wl + static_cast<std::size_t>(taps.k[ti]) * cp, wv);
-    const float* g = grid + taps.off[ti];
+    step.weight(taps.k[ti], b, wv);
+    const float* g = grid + b + taps.off[ti];
 #pragma GCC unroll 8
     for (int i = 0; i < T; ++i) {
       Vec8 xv;
       load8(g + base[i], xv);
-      fma8(xv, wv, acc[i]);
+      step.step(xv, wv, acc[i]);
     }
   }
-  for (int i = 0; i < T; ++i) {
-    std::memcpy(out + dst[i], &acc[i], sizeof(Vec8));
-  }
+  for (int i = 0; i < T; ++i) step.store(acc[i], out + b + dst[i]);
 }
 
-// Correlates the taps with the grid at every position of `pos`; wl holds
-// the weights as [kh * kw][cp].
+// Steps the taps over the grid at every position of `pos`, across cp
+// lanes.
+template <typename Step>
 void lane_correlate(const float* grid, const Positions& pos, const Taps& taps,
-                    const float* wl, int cp, float* out) {
+                    int cp, const Step& step, float* out) {
   std::array<std::size_t, kLaneTile> base{}, dst{};
+  std::array<float, kLaneTile> first{};
   int i = 0, j = 0;
   for (int left = pos.ni * pos.nj; left > 0;) {
     const int np = std::min(kLaneTile, left);
     for (int p = 0; p < np; ++p) {
-      base[static_cast<std::size_t>(p)] = pos.grid.at(i, j);
-      dst[static_cast<std::size_t>(p)] = pos.out.at(i, j);
+      const auto at = static_cast<std::size_t>(p);
+      base[at] = pos.grid.at(i, j);
+      dst[at] = pos.out.at(i, j);
+      first[at] = step.first(i, j);
       if (++j == pos.nj) {
         j = 0;
         ++i;
@@ -501,8 +586,8 @@ void lane_correlate(const float* grid, const Positions& pos, const Taps& taps,
     left -= np;
     for (int b = 0; b < cp; b += kVec) {
       with_count<kLaneTile>(np, [&](auto t) {
-        lane_tile<decltype(t)::value>(grid + b, base.data(), taps, wl + b, cp,
-                                      dst.data(), out + b);
+        lane_tile<decltype(t)::value>(grid, base.data(), first.data(), taps,
+                                      step, b, dst.data(), out);
       });
     }
   }
@@ -572,9 +657,9 @@ void lane_wgrad_image(const ConvGeom& dg, const float* xgrid,
   }
 }
 
-// The kept taps' weights w[ch][0][k] as wl[k * cp + ch]; the other lanes
-// are never read.
-const float* pack_lane_weights(const ConvGeom& dg, const Tensor& w) {
+// The step over the kept taps' weights w[ch][0][k], packed as wl[k * cp +
+// ch]; the other lanes are never read.
+FmaStep pack_lane_weights(const ConvGeom& dg, const Tensor& w) {
   const int c = w.dim(0);
   float* wl = grown(packed_w, static_cast<std::size_t>(dg.taps) * dg.lanes);
   for (int t = 0; t < dg.fwd.n; ++t) {
@@ -584,7 +669,7 @@ const float* pack_lane_weights(const ConvGeom& dg, const Tensor& w) {
     for (int ch = 0; ch < c; ++ch, wk += dg.taps) row[ch] = *wk;
     std::fill(row + c, row + dg.lanes, 0.0F);
   }
-  return wl;
+  return {wl, static_cast<std::size_t>(dg.lanes)};
 }
 
 // The grid floats of `at`'s pixels, in buf.
@@ -600,33 +685,60 @@ const std::size_t* placed(const ConvGeom& dg, const Placement& at,
 }
 
 // Image `in` of an NCHW tensor of `c` planes placed `at` (cells from
-// placed) on a zero grid in buf.
-const float* fill_grid(const ConvGeom& dg, const Placement& at,
-                       const float* t, int in, int c,
-                       const std::size_t* cells, std::vector<float>& buf) {
+// placed) on a grid in buf whose other cells hold `fill`.
+float* fill_grid(const ConvGeom& dg, const Placement& at, const float* t,
+                 int in, int c, const std::size_t* cells, float fill,
+                 std::vector<float>& buf) {
   const std::size_t floats = dg.grid_floats(at);
   float* grid = grown(buf, floats);
-  if (!at.fills()) std::fill(grid, grid + floats, 0.0F);
+  if (!at.fills()) std::fill(grid, grid + floats, fill);
   to_cells(t + static_cast<std::size_t>(in) * c * at.pixels(), c,
            static_cast<int>(at.pixels()), dg.lanes, cells, grid);
   return grid;
+}
+
+// Steps the forward taps over each of n images of an NCHW x of c planes,
+// on its forward grid padded with `fill`, and hands the image's output
+// lanes to done(image, lanes): `outputs` blocks of out_cells() cells (the
+// values, then a max pool's taps).
+template <typename Step, typename Done>
+void lane_forward(const ConvGeom& dg, const float* x, int n, int c,
+                  float fill, const Step& step, int outputs, Done&& done) {
+  const std::size_t* xcells = placed(dg, dg.input(), x_cells);
+  float* yl = grown(cols, static_cast<std::size_t>(outputs) *
+                              dg.out_cells() * dg.lanes);
+  const Positions pos = dg.forward_positions();
+  for (int in = 0; in < n; ++in) {
+    const float* grid =
+        fill_grid(dg, dg.input(), x, in, c, xcells, fill, x_grid);
+    lane_correlate(grid, pos, dg.fwd, dg.lanes, step, yl);
+    done(in, yl);
+  }
+}
+
+// One image's grad_x from its grad_y grid, phase by phase over the taps
+// that phase_taps left in `phases`, into consecutive input cells of gxl.
+void lane_grad_x(const ConvGeom& dg, const float* gygrid, const FmaStep& step,
+                 float* gxl) {
+  for (int a = 0; a < std::min(dg.stride, dg.h); ++a) {
+    for (int b = 0; b < std::min(dg.stride, dg.w); ++b) {
+      lane_correlate(gygrid, dg.phase_positions(a, b),
+                     phases[static_cast<std::size_t>(a * dg.stride + b)],
+                     dg.lanes, step, gxl);
+    }
+  }
 }
 
 Tensor depthwise_forward(const Tensor& x, const Tensor& w,
                          const ConvGeom& dg) {
   const int n = x.dim(0), c = x.dim(1);
   Tensor y({n, c, dg.ho, dg.wo});
-  const float* wl = pack_lane_weights(dg, w);
-  const std::size_t* xcells = placed(dg, dg.input(), x_cells);
-  float* yl = grown(cols, dg.out_cells() * dg.lanes);
-  const Positions pos = dg.forward_positions();
-  for (int in = 0; in < n; ++in) {
-    const float* grid =
-        fill_grid(dg, dg.input(), x.data(), in, c, xcells, x_grid);
-    lane_correlate(grid, pos, dg.fwd, wl, dg.lanes, yl);
-    from_lanes(yl, c, static_cast<int>(dg.out_cells()), dg.lanes,
-               y.data() + static_cast<std::size_t>(in) * c * dg.out_cells());
-  }
+  const std::size_t plane = static_cast<std::size_t>(c) * dg.out_cells();
+  lane_forward(dg, x.data(), n, c, 0.0F, pack_lane_weights(dg, w), 1,
+               [&](int in, const float* yl) {
+                 from_lanes(yl, c, static_cast<int>(dg.out_cells()), dg.lanes,
+                            y.data() + static_cast<std::size_t>(in) * plane);
+               });
   return y;
 }
 
@@ -634,7 +746,7 @@ Conv2dGrads depthwise_backward(const Tensor& x, const Tensor& w,
                                const Tensor& grad_y, const ConvGeom& dg) {
   const int n = x.dim(0), c = x.dim(1);
   Conv2dGrads g{Tensor({n, c, dg.h, dg.w}), Tensor(w.shape())};
-  const float* wl = pack_lane_weights(dg, w);
+  const FmaStep step = pack_lane_weights(dg, w);
   const std::size_t gw_floats = static_cast<std::size_t>(dg.taps) * dg.lanes;
   float* gwl = grown(product, gw_floats);
   std::fill(gwl, gwl + gw_floats, 0.0F);
@@ -643,20 +755,14 @@ Conv2dGrads depthwise_backward(const Tensor& x, const Tensor& w,
   dg.phase_taps(phases);
   float* gxl = grown(cols, dg.in_cells() * dg.lanes);
   for (int in = 0; in < n; ++in) {
-    const float* gygrid =
-        fill_grid(dg, dg.grad(), grad_y.data(), in, c, gycells, gy_grid);
-    for (int a = 0; a < std::min(dg.stride, dg.h); ++a) {
-      for (int b = 0; b < std::min(dg.stride, dg.w); ++b) {
-        lane_correlate(gygrid, dg.phase_positions(a, b),
-                       phases[static_cast<std::size_t>(a * dg.stride + b)],
-                       wl, dg.lanes, gxl);
-      }
-    }
+    const float* gygrid = fill_grid(dg, dg.grad(), grad_y.data(), in, c,
+                                    gycells, 0.0F, gy_grid);
+    lane_grad_x(dg, gygrid, step, gxl);
     from_lanes(gxl, c, static_cast<int>(dg.in_cells()), dg.lanes,
                g.grad_x.data() + static_cast<std::size_t>(in) * c *
                                      dg.in_cells());
     const float* xgrid =
-        fill_grid(dg, dg.input(), x.data(), in, c, xcells, x_grid);
+        fill_grid(dg, dg.input(), x.data(), in, c, xcells, 0.0F, x_grid);
     lane_wgrad_image(dg, xgrid, gygrid, gwl);
   }
   from_lanes(gwl, c, dg.taps, dg.lanes, g.grad_w.data());
@@ -989,6 +1095,8 @@ ConvGeom conv_geom(const Tensor& x, const Tensor& w, const Conv2dSpec& spec) {
 //               (r, c) descending, which is (oh, ow) ascending;
 //       grad_w  the kh * kw chains of an 8-channel block advanced together
 //               per output position, over (n, oh, ow) ascending.
+//     The max and avg pools run the same lane kernel (see the elementwise
+//     kernels below).
 //   everything else (dense, grouped, channel multiplier > 1, 1x1): im2col
 //     columns over the same grids, one plane per row and all images'
 //     positions side by side, into one gemm:
@@ -1044,12 +1152,17 @@ Shape4 Pool2dSpec::out_shape(const Shape4& in) const {
 //   ReLU     a select, vectorized; the backward reads a byte mask x > 0.
 //   BN       per-channel double sums in (n, h, w) order, kBnLanes channels'
 //            chains side by side; then one vectorized pass per channel.
-//   pools    every tap in (r, c) order as one unit-stride run over the
-//            output slots of a block of padded planes (PoolGrid); padding
-//            reads -inf (max) or 0 (avg), which never changes a result.
-//            The avg-pool backward gathers taps in (r, c) descending
-//            order, which is (oh, ow) ascending for each input element;
-//            the max-pool backward scatters in output order.
+//   pools    the depthwise conv's lane kernel over a ConvGeom with one
+//            group per channel (pool_geom). Avg: window sums as chains of
+//            fmadd(x, 1, acc), which is acc + x, over the kept taps in
+//            (r, c) order, then times 1/k^2; the backward scales grad_y by
+//            1/k^2 on its grid and runs the depthwise grad_x with weight
+//            1, taps (r, c) descending, which is (oh, ow) ascending for
+//            each input element. Padding reads 0, which changes no sum
+//            that starts at +0 (such a sum is never -0). Max: MaxStep over
+//            a grid padded with -inf, each output starting at -inf on its
+//            window's first in-bounds tap; the backward scatters in output
+//            order. Taps that read only padding are dropped.
 //   GAP      one float chain per plane in (h, w) order.
 
 void relu_forward(std::size_t len, const float* __restrict x,
@@ -1239,295 +1352,21 @@ void batchnorm2d_backward(const Shape4& s, const float* __restrict gy,
 
 namespace {
 
-using Mask8 = std::int32_t __attribute__((vector_size(32)));
-// Vectors per register block: enough independent chains to cover the
-// latency of an add or a compare-and-blend.
-constexpr std::size_t kChains = 4;
-constexpr std::size_t kPoolLanes = kChains * kVec;  // slots per block
-
-// dst[i] = src[i] * scale over a row, eight floats at a time.
-inline void scale_row(const float* src, float scale, float* dst, int len) {
-  int i = 0;
-  for (; i + kVec <= len; i += kVec) {
-    Vec8 v;
-    load8(src + i, v);
-    v *= scale;
-    std::memcpy(dst + i, &v, sizeof v);
-  }
-  for (; i < len; ++i) dst[i] = src[i] * scale;
+// A pool as a depthwise stencil: one group per channel, the channels in
+// the vector lanes, dilation 1.
+ConvGeom pool_geom(const Shape4& in, const Pool2dSpec& p) {
+  const Shape4 out = p.out_shape(in);
+  return ConvGeom(static_cast<int>(round_to_vec(in.c)), in.h, in.w, out.h,
+                  out.w, p.kernel, p.kernel,
+                  Conv2dSpec{p.stride, p.padding, 1, in.c});
 }
 
-// dst[i] = src[i] for tap numbers (< kMaxTaps) over a row.
-inline void narrow_row(const int* src, std::uint8_t* dst, int len) {
-  using Bytes8 = std::uint8_t __attribute__((vector_size(8)));
-  int i = 0;
-  for (; i + kVec <= len; i += kVec) {
-    Mask8 v;
-    std::memcpy(&v, src + i, sizeof v);
-    const Bytes8 b = __builtin_convertvector(v, Bytes8);
-    std::memcpy(dst + i, &b, sizeof b);
-  }
-  for (; i < len; ++i) dst[i] = static_cast<std::uint8_t>(src[i]);
-}
-
-// A stride-2 pool's row split: even elements to `even`, odd ones to `odd`.
-inline void split_row(const float* src, float* even, float* odd, int len) {
-  using Vec4 = float __attribute__((vector_size(16)));
-  int i = 0;
-  for (; i + kVec <= len; i += kVec, even += kVec / 2, odd += kVec / 2) {
-    Vec8 v;
-    load8(src + i, v);
-    const Vec4 e = __builtin_shufflevector(v, v, 0, 2, 4, 6);
-    const Vec4 o = __builtin_shufflevector(v, v, 1, 3, 5, 7);
-    std::memcpy(even, &e, sizeof e);
-    std::memcpy(odd, &o, sizeof o);
-  }
-  for (; i < len; ++i) *(i % 2 == 0 ? even++ : odd++) = src[i];
-}
-
-// The inverse of split_row.
-inline void join_row(const float* even, const float* odd, float* dst,
-                     int len) {
-  using Vec4 = float __attribute__((vector_size(16)));
-  int i = 0;
-  for (; i + kVec <= len; i += kVec, even += kVec / 2, odd += kVec / 2) {
-    Vec4 e, o;
-    std::memcpy(&e, even, sizeof e);
-    std::memcpy(&o, odd, sizeof o);
-    const Vec8 v = __builtin_shufflevector(e, o, 0, 4, 1, 5, 2, 6, 3, 7);
-    std::memcpy(dst + i, &v, sizeof v);
-  }
-  for (; i < len; ++i) dst[i] = i % 2 == 0 ? *even++ : *odd++;
-}
-
-// Pooling geometry over padded planes split into stride x stride phases:
-// phase (a, b) holds the padded rows a, a + stride, ... and columns b,
-// b + stride, ..., in rows wq long. Output (oh, ow) of a plane sits at
-// slot oh * wq + ow of a grid of the same layout, and its tap (r, c)
-// reads phase (r % stride, c % stride) at that slot plus
-// (r / stride) * wq + c / stride: every tap is a unit-stride run over
-// the slots. The planes of a block follow each other in every phase, so
-// one run covers the block, vectorized across slots. Slots with ow >= wo
-// or oh >= ho are junk: dropped from an output, zero in a gradient.
-struct PoolGrid {
-  Shape4 in, out;
-  Pool2dSpec p;
-  int wq = 0;                   // phase row width
-  std::size_t plane_slots = 0;  // slots (phase cells) per plane
-  std::size_t block = 1;        // planes per block
-  std::size_t phase_len = 0;    // one phase of a block, plus the taps' reach
-  int ntaps = 0;
-  // Per tap r * kernel + c: its phase and its step back within the phase.
-  std::array<int, kMaxTaps> tap_phase{};
-  std::array<std::size_t, kMaxTaps> tap_back{};
-  // Per phase column b: the first input column in it, and that column's
-  // cell in a block's phases relative to its row.
-  std::array<int, kMaxKernel> col_iw0{};
-  std::array<std::size_t, kMaxKernel> col_cell{};
-
-  PoolGrid(const Shape4& x, const Pool2dSpec& spec)
-      : in(x), out(spec.out_shape(x)), p(spec) {
-    const int s = spec.stride;
-    const int hq = (x.h + 2 * spec.padding + s - 1) / s;
-    wq = (x.w + 2 * spec.padding + s - 1) / s;
-    plane_slots = static_cast<std::size_t>(hq) * wq;
-    // About 8 KiB of padded input per block keeps its buffers in L1.
-    block = std::max<std::size_t>(
-        1, 2048 / (plane_slots * static_cast<std::size_t>(s * s)));
-    ntaps = spec.kernel * spec.kernel;
-    for (int t = 0; t < ntaps; ++t) {
-      const int r = t / spec.kernel, c = t % spec.kernel;
-      tap_phase[static_cast<std::size_t>(t)] = r % s * s + c % s;
-      tap_back[static_cast<std::size_t>(t)] =
-          static_cast<std::size_t>(r / s) * wq +
-          static_cast<std::size_t>(c / s);
-    }
-    phase_len = slots(block) + tap_back[static_cast<std::size_t>(ntaps - 1)];
-    for (int b = 0; b < s; ++b) {
-      const auto i = static_cast<std::size_t>(b);
-      col_iw0[i] = ((b - spec.padding) % s + s) % s;
-      col_cell[i] = i * phase_len +
-                    static_cast<std::size_t>((col_iw0[i] + spec.padding) / s);
-    }
-  }
-
-  std::size_t planes() const { return static_cast<std::size_t>(in.n) * in.c; }
-  int phases() const { return p.stride * p.stride; }
-  // Slots of a block of np planes, rounded up to whole register blocks.
-  std::size_t slots(std::size_t np) const {
-    return (np * plane_slots + kPoolLanes - 1) / kPoolLanes * kPoolLanes;
-  }
-  // Slot of output (oh, ow) within its plane.
-  std::size_t slot(int oh, int ow) const {
-    return static_cast<std::size_t>(oh) * wq + ow;
-  }
-  // Where tap t of slot 0 reads in a block's phases.
-  std::size_t tap_off(int t) const {
-    const auto i = static_cast<std::size_t>(t);
-    return static_cast<std::size_t>(tap_phase[i]) * phase_len + tap_back[i];
-  }
-  // Calls run(ih, cells) for each input row of plane pl: cells[b] is
-  // where the row's inputs col_iw0[b], col_iw0[b] + stride, ... start in
-  // phase column b of a block's phases.
-  template <typename Run>
-  void for_each_row(std::size_t pl, Run&& run) const {
-    const int s = p.stride;
-    int a = p.padding % s;  // phase row and row within it of input row ih
-    std::size_t rq = static_cast<std::size_t>(p.padding / s);
-    std::array<std::size_t, kMaxKernel> cells{};
-    for (int ih = 0; ih < in.h; ++ih) {
-      const std::size_t row = static_cast<std::size_t>(a * s) * phase_len +
-                              pl * plane_slots + rq * wq;
-      for (std::size_t b = 0; b < static_cast<std::size_t>(s); ++b) {
-        cells[b] = row + col_cell[b];
-      }
-      run(ih, cells);
-      if (++a == s) {
-        a = 0;
-        ++rq;
-      }
-    }
-  }
-
-  // Copies planes [p0, p0 + np) of x into the phases in `buf`, padded
-  // with `fill`.
-  void pad(const float* x, std::size_t p0, std::size_t np, float fill,
-           std::vector<float>& buf) const {
-    buf.assign(static_cast<std::size_t>(phases()) * phase_len, fill);
-    const int s = p.stride;
-    for (std::size_t pl = 0; pl < np; ++pl) {
-      const float* xp = x + (p0 + pl) * in.plane();
-      for_each_row(pl, [&](int ih, const auto& cells) {
-        const float* src = xp + static_cast<std::size_t>(ih) * in.w;
-        if (s == 1) {
-          copy_row(src, buf.data() + cells[0], in.w);
-        } else if (s == 2) {
-          split_row(src, buf.data() + cells[even_col()],
-                    buf.data() + cells[1 - even_col()], in.w);
-        } else {
-          for (std::size_t b = 0; b < static_cast<std::size_t>(s); ++b) {
-            float* dst = buf.data() + cells[b];
-            for (int iw = col_iw0[b]; iw < in.w; iw += s) *dst++ = src[iw];
-          }
-        }
-      });
-    }
-  }
-
-  // Copies the input cells of the block's phases in `buf` to planes
-  // [p0, p0 + np) of x.
-  void unpad(const std::vector<float>& buf, std::size_t p0, std::size_t np,
-             float* x) const {
-    const int s = p.stride;
-    for (std::size_t pl = 0; pl < np; ++pl) {
-      float* xp = x + (p0 + pl) * in.plane();
-      for_each_row(pl, [&](int ih, const auto& cells) {
-        float* dst = xp + static_cast<std::size_t>(ih) * in.w;
-        if (s == 1) {
-          copy_row(buf.data() + cells[0], dst, in.w);
-        } else if (s == 2) {
-          join_row(buf.data() + cells[even_col()],
-                   buf.data() + cells[1 - even_col()], dst, in.w);
-        } else {
-          for (std::size_t b = 0; b < static_cast<std::size_t>(s); ++b) {
-            const float* src = buf.data() + cells[b];
-            for (int iw = col_iw0[b]; iw < in.w; iw += s) dst[iw] = *src++;
-          }
-        }
-      });
-    }
-  }
-
-  // At stride 2, the phase column that holds the even input columns.
-  std::size_t even_col() const { return col_iw0[0] == 0 ? 0 : 1; }
-};
-
-// One max-pool tap over eight slots: a value takes its slot over a
-// smaller best, and as a NaN over a number; an equal value leaves the
-// earlier one.
-inline void max_step(const Vec8& v, const Mask8& tap, Vec8& best,
-                     Mask8& best_tap) {
-  const Mask8 take = ~(v <= best) & (best == best);
-  const Mask8 kept = __builtin_bit_cast(Mask8, best) & ~take;
-  best = __builtin_bit_cast(Vec8, (__builtin_bit_cast(Mask8, v) & take) | kept);
-  best_tap = (tap & take) | (best_tap & ~take);
-}
-
-// Max over every tap of `slots` slots. Each slot starts at -inf on the
-// tap in `first_tap`.
-void max_blocks(const PoolGrid& g, std::size_t slots, const float* padded,
-                const int* first_tap, float* best, int* best_tap) {
-  constexpr float kInf = std::numeric_limits<float>::infinity();
-  for (std::size_t q = 0; q < slots; q += kPoolLanes) {
-    std::array<Vec8, kChains> b;
-    std::array<Mask8, kChains> k;
-    b.fill(Vec8{-kInf, -kInf, -kInf, -kInf, -kInf, -kInf, -kInf, -kInf});
-    std::memcpy(k.data(), first_tap + q, sizeof k);
-    for (int t = 0; t < g.ntaps; ++t) {
-      const float* src = padded + g.tap_off(t) + q;
-      const Mask8 tap = {t, t, t, t, t, t, t, t};
-      for (std::size_t j = 0; j < kChains; ++j) {
-        Vec8 v;
-        load8(src + j * kVec, v);
-        max_step(v, tap, b[j], k[j]);
-      }
-    }
-    std::memcpy(best + q, b.data(), sizeof b);
-    std::memcpy(best_tap + q, k.data(), sizeof k);
-  }
-}
-
-// Sums over every tap of `slots` slots, each from +0 in tap order.
-void sum_blocks(const PoolGrid& g, std::size_t slots, const float* padded,
-                float* acc) {
-  for (std::size_t q = 0; q < slots; q += kPoolLanes) {
-    std::array<Vec8, kChains> a{};
-    for (int t = 0; t < g.ntaps; ++t) {
-      const float* src = padded + g.tap_off(t) + q;
-      for (std::size_t j = 0; j < kChains; ++j) {
-        Vec8 v;
-        load8(src + j * kVec, v);
-        a[j] += v;
-      }
-    }
-    std::memcpy(acc + q, a.data(), sizeof a);
-  }
-}
-
-// The avg-pool backward gathers each padded input cell's gradient: tap t
-// adds the slot it reads that cell for, taps in (r, c) descending order,
-// which is (oh, ow) ascending for each input element, as the scalar loop
-// scattered them. A phase's cells share their taps. `wide` holds a block's
-// output gradient on the slot grid after `margin` zeros (the largest step
-// back); junk slots and the margin hold zeros, which add nothing to a sum
-// that starts at +0.
-void gather_taps(const PoolGrid& g, std::size_t slots, std::size_t margin,
-                 const std::vector<float>& wide, std::vector<float>& padded) {
-  padded.resize(static_cast<std::size_t>(g.phases()) * g.phase_len);
-  for (int ph = 0; ph < g.phases(); ++ph) {
-    std::array<std::size_t, kMaxTaps> back{};
-    int nb = 0;
-    for (int t = g.ntaps - 1; t >= 0; --t) {
-      const auto i = static_cast<std::size_t>(t);
-      if (g.tap_phase[i] == ph) {
-        back[static_cast<std::size_t>(nb++)] = g.tap_back[i];
-      }
-    }
-    float* dst = padded.data() + static_cast<std::size_t>(ph) * g.phase_len;
-    for (std::size_t m = 0; m < slots; m += kPoolLanes) {
-      std::array<Vec8, kChains> a{};
-      for (int b = 0; b < nb; ++b) {
-        const float* src =
-            wide.data() + margin + m - back[static_cast<std::size_t>(b)];
-        for (std::size_t j = 0; j < kChains; ++j) {
-          Vec8 v;
-          load8(src + j * kVec, v);
-          a[j] += v;
-        }
-      }
-      std::memcpy(dst + m, a.data(), sizeof a);
-    }
-  }
+// The avg pool's step: weight 1 on every tap and lane.
+FmaStep unit_weights(const ConvGeom& dg) {
+  const std::size_t len = static_cast<std::size_t>(dg.taps) * dg.lanes;
+  float* wl = grown(packed_w, len);
+  std::fill(wl, wl + len, 1.0F);
+  return {wl, static_cast<std::size_t>(dg.lanes)};
 }
 
 }  // namespace
@@ -1535,43 +1374,16 @@ void gather_taps(const PoolGrid& g, std::size_t slots, std::size_t margin,
 void maxpool2d_forward(const Shape4& in, const Pool2dSpec& p,
                        const float* __restrict x, float* __restrict y,
                        std::uint8_t* __restrict tap) {
-  const PoolGrid g(in, p);
-  const std::size_t y_plane = g.out.plane();
-  // A slot starts at -inf on its window's first in-bounds tap. Padding
-  // reads -inf, which never takes a slot, so the first in-bounds element
-  // holds it unless a later one beats it, as in the scalar loop. Every
-  // block lays its planes out alike, so one table serves them all.
-  thread_local std::vector<int> first_tap;
-  first_tap.assign(g.slots(g.block), 0);
-  for (std::size_t pl = 0; pl < g.block; ++pl) {
-    for (int oh = 0; oh < g.out.h; ++oh) {
-      for (int ow = 0; ow < g.out.w; ++ow) {
-        const int r = std::max(0, p.padding - oh * p.stride);
-        const int c = std::max(0, p.padding - ow * p.stride);
-        first_tap[pl * g.plane_slots + g.slot(oh, ow)] = r * p.kernel + c;
-      }
-    }
-  }
-  thread_local std::vector<float> padded, best;
-  thread_local std::vector<int> best_tap;
-  for (std::size_t p0 = 0; p0 < g.planes(); p0 += g.block) {
-    const std::size_t np = std::min(g.block, g.planes() - p0);
-    const std::size_t slots = g.slots(np);
-    g.pad(x, p0, np, -std::numeric_limits<float>::infinity(), padded);
-    best.resize(slots);
-    best_tap.resize(slots);
-    max_blocks(g, slots, padded.data(), first_tap.data(), best.data(),
-               best_tap.data());
-    float* yp = y + p0 * y_plane;
-    std::uint8_t* tp = tap + p0 * y_plane;
-    for (std::size_t pl = 0; pl < np; ++pl) {
-      for (int oh = 0; oh < g.out.h; ++oh, yp += g.out.w, tp += g.out.w) {
-        const std::size_t q = pl * g.plane_slots + g.slot(oh, 0);
-        copy_row(best.data() + q, yp, g.out.w);
-        narrow_row(best_tap.data() + q, tp, g.out.w);
-      }
-    }
-  }
+  const ConvGeom dg = pool_geom(in, p);
+  const std::size_t cells = dg.out_cells() * dg.lanes;
+  const std::size_t plane = static_cast<std::size_t>(in.c) * dg.out_cells();
+  lane_forward(dg, x, in.n, in.c, -std::numeric_limits<float>::infinity(),
+               MaxStep{p, cells}, 2, [&](int n, const float* yl) {
+                 const auto len = static_cast<int>(dg.out_cells());
+                 const std::size_t at = static_cast<std::size_t>(n) * plane;
+                 from_lanes(yl, in.c, len, dg.lanes, y + at);
+                 from_lanes(yl + cells, in.c, len, dg.lanes, tap + at);
+               });
 }
 
 void maxpool2d_backward(const Shape4& in, const Pool2dSpec& p,
@@ -1600,52 +1412,40 @@ void maxpool2d_backward(const Shape4& in, const Pool2dSpec& p,
   }
 }
 
-// Reads zero padding, which changes no sum that starts at +0: such a sum
-// is never -0.
 void avgpool2d_forward(const Shape4& in, const Pool2dSpec& p,
                        const float* __restrict x, float* __restrict y) {
-  const PoolGrid g(in, p);
+  const ConvGeom dg = pool_geom(in, p);
   // count_include_pad=True semantics (matches PyTorch default used by
   // DARTS): divide by the full window size.
   const float inv = 1.0F / static_cast<float>(p.kernel * p.kernel);
-  thread_local std::vector<float> padded, acc;
-  for (std::size_t p0 = 0; p0 < g.planes(); p0 += g.block) {
-    const std::size_t np = std::min(g.block, g.planes() - p0);
-    const std::size_t slots = g.slots(np);
-    g.pad(x, p0, np, 0.0F, padded);
-    acc.resize(slots);
-    sum_blocks(g, slots, padded.data(), acc.data());
-    float* yp = y + p0 * g.out.plane();
-    for (std::size_t pl = 0; pl < np; ++pl) {
-      for (int oh = 0; oh < g.out.h; ++oh, yp += g.out.w) {
-        scale_row(acc.data() + pl * g.plane_slots + g.slot(oh, 0), inv, yp,
-                  g.out.w);
-      }
-    }
-  }
+  const std::size_t plane = static_cast<std::size_t>(in.c) * dg.out_cells();
+  lane_forward(dg, x, in.n, in.c, 0.0F, unit_weights(dg), 1,
+               [&](int n, const float* yl) {
+                 float* yp = y + static_cast<std::size_t>(n) * plane;
+                 from_lanes(yl, in.c, static_cast<int>(dg.out_cells()),
+                            dg.lanes, yp);
+                 for (std::size_t i = 0; i < plane; ++i) yp[i] *= inv;
+               });
 }
 
+// grad_y is scaled by 1 / k^2 on its grid, as the scalar loop scaled each
+// element before scattering it.
 void avgpool2d_backward(const Shape4& in, const Pool2dSpec& p,
                         const float* __restrict gy, float* __restrict gx) {
-  const PoolGrid g(in, p);
+  const ConvGeom dg = pool_geom(in, p);
   const float inv = 1.0F / static_cast<float>(p.kernel * p.kernel);
-  const std::size_t margin =
-      g.tap_back[static_cast<std::size_t>(g.ntaps - 1)];
-  thread_local std::vector<float> wide, padded;
-  for (std::size_t p0 = 0; p0 < g.planes(); p0 += g.block) {
-    const std::size_t np = std::min(g.block, g.planes() - p0);
-    const std::size_t slots = g.slots(np);
-    wide.assign(margin + slots, 0.0F);
-    const float* gyp = gy + p0 * g.out.plane();
-    for (std::size_t pl = 0; pl < np; ++pl) {
-      for (int oh = 0; oh < g.out.h; ++oh, gyp += g.out.w) {
-        scale_row(gyp, inv,
-                  wide.data() + margin + pl * g.plane_slots + g.slot(oh, 0),
-                  g.out.w);
-      }
-    }
-    gather_taps(g, slots, margin, wide, padded);
-    g.unpad(padded, p0, np, gx);
+  const FmaStep ones = unit_weights(dg);
+  const std::size_t* gycells = placed(dg, dg.grad(), gy_cells);
+  dg.phase_taps(phases);
+  float* gxl = grown(cols, dg.in_cells() * dg.lanes);
+  const std::size_t floats = dg.grid_floats(dg.grad());
+  const std::size_t plane = static_cast<std::size_t>(in.c) * dg.in_cells();
+  for (int n = 0; n < in.n; ++n) {
+    float* grid = fill_grid(dg, dg.grad(), gy, n, in.c, gycells, 0.0F, gy_grid);
+    for (std::size_t i = 0; i < floats; ++i) grid[i] *= inv;
+    lane_grad_x(dg, grid, ones, gxl);
+    from_lanes(gxl, in.c, static_cast<int>(dg.in_cells()), dg.lanes,
+               gx + static_cast<std::size_t>(n) * plane);
   }
 }
 
@@ -1762,8 +1562,6 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   for (int i = 0; i < m; ++i) {
     for (int kk = 0; kk < k; ++kk) {
       const float av = a.at2(i, kk);
-      // fms-lint: allow(float-eq) -- exact-zero sparsity skip
-      if (av == 0.0F) continue;
       for (int j = 0; j < n; ++j) c.at2(i, j) += av * b.at2(kk, j);
     }
   }
@@ -1777,8 +1575,6 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   for (int kk = 0; kk < k; ++kk) {
     for (int i = 0; i < m; ++i) {
       const float av = a.at2(kk, i);
-      // fms-lint: allow(float-eq) -- exact-zero sparsity skip
-      if (av == 0.0F) continue;
       for (int j = 0; j < n; ++j) c.at2(i, j) += av * b.at2(kk, j);
     }
   }

@@ -5,7 +5,8 @@
 // dilated separable convolutions). Shapes are NCHW. They run two kernels
 // over one geometry: depthwise convs with the channels in the vector
 // lanes, every other conv as im2col columns into one register-tiled GEMM
-// (src/tensor/ops.cpp, DESIGN.md §5.6).
+// (src/tensor/ops.cpp, DESIGN.md §5.6). The max and avg pools run on the
+// depthwise lane kernel too.
 #pragma once
 
 #include <cmath>
@@ -127,7 +128,8 @@ void batchnorm2d_backward(const Shape4& s, const float* __restrict gy,
 
 // y and, per output element, its window's argmax as a tap r * kernel + c:
 // the first maximum in (r, c) order, or the first NaN, which wins its
-// window.
+// window; a window of -inf reports its first in-bounds tap. Runs the
+// depthwise conv's lane kernel with a max step.
 void maxpool2d_forward(const Shape4& in, const Pool2dSpec& p,
                        const float* __restrict x, float* __restrict y,
                        std::uint8_t* __restrict tap);
@@ -136,7 +138,9 @@ void maxpool2d_forward(const Shape4& in, const Pool2dSpec& p,
 void maxpool2d_backward(const Shape4& in, const Pool2dSpec& p,
                         const std::uint8_t* __restrict tap,
                         const float* __restrict gy, float* __restrict gx);
-// Window sums divided by the full window size (count_include_pad).
+// Window sums divided by the full window size (count_include_pad); the
+// backward adds each gy / k^2 to its window's inputs in output order. Both
+// run the depthwise conv's lane kernel with weight 1.
 void avgpool2d_forward(const Shape4& in, const Pool2dSpec& p,
                        const float* __restrict x, float* __restrict y);
 void avgpool2d_backward(const Shape4& in, const Pool2dSpec& p,

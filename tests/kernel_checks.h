@@ -1,10 +1,12 @@
 // Assertions shared by the kernel contract tests (`ctest -L kernels`):
-// bit-for-bit tensor equality and planting NaN/Inf into inputs.
+// bit-for-bit tensor equality, the double dot products of the adjoint
+// identities, and planting NaN/Inf into inputs.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -31,6 +33,20 @@ inline ::testing::AssertionResult bit_equal(const char* what,
     }
   }
   return ::testing::AssertionFailure() << what << ": memcmp mismatch";
+}
+
+// <a, b> in double, for the adjoint identities.
+inline double dot(const Tensor& a, const Tensor& b) {
+  double s = 0.0;
+  for (std::size_t i = 0; i < a.numel(); ++i) {
+    s += static_cast<double>(a[i]) * b[i];
+  }
+  return s;
+}
+
+inline Tensor abs_of(Tensor t) {
+  for (float& v : t.vec()) v = std::fabs(v);
+  return t;
 }
 
 // Overwrites `count` random elements with NaN, +Inf or -Inf.

@@ -268,19 +268,6 @@ TEST(ConvKernel, MatchesOracleBitForBitOnRandomShapes) {
   EXPECT_GE(empty_phases, kDraws / 10);
 }
 
-double dot(const Tensor& a, const Tensor& b) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.numel(); ++i) {
-    s += static_cast<double>(a[i]) * b[i];
-  }
-  return s;
-}
-
-Tensor abs_of(Tensor t) {
-  for (float& v : t.vec()) v = std::fabs(v);
-  return t;
-}
-
 // <conv(x, w), g> = <x, conv_x^T(g)> = <w, conv_w^T(g)>: all three are the
 // same sum of x * w * g over (output, tap) pairs, so they differ only by
 // float rounding, bounded relative to the sum of |x * w * g|.

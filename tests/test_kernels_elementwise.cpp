@@ -2,11 +2,12 @@
 // library's ReLU, BatchNorm2d, max/avg pool and global-average-pool
 // kernels against the scalar loops in elementwise_reference.h over seeded
 // random shapes (bit-identical outputs, gradients, gamma/beta gradients,
-// running statistics and max-pool argmax), a finite-difference check of
-// the BatchNorm backward, non-finite propagation, and the shape checks a
-// mis-shaped gradient trips.
+// running statistics and max-pool argmax), the pools' adjoint identities,
+// a finite-difference check of the BatchNorm backward, non-finite
+// propagation, and the shape checks a mis-shaped gradient trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -72,6 +73,51 @@ Case draw_case(Rng& rng) {
   cc.h = side();
   cc.w = side();
   return cc;
+}
+
+// A draw at the lane kernel's shapes: 7 to 40 channels, so one to five
+// 8-lane blocks with tails, any window the pools accept, and planes whose
+// sides are at most 2 about half the time, where windows hang over the
+// edges and taps read only padding.
+Case draw_pool_lane_case(Rng& rng) {
+  Case cc;
+  cc.n = rng.randint(1, 3);
+  cc.c = rng.randint(7, 40);
+  constexpr std::array<int, 4> kSizes = {1, 2, 3, 5};
+  cc.kernel = kSizes[static_cast<std::size_t>(rng.randint(0, 3))];
+  cc.stride = rng.randint(1, 3);
+  cc.padding = rng.randint(0, cc.kernel / 2);
+  const int min_side = std::max(1, cc.kernel - 2 * cc.padding);
+  auto side = [&] {
+    return rng.bernoulli(0.5) ? std::max(min_side, rng.randint(1, 2))
+                              : rng.randint(min_side, std::max(min_side, 10));
+  };
+  cc.h = side();
+  cc.w = side();
+  return cc;
+}
+
+// Along one axis of a pool's windows: whether some tap reads only padding
+// at every output (the lane kernel drops it), and whether some input phase
+// i % stride is read by no tap (the backward's phase for it has no taps).
+struct AxisReach {
+  bool padding_tap = false;
+  bool empty_phase = false;
+};
+
+AxisReach axis_reach(int in, int out, const Case& cc) {
+  std::vector<bool> tap(static_cast<std::size_t>(cc.kernel));
+  std::vector<bool> phase(static_cast<std::size_t>(std::min(cc.stride, in)));
+  for (int o = 0; o < out; ++o) {
+    for (int t = 0; t < cc.kernel; ++t) {
+      const int i = o * cc.stride - cc.padding + t;
+      if (i < 0 || i >= in) continue;
+      tap[static_cast<std::size_t>(t)] = true;
+      phase[static_cast<std::size_t>(i % cc.stride)] = true;
+    }
+  }
+  return {std::find(tap.begin(), tap.end(), false) != tap.end(),
+          std::find(phase.begin(), phase.end(), false) != phase.end()};
 }
 
 // Normal data with about a fifth of it exactly zero or negative zero, so
@@ -270,8 +316,10 @@ TEST(ElementwiseKernel, BatchNormLayerMatchesOracle) {
 TEST(ElementwiseKernel, PoolsMatchOracleBitForBitOnRandomShapes) {
   Rng rng(0x9001);
   int batch1 = 0, tiny = 0, s1p1 = 0, s2p1 = 0;
-  for (int draw = 0; draw < kDraws; ++draw) {
-    const Case cc = draw_case(rng);
+  int lane_tails = 0, padding_taps = 0, empty_phases = 0;
+  // kDraws general draws, then as many at the lane kernel's shapes.
+  for (int draw = 0; draw < 2 * kDraws; ++draw) {
+    const Case cc = draw < kDraws ? draw_case(rng) : draw_pool_lane_case(rng);
     SCOPED_TRACE("draw " + std::to_string(draw) + ": " + cc.str());
     const Tensor x = draw_tensor(cc.shape(), rng);
     const Tensor gy = draw_tensor(cc.out_shape(), rng);
@@ -303,15 +351,50 @@ TEST(ElementwiseKernel, PoolsMatchOracleBitForBitOnRandomShapes) {
     EXPECT_TRUE(bit_equal("gap grad_x", gap.backward(gap_gy),
                           ref::global_avgpool_backward(x.shape(), gap_gy)));
 
-    batch1 += cc.n == 1 ? 1 : 0;
-    tiny += cc.h <= 2 && cc.w <= 2 ? 1 : 0;
-    s1p1 += cc.stride == 1 && cc.padding == 1 ? 1 : 0;
-    s2p1 += cc.stride == 2 && cc.padding == 1 ? 1 : 0;
+    if (draw < kDraws) {
+      batch1 += cc.n == 1 ? 1 : 0;
+      tiny += cc.h <= 2 && cc.w <= 2 ? 1 : 0;
+      s1p1 += cc.stride == 1 && cc.padding == 1 ? 1 : 0;
+      s2p1 += cc.stride == 2 && cc.padding == 1 ? 1 : 0;
+    } else {
+      const AxisReach rows = axis_reach(cc.h, cc.out_h(), cc);
+      const AxisReach cols = axis_reach(cc.w, cc.out_w(), cc);
+      lane_tails += cc.c > 8 && cc.c % 8 != 0 ? 1 : 0;
+      padding_taps += rows.padding_tap || cols.padding_tap ? 1 : 0;
+      empty_phases += rows.empty_phase || cols.empty_phase ? 1 : 0;
+    }
   }
   EXPECT_GE(batch1, kDraws / 10);
   EXPECT_GE(tiny, kDraws / 10);
   EXPECT_GE(s1p1, kDraws / 10);
   EXPECT_GE(s2p1, kDraws / 10);
+  EXPECT_GE(lane_tails, kDraws / 10);
+  EXPECT_GE(padding_taps, kDraws / 10);
+  EXPECT_GE(empty_phases, kDraws / 10);
+}
+
+// <pool(x), g> = <x, pool^T(g)> for both pools, the max pool's transpose
+// taken at its forward's argmax taps: each side is the same sum of x * g
+// (times 1/k^2 for avg) over (output, tap) pairs, so they differ only by
+// float rounding, bounded relative to the sum of the terms' magnitudes.
+TEST(ElementwiseKernel, PoolAdjointIdentitiesHoldInDouble) {
+  Rng rng(0xAD71);
+  for (int draw = 0; draw < 2 * kDraws; ++draw) {
+    const Case cc = draw < kDraws ? draw_case(rng) : draw_pool_lane_case(rng);
+    SCOPED_TRACE("draw " + std::to_string(draw) + ": " + cc.str());
+    const Tensor x = draw_tensor(cc.shape(), rng);
+    const Tensor g = draw_tensor(cc.out_shape(), rng);
+    const int k = cc.kernel, s = cc.stride, p = cc.padding;
+
+    const Tensor avg_gx = avgpool2d_backward(x.shape(), g, k, s, p);
+    EXPECT_NEAR(dot(avgpool2d_forward(x, k, s, p), g), dot(x, avg_gx),
+                1e-4 * dot(avgpool2d_forward(abs_of(x), k, s, p), abs_of(g)));
+
+    const MaxPoolResult mp = maxpool2d_forward(x, k, s, p);
+    const Tensor max_gx = maxpool2d_backward(x.shape(), mp.tap, g, k, s, p);
+    EXPECT_NEAR(dot(mp.y, g), dot(x, max_gx),
+                1e-4 * dot(abs_of(mp.y), abs_of(g)));
+  }
 }
 
 // Central differences of sum(y * w) in double against the analytic
@@ -377,8 +460,10 @@ TEST(ElementwiseKernel, BatchNormBackwardMatchesFiniteDifferences) {
 TEST(ElementwiseKernel, NonFiniteValuesReachEveryOutputTheOracleMarks) {
   Rng rng(0xBAD1);
   int oracle_non_finite = 0;
-  for (int draw = 0; draw < kDraws / 2; ++draw) {
-    const Case cc = draw_case(rng);
+  // kDraws / 2 general draws, then as many at the lane kernel's shapes.
+  for (int draw = 0; draw < kDraws; ++draw) {
+    const Case cc =
+        draw < kDraws / 2 ? draw_case(rng) : draw_pool_lane_case(rng);
     SCOPED_TRACE("draw " + std::to_string(draw) + ": " + cc.str());
     Tensor x = draw_tensor(cc.shape(), rng);
     Tensor gy = draw_tensor(cc.shape(), rng);
@@ -447,6 +532,20 @@ TEST(ElementwiseKernel, MaxPoolNaNWinsItsWindowAndFirstMaximumWinsTies) {
   const Tensor zeros({1, 1, 1, 2}, std::vector<float>{-0.0F, 0.0F});
   const MaxPoolResult z = maxpool2d_forward(zeros, 2, 1, 1);
   EXPECT_TRUE(std::signbit(z.y[1]));
+  // A padded window whose in-bounds values are all -inf reports its first
+  // in-bounds tap, never a padding tap: every window of this 3x3 pool with
+  // padding 1 over a 2x2 plane holds input (0, 0) first, at tap 4, 3, 1
+  // and 0.
+  const float inf = std::numeric_limits<float>::infinity();
+  const Tensor lows({1, 1, 2, 2}, std::vector<float>(4, -inf));
+  const MaxPoolResult low = maxpool2d_forward(lows, 3, 1, 1);
+  ASSERT_EQ(low.tap, (std::vector<std::uint8_t>{4, 3, 1, 0}));
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(low.y[i], -inf);
+  const Tensor low_gy({1, 1, 2, 2}, std::vector<float>{1.0F, 2.0F, 3.0F, 4.0F});
+  EXPECT_TRUE(bit_equal(
+      "all -inf grad_x",
+      maxpool2d_backward(lows.shape(), low.tap, low_gy, 3, 1, 1),
+      Tensor({1, 1, 2, 2}, std::vector<float>{10.0F, 0.0F, 0.0F, 0.0F})));
 }
 
 // ReLU maps a NaN input to 0 and routes no gradient through it, while a

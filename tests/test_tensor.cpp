@@ -2,6 +2,7 @@
 // forward results on hand-computed cases, and gradient checks against
 // central finite differences.
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -217,6 +218,23 @@ TEST(Ops, MatmulVariants) {
   Tensor b_t({2, 3}, std::vector<float>{7, 9, 11, 8, 10, 12});
   Tensor c3 = matmul_nt(a, b_t);
   for (std::size_t i = 0; i < c.numel(); ++i) EXPECT_FLOAT_EQ(c3[i], c[i]);
+}
+
+// A zero in A does not drop its term: a NaN in B reaches every C entry
+// whose sum reads it, as the non-finite contract asks, and the finite
+// entries keep their values.
+TEST(Ops, MatmulKeepsNaNBehindAZeroInA) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Tensor a({2, 2}, std::vector<float>{0, 1, 0, 2});
+  const Tensor a_t({2, 2}, std::vector<float>{0, 0, 1, 2});
+  const Tensor b({2, 3}, std::vector<float>{1, nan, 2, 3, 4, 5});
+  for (const Tensor& c : {matmul(a, b), matmul_tn(a_t, b)}) {
+    for (int i = 0; i < 2; ++i) EXPECT_TRUE(std::isnan(c.at2(i, 1))) << i;
+    EXPECT_EQ(c.at2(0, 0), 3.0F);
+    EXPECT_EQ(c.at2(1, 0), 6.0F);
+    EXPECT_EQ(c.at2(0, 2), 5.0F);
+    EXPECT_EQ(c.at2(1, 2), 10.0F);
+  }
 }
 
 TEST(Ops, SoftmaxRowsSumToOne) {

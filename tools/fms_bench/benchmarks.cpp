@@ -18,6 +18,7 @@
 #include "src/core/search.h"
 #include "src/data/synth.h"
 #include "src/fed/messages.h"
+#include "src/nas/cell.h"
 #include "src/nas/supernet.h"
 #include "src/net/transmission.h"
 #include "src/nn/layers.h"
@@ -324,6 +325,53 @@ std::vector<Benchmark> default_benchmarks() {
                     layers->push_back({std::make_unique<GlobalAvgPool>(),
                                        Tensor::randn({16, 48, 2, 2}, rng),
                                        Tensor::randn({16, 48}, rng)});
+                    return [layers] {
+                      for (Layer& l : *layers) {
+                        l.pool->forward(l.x, /*train=*/true);
+                        l.pool->backward(l.g);
+                      }
+                    };
+                  }});
+  // The batch-1 3x3 pools of a 4x4-image search (server_k50: 3 cells, 2
+  // nodes, 6 stem channels) at the channels cell_specs gives each cell:
+  // stride 1 on the normal cell's 4x4 planes; in each reduction cell,
+  // stride 2 from the cell's inputs and stride 1 on the halved planes
+  // (2x2 at C=12, 1x1 at C=24).
+  list.push_back({"nn.pool_tiny_fwd_bwd", 200, []() -> std::function<void()> {
+                    Rng rng(17);
+                    struct Layer {
+                      std::unique_ptr<Module> pool;
+                      Tensor x;
+                      Tensor g;
+                    };
+                    SupernetConfig cfg;
+                    cfg.num_cells = 3;
+                    cfg.num_nodes = 2;
+                    cfg.stem_channels = 6;
+                    auto layers = std::make_shared<std::vector<Layer>>();
+                    int hw = 4;
+                    for (const CellSpec& spec : cell_specs(cfg)) {
+                      std::vector<std::pair<int, int>> runs{{hw, 1}};
+                      if (spec.reduction) {
+                        runs = {{hw, 2}, {hw / 2, 1}};
+                        hw /= 2;
+                      }
+                      for (const auto& [side, stride] : runs) {
+                        const int out = side / stride;
+                        for (const bool max : {true, false}) {
+                          std::unique_ptr<Module> pool;
+                          if (max) {
+                            pool = std::make_unique<MaxPool2d>(3, stride, 1);
+                          } else {
+                            pool = std::make_unique<AvgPool2d>(3, stride, 1);
+                          }
+                          layers->push_back(
+                              {std::move(pool),
+                               Tensor::randn({1, spec.c, side, side}, rng),
+                               Tensor::randn({1, spec.c, out, out}, rng)});
+                        }
+                      }
+                    }
                     return [layers] {
                       for (Layer& l : *layers) {
                         l.pool->forward(l.x, /*train=*/true);
