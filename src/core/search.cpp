@@ -913,22 +913,25 @@ void FederatedSearch::aggregate_round(
           theta_opt_.step(supernet_->params());
         }
       } else {
-        // Robust estimator: densify each masked update into the whole-net
-        // coordinate space (unsampled ops contribute zero gradient, the
-        // same semantics the legacy scatter gives the mean) and aggregate.
-        // The presence masks let the per-coordinate estimators tell a
-        // real zero gradient from an op the update never sampled — see
-        // the participation-aware notes in src/agg/aggregator.h.
-        std::vector<std::vector<float>> dense;
-        std::vector<std::vector<std::uint8_t>> presence;
-        dense.reserve(applied.size());
-        presence.reserve(applied.size());
+        // Robust estimator over each parameter tensor's carriers: the
+        // updates go in as their (ids, grads), and a tensor an update did
+        // not sample counts as an exact zero, the same semantics the
+        // legacy scatter gives the mean. The per-coordinate estimators
+        // compute over the carriers only, so they tell a real zero
+        // gradient from an op the update never sampled — see the
+        // participation-aware notes in src/agg/aggregator.h.
+        std::vector<std::size_t> lengths;
+        lengths.reserve(supernet_->params().size());
+        for (const Param* p : supernet_->params()) {
+          lengths.push_back(p->numel());
+        }
+        std::vector<agg::MaskedUpdate> masked;
+        masked.reserve(applied.size());
         for (const AppliedUpdate& a : applied) {
-          dense.push_back(supernet_->dense_from_masked(a.ids, a.grads));
-          presence.push_back(supernet_->presence_from_masked(a.ids));
+          masked.push_back({a.ids, a.grads});
         }
         const agg::AggregationOutcome out =
-            agg::aggregate(opts.aggregator, dense, presence);
+            agg::aggregate_masked(opts.aggregator, lengths, masked);
         rec.agg_clipped = out.clipped_updates;
         rec.agg_clipped_mass = out.clipped_mass;
         rec.agg_trimmed = out.trimmed_values;

@@ -74,14 +74,14 @@ class Supernet {
       const std::vector<float>& flat,
       const std::vector<std::size_t>& ids) const;
   // Inverse of gather_from_flat for gradients: scatters a masked flat
-  // vector into a dense whole-net vector, exact zero elsewhere — the
-  // coordinate space the robust aggregators (src/agg) estimate in, with
-  // unsampled ops contributing zero exactly as the plain average does.
+  // vector into a dense whole-net vector, exact zero elsewhere, and its
+  // companion presence mask (1 over the coordinates `ids` select). The
+  // search round hands the robust aggregators the masked (ids, grads)
+  // instead (agg::aggregate_masked); these two remain only for the
+  // end-to-end benchmark's probe (fms_benchmark/), and go with the next
+  // change to that benchmark.
   std::vector<float> dense_from_masked(const std::vector<std::size_t>& ids,
                                        const std::vector<float>& flat) const;
-  // Companion presence mask: 1 over the coordinates `ids` select, 0
-  // elsewhere — tells the participation-aware estimators which zeros in
-  // the dense vector are real gradients and which are unsampled ops.
   std::vector<std::uint8_t> presence_from_masked(
       const std::vector<std::size_t>& ids) const;
   // Adds a dense whole-net flat vector into every param's .grad (the

@@ -258,52 +258,53 @@ OpCost axpy_cost(std::size_t numel) {
 }
 
 namespace {
-OpCost agg_base_cost(std::size_t m, std::size_t d) {
+OpCost agg_base_cost(std::size_t d, std::size_t carried) {
   OpCost cost;
-  cost.bytes_read = kF * static_cast<std::uint64_t>(m) * d;
+  cost.bytes_read = kF * static_cast<std::uint64_t>(carried);
   cost.bytes_written = kF * static_cast<std::uint64_t>(d);
   cost.elements = d;
   return cost;
 }
 }  // namespace
 
-OpCost agg_mean_cost(std::size_t m, std::size_t d) {
-  OpCost cost = agg_base_cost(m, d);
-  // per-coordinate sum + final scale.
-  cost.flops = static_cast<std::uint64_t>(m) * d + d;
+OpCost agg_mean_cost(std::size_t d, std::size_t carried) {
+  OpCost cost = agg_base_cost(d, carried);
+  // one add per carried value + final scale.
+  cost.flops = static_cast<std::uint64_t>(carried) + d;
   return cost;
 }
 
-OpCost agg_clipped_mean_cost(std::size_t m, std::size_t d) {
-  OpCost cost = agg_base_cost(m, d);
-  // norm pass (2/elem: mul+add) + scaled sum (2/elem) + final scale.
-  cost.flops = 4ull * m * d + d;
+OpCost agg_clipped_mean_cost(std::size_t d, std::size_t carried) {
+  OpCost cost = agg_base_cost(d, carried);
+  // norm pass (2/value: mul+add) + scaled sum (2/value) + final scale.
+  cost.flops = 4ull * carried + d;
   return cost;
 }
 
-OpCost agg_coordinate_median_cost(std::size_t m, std::size_t d) {
-  OpCost cost = agg_base_cost(m, d);
-  // per-coordinate sort (m log m compares) + participation scale.
-  cost.flops =
-      static_cast<std::uint64_t>(d) * (m * ceil_log2(m) + 1);
+OpCost agg_coordinate_median_cost(std::size_t m, std::size_t d,
+                                  std::size_t carried) {
+  OpCost cost = agg_base_cost(d, carried);
+  // per-coordinate sort (log m compares per value) + participation scale.
+  cost.flops = static_cast<std::uint64_t>(carried) * ceil_log2(m) + d;
   return cost;
 }
 
-OpCost agg_trimmed_mean_cost(std::size_t m, std::size_t d) {
-  OpCost cost = agg_base_cost(m, d);
+OpCost agg_trimmed_mean_cost(std::size_t m, std::size_t d,
+                             std::size_t carried) {
+  OpCost cost = agg_base_cost(d, carried);
   // per-coordinate sort + trimmed sum + final scale.
-  cost.flops =
-      static_cast<std::uint64_t>(d) * (m * ceil_log2(m) + m + 1);
+  cost.flops = static_cast<std::uint64_t>(carried) * (ceil_log2(m) + 1) + d;
   return cost;
 }
 
-OpCost agg_krum_cost(std::size_t m, std::size_t d) {
-  OpCost cost = agg_base_cost(m, d);
-  // m(m-1)/2 pairwise squared distances (3/elem: sub, mul, add) + mean
-  // of the keep set (bounded by m*d) + final scale.
-  const std::uint64_t pairs =
-      static_cast<std::uint64_t>(m) * (m > 0 ? m - 1 : 0) / 2;
-  cost.flops = 3 * pairs * d + static_cast<std::uint64_t>(m) * d + d;
+OpCost agg_krum_cost(std::size_t m, std::size_t d, std::size_t carried) {
+  OpCost cost = agg_base_cost(d, carried);
+  // Each value meets the m-1 other updates once in the pairwise squared
+  // distances (3 flops: sub, mul, add, charged once per pair) + mean of
+  // the keep set (bounded by the carried values) + final scale.
+  const std::uint64_t pair_values =
+      static_cast<std::uint64_t>(m > 0 ? m - 1 : 0) * carried / 2;
+  cost.flops = 3 * pair_values + carried + d;
   return cost;
 }
 

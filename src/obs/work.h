@@ -105,14 +105,17 @@ OpCost linear_bwd_cost(std::size_t n_batch, std::size_t in, std::size_t out);
 // y += x over numel elements (y is read-modify-write).
 OpCost axpy_cost(std::size_t numel);
 
-// Aggregation estimators over m updates of dimension d. Costs are the
-// dense shape-based work (presence masks ignored — the point is a
-// stable, comparable number per estimator call).
-OpCost agg_mean_cost(std::size_t m, std::size_t d);
-OpCost agg_clipped_mean_cost(std::size_t m, std::size_t d);
-OpCost agg_coordinate_median_cost(std::size_t m, std::size_t d);
-OpCost agg_trimmed_mean_cost(std::size_t m, std::size_t d);
-OpCost agg_krum_cost(std::size_t m, std::size_t d);
+// Aggregation estimators over m updates into a gradient of dimension d,
+// reading `carried` values: each update's carried coordinates once (m*d
+// when every update carries everything). The per-value work scales with
+// `carried`; sorts are charged ceil_log2(m) compares per value.
+OpCost agg_mean_cost(std::size_t d, std::size_t carried);
+OpCost agg_clipped_mean_cost(std::size_t d, std::size_t carried);
+OpCost agg_coordinate_median_cost(std::size_t m, std::size_t d,
+                                  std::size_t carried);
+OpCost agg_trimmed_mean_cost(std::size_t m, std::size_t d,
+                             std::size_t carried);
+OpCost agg_krum_cost(std::size_t m, std::size_t d, std::size_t carried);
 
 // Delay compensation: out[i] = h + lambda*h*h*(fresh[i] - stale[i]).
 OpCost dc_compensate_cost(std::size_t dim);

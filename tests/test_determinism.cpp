@@ -7,7 +7,8 @@
 //   x plan {clean, fault + churn + Byzantine at quorum 0.75 with DC}
 //   x run {uninterrupted, dropped after round j and recover()ed},
 //
-// plus one cell dropped at 4 threads and recover()ed at 1. Per plan,
+// plus one cell dropped at 4 threads and recover()ed at 1, and the
+// hostile plan under trimmed_mean:2 at threads {1, 4}. Per plan,
 // every cell is compared against the uninstrumented uninterrupted run at
 // one thread on four artifacts: the serialized canonical RoundRecords,
 // the genotype string, the final checkpoint blob and the journal files
@@ -24,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/agg/aggregator.h"
 #include "src/common/serialize.h"
 #include "src/core/search.h"
 #include "src/data/synth.h"
@@ -70,10 +72,15 @@ World make_world() {
   return World{std::move(data), std::move(partition), cfg};
 }
 
-SearchOptions plan_options(bool hostile, const std::string& dir) {
+// `aggregator` names the estimator (the mean when empty).
+SearchOptions plan_options(bool hostile, const std::string& dir,
+                           const std::string& aggregator = "") {
   SearchOptions opts;
   opts.checkpoint_every = 3;
   opts.checkpoint_path = dir + "/ck.bin";
+  if (!aggregator.empty()) {
+    opts.aggregator = agg::AggregatorConfig::parse(aggregator);
+  }
   if (!hostile) return opts;
   opts.stale_policy = StalePolicy::kCompensate;
   opts.staleness = StalenessDistribution::severe();
@@ -127,6 +134,7 @@ struct Outcome {
   int rejected = 0;
   int stale = 0;
   int left = 0;
+  long trimmed = 0;  // coordinates the robust estimator trimmed
 };
 
 void append(Outcome& out, const std::vector<RoundRecord>& records) {
@@ -137,6 +145,7 @@ void append(Outcome& out, const std::vector<RoundRecord>& records) {
     out.rejected += rec.rejected;
     out.stale += rec.stale_arrived;
     out.left += rec.left;
+    out.trimmed += rec.agg_trimmed;
   }
   out.records.insert(out.records.end(), w.bytes().begin(), w.bytes().end());
 }
@@ -150,14 +159,15 @@ struct Cell {
   int recover_threads = 1;
 };
 
-Outcome run_cell(const Cell& c, bool hostile, const std::string& name) {
+Outcome run_cell(const Cell& c, bool hostile, const std::string& name,
+                 const std::string& aggregator = "") {
   const std::string dir = ::testing::TempDir() + "/fms_det_" + name;
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   World w = make_world();
   if (c.instrumented) instrument(w.cfg, dir);
   const bool recovered = c.recovered;
-  const SearchOptions opts = plan_options(hostile, dir);
+  const SearchOptions opts = plan_options(hostile, dir, aggregator);
   const std::string journal = dir + "/wal.bin";
   Outcome out;
   int search_left = kSearch;
@@ -287,6 +297,37 @@ TEST_F(TraceDeterminismTest, JsonlIsByteIdenticalAcrossThreadCounts) {
   EXPECT_NE(serial.find("\"name\":\"local_train\""), std::string::npos);
   EXPECT_NE(serial.find("\"name\":\"prune\""), std::string::npos);
   EXPECT_EQ(trace_without_durations(4, "trace_t4"), serial);
+}
+
+// The hostile plan under a robust estimator: trimmed_mean:2 sends every
+// round's arrivals through the per-tensor lane core, whose result must not
+// depend on the thread count the participants trained on, nor on a
+// kill-and-recover in between.
+class RobustDeterminismTest : public ::testing::Test {
+ protected:
+  void SetUp() override { reset_globals(); }
+  void TearDown() override { reset_globals(); }
+};
+
+TEST_F(RobustDeterminismTest, TrimmedMeanCellsAreByteIdenticalAcrossThreads) {
+  const std::string spec = "trimmed_mean:2";
+  const Outcome ref = run_cell(Cell{}, /*hostile=*/true, "trimmed_ref", spec);
+  ASSERT_FALSE(ref.records.empty());
+  EXPECT_GT(ref.trimmed, 0);
+  EXPECT_GT(ref.dropped, 0);
+  const std::vector<std::pair<Cell, std::string>> cells = {
+      {Cell{false, false, 4, 4}, "trimmed_plain_t4"},
+      {Cell{false, true, 1, 1}, "trimmed_recovered_t1"},
+      {Cell{false, true, 4, 4}, "trimmed_recovered_t4"}};
+  for (const auto& [c, name] : cells) {
+    SCOPED_TRACE(name);
+    const Outcome got = run_cell(c, /*hostile=*/true, name, spec);
+    EXPECT_EQ(got.records, ref.records);
+    EXPECT_EQ(got.genotype, ref.genotype);
+    EXPECT_EQ(got.checkpoint, ref.checkpoint);
+    EXPECT_EQ(got.journal, ref.journal);
+    EXPECT_EQ(got.journal_prev, ref.journal_prev);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Plans, DeterminismTest, ::testing::Bool(),

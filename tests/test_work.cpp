@@ -123,11 +123,16 @@ TEST_F(WorkTest, CostModelsArePinnedForKnownShapes) {
   EXPECT_EQ(relu_train.bytes_read, 256U);
   EXPECT_EQ(relu_train.bytes_written, 256U + 64U);
 
-  const obs::OpCost mean = obs::agg_mean_cost(10, 100);
+  const obs::OpCost mean = obs::agg_mean_cost(100, 10 * 100);
   EXPECT_EQ(mean.flops, 1100U);          // m*d sums + d scales
   EXPECT_EQ(mean.bytes_read, 4000U);     // every update, once
   EXPECT_EQ(mean.bytes_written, 400U);   // the aggregate
   EXPECT_EQ(mean.elements, 100U);
+  // Masked updates: only the carried values are read and summed.
+  const obs::OpCost sparse = obs::agg_mean_cost(100, 150);
+  EXPECT_EQ(sparse.flops, 250U);
+  EXPECT_EQ(sparse.bytes_read, 600U);
+  EXPECT_EQ(sparse.bytes_written, 400U);
 
   // ceil_log2 drives the sort-based estimators.
   EXPECT_EQ(obs::ceil_log2(1), 0U);
@@ -135,8 +140,13 @@ TEST_F(WorkTest, CostModelsArePinnedForKnownShapes) {
   EXPECT_EQ(obs::ceil_log2(3), 2U);
   EXPECT_EQ(obs::ceil_log2(8), 3U);
   EXPECT_EQ(obs::ceil_log2(10), 4U);
-  const obs::OpCost med = obs::agg_coordinate_median_cost(10, 7);
+  const obs::OpCost med = obs::agg_coordinate_median_cost(10, 7, 10 * 7);
   EXPECT_EQ(med.flops, 7U * (10 * 4 + 1));
+  const obs::OpCost trim = obs::agg_trimmed_mean_cost(10, 7, 20);
+  EXPECT_EQ(trim.flops, 20U * (4 + 1) + 7U);
+  EXPECT_EQ(trim.bytes_read, 80U);
+  const obs::OpCost krum = obs::agg_krum_cost(10, 7, 10 * 7);
+  EXPECT_EQ(krum.flops, 3U * 45 * 7 + 10U * 7 + 7U);  // 45 pairs
 
   const obs::OpCost copy = obs::copy_cost(10);  // gather/scatter: bytes only
   EXPECT_EQ(copy.flops, 0U);

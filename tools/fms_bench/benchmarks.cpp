@@ -445,6 +445,43 @@ std::vector<Benchmark> default_benchmarks() {
   list.push_back(
       agg_bench("agg.trimmed_mean_m50", "trimmed_mean:5", 50, 4000, 5));
   list.push_back(agg_bench("agg.krum_m10", "krum:2", 10, 4000, 5));
+  // The server_k50 workload's robust aggregation as its round calls it:
+  // that workload's supernet (3 cells, 2 nodes, stem 6, 4x4 images), 45
+  // arrivals with random masks, through the masked entry point.
+  list.push_back(
+      {"agg.trimmed_mean_k50_masked", 5, []() -> std::function<void()> {
+         Rng rng(13);
+         SupernetConfig sc;
+         sc.num_cells = 3;
+         sc.num_nodes = 2;
+         sc.stem_channels = 6;
+         sc.image_size = 4;
+         Supernet net(sc, rng);
+         auto lengths = std::make_shared<std::vector<std::size_t>>();
+         for (const Param* p : net.params()) lengths->push_back(p->numel());
+         auto ids = std::make_shared<std::vector<std::vector<std::size_t>>>();
+         auto grads = std::make_shared<std::vector<std::vector<float>>>();
+         for (int i = 0; i < 45; ++i) {
+           ids->push_back(
+               net.masked_param_ids(random_mask(net.num_edges(), rng)));
+           std::size_t n = 0;
+           for (const std::size_t id : ids->back()) n += (*lengths)[id];
+           std::vector<float> g(n);
+           for (float& x : g) x = rng.normal(0.0F, 0.1F);
+           grads->push_back(std::move(g));
+         }
+         const agg::AggregatorConfig cfg =
+             agg::AggregatorConfig::parse("trimmed_mean:5");
+         return [lengths, ids, grads, cfg] {
+           std::vector<agg::MaskedUpdate> masked;
+           for (std::size_t i = 0; i < ids->size(); ++i) {
+             masked.push_back({(*ids)[i], (*grads)[i]});
+           }
+           agg::AggregationOutcome out =
+               agg::aggregate_masked(cfg, *lengths, masked);
+           (void)out;
+         };
+       }});
 
   // --- micro: serialization + transport ---
   list.push_back({"fed.msg_roundtrip", 20, []() -> std::function<void()> {
