@@ -28,7 +28,8 @@ namespace {
 
 // The bookkeeping both trainers share: one curve point per step, a test
 // evaluation every `eval_every` steps and on the last one, and the final
-// and best test accuracy.
+// and best test accuracy. The final accuracy is the last step's
+// evaluation of the same weights, so it is not evaluated again.
 struct Curve {
   TrainableNet& net;
   const Dataset& test;
@@ -50,7 +51,9 @@ struct Curve {
   }
 
   RetrainResult finish() {
-    result.final_test_accuracy = evaluate(net, test, batch_size);
+    result.final_test_accuracy = result.curve.empty()
+                                     ? evaluate(net, test, batch_size)
+                                     : result.curve.back().val_acc;
     result.best_test_accuracy =
         std::max(result.best_test_accuracy, result.final_test_accuracy);
     return std::move(result);

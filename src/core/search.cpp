@@ -431,9 +431,7 @@ std::vector<FederatedSearch::ExecutedUpdate> FederatedSearch::execute_round(
     {
       FMS_SPAN("prune");
       msg.values = server.gather_values(server.masked_param_ids(msg.mask));
-      if (opts.codec != Codec::kFloat32) {
-        msg.values = codec_round_trip(msg.values, opts.codec);
-      }
+      codec_round_trip(msg.values, opts.codec);
     }
     // One corruption event flips bits on the wire in both directions:
     // the SubmodelMsg the client trains on and the UpdateMsg it returns.
@@ -442,9 +440,7 @@ std::vector<FederatedSearch::ExecutedUpdate> FederatedSearch::execute_round(
     UpdateMsg& upd = done[ui].upd;
     upd = participants_[ui]->train_step(msg);
     done[ui].reward = upd.reward;
-    if (opts.codec != Codec::kFloat32) {
-      upd.grads = codec_round_trip(upd.grads, opts.codec);
-    }
+    codec_round_trip(upd.grads, opts.codec);
     if (!p.fault.has_value()) return;
     if (*p.fault == FaultKind::kDivergent) {
       injector.poison(upd, i, t);

@@ -24,7 +24,9 @@ UpdateMsg SearchParticipant::train_step(const SubmodelMsg& msg) {
   FMS_SPAN("local_train");
   const auto ids = replica_->masked_param_ids(msg.mask);
   replica_->scatter_values(ids, msg.values);
-  replica_->zero_grad();
+  // The masked backward writes, and gather_grads reads, only these
+  // tensors' gradients, so the rest are never zeroed.
+  replica_->zero_grads(ids);
 
   Dataset::Batch batch = shard_.next_batch(batch_size_, &augment_, rng_);
   Tensor logits = replica_->forward(batch.x, msg.mask, /*train=*/true);

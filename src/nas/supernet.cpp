@@ -107,6 +107,10 @@ void Supernet::zero_grad() {
   for (Param* p : params_) p->grad.zero();
 }
 
+void Supernet::zero_grads(const std::vector<std::size_t>& ids) {
+  for (std::size_t id : ids) params_[id]->grad.zero();
+}
+
 std::vector<std::size_t> Supernet::masked_param_ids(const Mask& mask) const {
   FMS_OP("nas.mask_ids", {});
   FMS_CHECK(static_cast<int>(mask.normal.size()) == num_edges());
@@ -128,6 +132,7 @@ std::vector<float> Supernet::gather_values(
     const std::vector<std::size_t>& ids) const {
   obs::ScopedOp op("nas.gather");
   std::vector<float> flat;
+  flat.reserve(numel_of(ids));
   for (std::size_t id : ids) {
     const Param& p = *params_[id];
     const std::vector<float>& v = p.value.vec();
@@ -140,6 +145,7 @@ std::vector<float> Supernet::gather_values(
 std::vector<float> Supernet::gather_grads(const std::vector<std::size_t>& ids) {
   obs::ScopedOp op("nas.gather");
   std::vector<float> flat;
+  flat.reserve(numel_of(ids));
   for (std::size_t id : ids) {
     const auto& g = params_[id]->grad.vec();
     flat.insert(flat.end(), g.begin(), g.end());
@@ -266,8 +272,12 @@ std::size_t Supernet::param_count() const {
 }
 
 std::size_t Supernet::param_count_masked(const Mask& mask) const {
+  return numel_of(masked_param_ids(mask));
+}
+
+std::size_t Supernet::numel_of(const std::vector<std::size_t>& ids) const {
   std::size_t n = 0;
-  for (std::size_t id : masked_param_ids(mask)) n += params_[id]->numel();
+  for (std::size_t id : ids) n += params_[id]->numel();
   return n;
 }
 

@@ -50,6 +50,10 @@ class Supernet {
   // --- parameter plumbing ---
   const std::vector<Param*>& params();
   void zero_grad();
+  // Zeroes the gradients of the selected params only (ids from
+  // masked_param_ids): all a masked step needs, since its backward writes
+  // only those tensors' gradients.
+  void zero_grads(const std::vector<std::size_t>& ids);
 
   // Indices (into params()) of the parameters a mask selects: stem, cell
   // preprocessors, classifier, and exactly one op per edge per cell.
@@ -103,6 +107,10 @@ class Supernet {
   };
 
   void build_param_index();
+  // Total elements of the selected params: the exact size of a gather,
+  // reserved up front so a payload holds no spare capacity while it is in
+  // flight.
+  std::size_t numel_of(const std::vector<std::size_t>& ids) const;
 
   SupernetConfig cfg_;
   CellStack stack_;

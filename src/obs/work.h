@@ -123,8 +123,9 @@ OpCost dc_compensate_cost(std::size_t dim);
 // Message encode/decode: pure data movement, flops = 0.
 OpCost codec_cost(std::size_t payload_bytes);
 
-// Supernet gather/scatter/densify over numel floats: booked as bytes
-// only (read and written once each), flops = 0.
+// Supernet gather/scatter/densify and a lossy codec's in-place payload
+// round trip over numel floats: booked as bytes only (read and written
+// once each), flops = 0.
 OpCost copy_cost(std::size_t numel);
 
 // Transmission scheduling over k links: bytes_written is the simulated

@@ -84,6 +84,23 @@ TEST(Codec, EncodedBytesMatchActualAndShrink) {
 TEST(Codec, DecodeRejectsGarbage) {
   std::vector<std::uint8_t> garbage{42, 1, 0, 0};
   EXPECT_THROW(codec_decode(garbage), CheckError);
+  // A well-formed payload with one byte cut or added, an unknown codec
+  // tag, or a count larger than the bytes can hold.
+  Rng rng(6);
+  for (Codec c : {Codec::kFloat32, Codec::kFloat16, Codec::kInt8}) {
+    const std::vector<std::uint8_t> good =
+        codec_encode(random_payload(300, rng, 1.0F), c);
+    std::vector<std::uint8_t> cut(good.begin(), good.end() - 1);
+    std::vector<std::uint8_t> longer = good;
+    longer.push_back(0);
+    std::vector<std::uint8_t> tag = good;
+    tag[0] = 3;
+    std::vector<std::uint8_t> count = good;
+    count[8] = 0x80;  // the count's top byte
+    for (const auto* bad : {&cut, &longer, &tag, &count}) {
+      EXPECT_THROW(codec_decode(*bad), CheckError) << codec_name(c);
+    }
+  }
 }
 
 TEST(Codec, SearchWithInt8PayloadsStillLearns) {

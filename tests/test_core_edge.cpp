@@ -203,6 +203,67 @@ TEST(CoreEdge, EvaluateCountsExactly) {
   EXPECT_NEAR(acc, 2.0 / 23.0, 1e-9);
 }
 
+// A stub whose prediction moves with training (class = backward calls mod
+// 10) and that counts its eval-mode forwards, one per test batch.
+class CountingNet : public TrainableNet {
+ public:
+  Tensor forward(const Tensor& x, bool train) override {
+    if (!train) ++eval_forwards;
+    Tensor logits({x.dim(0), 10});
+    for (int i = 0; i < x.dim(0); ++i) logits.at2(i, backwards % 10) = 10.0F;
+    return logits;
+  }
+  void backward(const Tensor&) override { ++backwards; }
+  const std::vector<Param*>& params() override { return params_; }
+  void zero_grad() override {}
+  std::size_t param_count() const override { return 0; }
+
+  int backwards = 0;
+  int eval_forwards = 0;
+
+ private:
+  std::vector<Param*> params_;
+};
+
+TEST(CoreEdge, TrainersEvaluateTheFinalWeightsOnce) {
+  Dataset train(10, 1, 2, 2);
+  Dataset test(10, 1, 2, 2);
+  for (int i = 0; i < 20; ++i) train.add(std::vector<float>(4, 0.0F), i % 10);
+  for (int i = 0; i < 23; ++i) test.add(std::vector<float>(4, 0.0F), i % 7);
+  const int batch = 7;  // 4 test batches per evaluation
+  const std::vector<std::vector<int>> parts = {{0, 2, 4, 6, 8, 10, 12},
+                                               {1, 3, 5, 7, 9, 11, 13}};
+  // Test evaluations: every eval_every steps and on the last one; with no
+  // steps, the untrained weights once.
+  struct Case {
+    bool federated;
+    int steps;
+    int eval_every;
+    int evaluations;
+  };
+  for (const Case c : {Case{true, 7, 3, 3}, Case{true, 6, 3, 2},
+                       Case{false, 4, 2, 2}, Case{false, 5, 1, 5},
+                       Case{true, 0, 3, 1}, Case{false, 0, 1, 1}}) {
+    SCOPED_TRACE(std::string(c.federated ? "federated" : "centralized") +
+                 " steps=" + std::to_string(c.steps));
+    CountingNet net;
+    Rng rng(31);
+    const RetrainResult res =
+        c.federated
+            ? federated_train(net, train, parts, test, c.steps, batch,
+                              SGD::Options{}, nullptr, rng, c.eval_every)
+            : centralized_train(net, train, test, c.steps, batch,
+                                SGD::Options{}, nullptr, rng, c.eval_every);
+    EXPECT_EQ(net.eval_forwards, 4 * c.evaluations);
+    ASSERT_EQ(res.curve.size(), static_cast<std::size_t>(c.steps));
+    // The results are those of evaluating the trained weights afresh.
+    EXPECT_EQ(res.final_test_accuracy, evaluate(net, test, batch));
+    double best = res.final_test_accuracy;
+    for (const TrainPoint& pt : res.curve) best = std::max(best, pt.val_acc);
+    EXPECT_EQ(res.best_test_accuracy, best);
+  }
+}
+
 TEST(CoreEdge, SynthDatasetsDeterministicGivenSeed) {
   SynthSpec spec;
   spec.train_size = 30;

@@ -8,7 +8,8 @@
 //   x run {uninterrupted, dropped after round j and recover()ed},
 //
 // plus one cell dropped at 4 threads and recover()ed at 1, and the
-// hostile plan under trimmed_mean:2 at threads {1, 4}. Per plan,
+// hostile plan under trimmed_mean:2 and with int8 payloads at threads
+// {1, 4}. Per plan,
 // every cell is compared against the uninstrumented uninterrupted run at
 // one thread on four artifacts: the serialized canonical RoundRecords,
 // the genotype string, the final checkpoint blob and the journal files
@@ -72,10 +73,13 @@ World make_world() {
   return World{std::move(data), std::move(partition), cfg};
 }
 
-// `aggregator` names the estimator (the mean when empty).
+// `aggregator` names the estimator (the mean when empty); `codec`
+// compresses both payloads.
 SearchOptions plan_options(bool hostile, const std::string& dir,
-                           const std::string& aggregator = "") {
+                           const std::string& aggregator = "",
+                           Codec codec = Codec::kFloat32) {
   SearchOptions opts;
+  opts.codec = codec;
   opts.checkpoint_every = 3;
   opts.checkpoint_path = dir + "/ck.bin";
   if (!aggregator.empty()) {
@@ -160,14 +164,15 @@ struct Cell {
 };
 
 Outcome run_cell(const Cell& c, bool hostile, const std::string& name,
-                 const std::string& aggregator = "") {
+                 const std::string& aggregator = "",
+                 Codec codec = Codec::kFloat32) {
   const std::string dir = ::testing::TempDir() + "/fms_det_" + name;
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   World w = make_world();
   if (c.instrumented) instrument(w.cfg, dir);
   const bool recovered = c.recovered;
-  const SearchOptions opts = plan_options(hostile, dir, aggregator);
+  const SearchOptions opts = plan_options(hostile, dir, aggregator, codec);
   const std::string journal = dir + "/wal.bin";
   Outcome out;
   int search_left = kSearch;
@@ -299,16 +304,16 @@ TEST_F(TraceDeterminismTest, JsonlIsByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(trace_without_durations(4, "trace_t4"), serial);
 }
 
-// The hostile plan under a robust estimator: trimmed_mean:2 sends every
-// round's arrivals through the per-tensor lane core, whose result must not
-// depend on the thread count the participants trained on, nor on a
-// kill-and-recover in between.
 class RobustDeterminismTest : public ::testing::Test {
  protected:
   void SetUp() override { reset_globals(); }
   void TearDown() override { reset_globals(); }
 };
 
+// The hostile plan under a robust estimator: trimmed_mean:2 sends every
+// round's arrivals through the per-tensor lane core, whose result must not
+// depend on the thread count the participants trained on, nor on a
+// kill-and-recover in between.
 TEST_F(RobustDeterminismTest, TrimmedMeanCellsAreByteIdenticalAcrossThreads) {
   const std::string spec = "trimmed_mean:2";
   const Outcome ref = run_cell(Cell{}, /*hostile=*/true, "trimmed_ref", spec);
@@ -322,6 +327,31 @@ TEST_F(RobustDeterminismTest, TrimmedMeanCellsAreByteIdenticalAcrossThreads) {
   for (const auto& [c, name] : cells) {
     SCOPED_TRACE(name);
     const Outcome got = run_cell(c, /*hostile=*/true, name, spec);
+    EXPECT_EQ(got.records, ref.records);
+    EXPECT_EQ(got.genotype, ref.genotype);
+    EXPECT_EQ(got.checkpoint, ref.checkpoint);
+    EXPECT_EQ(got.journal, ref.journal);
+    EXPECT_EQ(got.journal_prev, ref.journal_prev);
+  }
+}
+
+// The hostile plan with int8 payloads both ways: every participant runs
+// the lane quantizer on its download and its upload on a pool worker, and
+// corrupt faults flip bits after it, so the codec's output must not depend
+// on the thread count nor on a kill-and-recover in between.
+TEST_F(RobustDeterminismTest, Int8CodecCellsAreByteIdenticalAcrossThreads) {
+  const Outcome ref =
+      run_cell(Cell{}, /*hostile=*/true, "int8_ref", "", Codec::kInt8);
+  ASSERT_FALSE(ref.records.empty());
+  EXPECT_GT(ref.dropped, 0);
+  EXPECT_GT(ref.rejected, 0);
+  const std::vector<std::pair<Cell, std::string>> cells = {
+      {Cell{false, false, 4, 4}, "int8_plain_t4"},
+      {Cell{false, true, 1, 1}, "int8_recovered_t1"},
+      {Cell{false, true, 4, 4}, "int8_recovered_t4"}};
+  for (const auto& [c, name] : cells) {
+    SCOPED_TRACE(name);
+    const Outcome got = run_cell(c, /*hostile=*/true, name, "", Codec::kInt8);
     EXPECT_EQ(got.records, ref.records);
     EXPECT_EQ(got.genotype, ref.genotype);
     EXPECT_EQ(got.checkpoint, ref.checkpoint);

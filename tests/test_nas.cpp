@@ -1,6 +1,10 @@
 // Tests for the NAS search space: candidate ops, cell DAG, supernet
 // masking, parameter bookkeeping, genotype discretization, discrete net.
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <utility>
 
 #include "gtest/gtest.h"
 #include "src/nas/discrete_net.h"
@@ -240,6 +244,61 @@ TEST(Supernet, BackwardOnlyTouchesMaskedOps) {
   float masked_norm = 0.0F;
   for (auto id : ids) masked_norm += params[id]->grad.l2_norm();
   EXPECT_GT(masked_norm, 0.0F);
+}
+
+// zero_grads(ids) is all a masked step needs: with every gradient a NaN
+// canary, zeroing only the carried tensors leaves the rest untouched
+// through a masked forward and backward, and the carried gradients equal
+// those of the same step after a full zero_grad(). The first kNumOps
+// masks put every op on every edge of both cell kinds; the rest are
+// random.
+TEST(Supernet, ZeroGradsOfTheCarriedTensorsIsEnough) {
+  constexpr float kCanary = std::numeric_limits<float>::quiet_NaN();
+  Rng init_a(16);
+  Rng init_b(16);
+  Supernet net(small_cfg(), init_a);
+  Supernet ref(small_cfg(), init_b);
+  Rng rng(17);
+  const int edges = net.num_edges();
+  std::set<std::pair<bool, int>> covered;  // (reduction, op) trained
+  for (int m = 0; m < kNumOps + 12; ++m) {
+    Mask mask = random_mask(edges, rng);
+    if (m < kNumOps) {
+      for (int e = 0; e < edges; ++e) {
+        mask.normal[static_cast<std::size_t>(e)] = (m + e) % kNumOps;
+        mask.reduce[static_cast<std::size_t>(e)] = (m + 2 * e) % kNumOps;
+      }
+    }
+    for (int e = 0; e < edges; ++e) {
+      covered.insert({false, mask.normal[static_cast<std::size_t>(e)]});
+      covered.insert({true, mask.reduce[static_cast<std::size_t>(e)]});
+    }
+    const Tensor x = Tensor::randn({2, 3, 8, 8}, rng);
+    const std::vector<int> labels = {rng.randint(0, 9), rng.randint(0, 9)};
+    const std::vector<std::size_t> ids = net.masked_param_ids(mask);
+
+    for (Param* p : net.params()) p->grad.fill(kCanary);
+    net.zero_grads(ids);
+    net.backward(cross_entropy(net.forward(x, mask, true), labels).grad_logits);
+
+    ref.zero_grad();
+    ref.backward(cross_entropy(ref.forward(x, mask, true), labels).grad_logits);
+
+    const std::set<std::size_t> carried(ids.begin(), ids.end());
+    for (std::size_t i = 0; i < net.params().size(); ++i) {
+      if (carried.count(i) != 0) continue;
+      for (const float g : net.params()[i]->grad.vec()) {
+        ASSERT_TRUE(std::isnan(g)) << "mask " << m << " param " << i;
+      }
+    }
+    const std::vector<float> got = net.gather_grads(ids);
+    const std::vector<float> want = ref.gather_grads(ids);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+              0)
+        << "mask " << m;
+  }
+  EXPECT_EQ(covered.size(), 2U * kNumOps);
 }
 
 TEST(Genotype, DiscretizePicksArgmaxNonZeroOp) {

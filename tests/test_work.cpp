@@ -20,6 +20,7 @@
 
 #include "src/core/search.h"
 #include "src/data/synth.h"
+#include "src/fed/compression.h"
 #include "src/fed/messages.h"
 #include "src/obs/report.h"
 #include "src/obs/roofline.h"
@@ -391,6 +392,27 @@ TEST_F(WorkTest, MessageCodecsRecordPayloadBytes) {
   EXPECT_EQ(enc->cost.bytes_written, wire.size());
   EXPECT_EQ(enc->cost.elements, wire.size());
   EXPECT_EQ(dec->cost.bytes_read, wire.size());
+}
+
+TEST_F(WorkTest, PayloadRoundTripBooksOneCompressZonePerLossyCall) {
+  // A lossy codec's in-place round trip reads and writes each float once;
+  // float32 is a no-op and opens no zone.
+  obs::set_profiling_enabled(true);
+  obs::reset_profiler();
+  std::vector<float> values(300, 0.5F);
+  codec_round_trip(values, Codec::kInt8);
+  codec_round_trip(values, Codec::kFloat16);
+  codec_round_trip(values, Codec::kFloat32);
+  const obs::WorkReport report = obs::collect_work();
+  obs::set_profiling_enabled(false);
+
+  const obs::WorkRow* row = find_op(report, "fed.compress");
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->calls, 2U);
+  EXPECT_EQ(row->cost.flops, 0U);
+  EXPECT_EQ(row->cost.bytes_read, 2U * 4U * values.size());
+  EXPECT_EQ(row->cost.bytes_written, 2U * 4U * values.size());
+  EXPECT_EQ(row->cost.elements, 2U * values.size());
 }
 
 TEST_F(WorkTest, ProfileEventsCarryTheZoneCost) {

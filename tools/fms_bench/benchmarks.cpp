@@ -17,6 +17,7 @@
 #include "src/core/journal.h"
 #include "src/core/search.h"
 #include "src/data/synth.h"
+#include "src/fed/compression.h"
 #include "src/fed/messages.h"
 #include "src/nas/cell.h"
 #include "src/nas/supernet.h"
@@ -39,6 +40,17 @@ SearchConfig bench_search_config(int participants = 4) {
   cfg.schedule.num_participants = participants;
   cfg.seed = 1234;
   return cfg;
+}
+
+// The server_k50 workload's supernet: 3 cells, 2 nodes, stem 6, 4x4
+// images.
+SupernetConfig k50_supernet_config() {
+  SupernetConfig sc;
+  sc.num_cells = 3;
+  sc.num_nodes = 2;
+  sc.stem_channels = 6;
+  sc.image_size = 4;
+  return sc;
 }
 
 struct SearchState {
@@ -446,17 +458,12 @@ std::vector<Benchmark> default_benchmarks() {
       agg_bench("agg.trimmed_mean_m50", "trimmed_mean:5", 50, 4000, 5));
   list.push_back(agg_bench("agg.krum_m10", "krum:2", 10, 4000, 5));
   // The server_k50 workload's robust aggregation as its round calls it:
-  // that workload's supernet (3 cells, 2 nodes, stem 6, 4x4 images), 45
-  // arrivals with random masks, through the masked entry point.
+  // that workload's supernet, 45 arrivals with random masks, through the
+  // masked entry point.
   list.push_back(
       {"agg.trimmed_mean_k50_masked", 5, []() -> std::function<void()> {
          Rng rng(13);
-         SupernetConfig sc;
-         sc.num_cells = 3;
-         sc.num_nodes = 2;
-         sc.stem_channels = 6;
-         sc.image_size = 4;
-         Supernet net(sc, rng);
+         Supernet net(k50_supernet_config(), rng);
          auto lengths = std::make_shared<std::vector<std::size_t>>();
          for (const Param* p : net.params()) lengths->push_back(p->numel());
          auto ids = std::make_shared<std::vector<std::vector<std::size_t>>>();
@@ -484,6 +491,26 @@ std::vector<Benchmark> default_benchmarks() {
        }});
 
   // --- micro: serialization + transport ---
+  // The server_k50 workload's payload codec as its round runs it: 50
+  // sub-model payloads of that workload's supernet under random masks,
+  // each copied out and int8 round-tripped in place.
+  list.push_back(
+      {"fed.compress_int8_k50", 5, []() -> std::function<void()> {
+         Rng rng(14);
+         Supernet net(k50_supernet_config(), rng);
+         auto payloads = std::make_shared<std::vector<std::vector<float>>>();
+         for (int i = 0; i < 50; ++i) {
+           payloads->push_back(net.gather_values(
+               net.masked_param_ids(random_mask(net.num_edges(), rng))));
+         }
+         auto work = std::make_shared<std::vector<float>>();
+         return [payloads, work] {
+           for (const std::vector<float>& p : *payloads) {
+             work->assign(p.begin(), p.end());
+             codec_round_trip(*work, Codec::kInt8);
+           }
+         };
+       }});
   list.push_back({"fed.msg_roundtrip", 20, []() -> std::function<void()> {
                     Rng rng(10);
                     auto msg = std::make_shared<UpdateMsg>();
