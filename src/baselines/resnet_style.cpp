@@ -55,14 +55,6 @@ void ResidualBlock::collect_params(std::vector<Param*>& out) {
   if (skip_) skip_->collect_params(out);
 }
 
-std::unique_ptr<Module> ResidualBlock::clone() const {
-  // NOLINTNEXTLINE(modernize-make-unique): the default ctor is private
-  auto copy = std::unique_ptr<ResidualBlock>(new ResidualBlock());
-  copy->main_ = main_->clone();
-  copy->skip_ = skip_ ? skip_->clone() : nullptr;
-  return copy;
-}
-
 ResNetStyle::ResNetStyle(const ResNetStyleConfig& cfg, Rng& rng) {
   auto body = std::make_unique<Sequential>();
   body->add(std::make_unique<Conv2d>(cfg.image_channels, cfg.base_channels, 3,

@@ -22,11 +22,8 @@ class ResidualBlock : public Module {
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
   void collect_params(std::vector<Param*>& out) override;
-  std::unique_ptr<Module> clone() const override;
 
  private:
-  ResidualBlock() = default;
-
   std::unique_ptr<Module> main_;
   std::unique_ptr<Module> skip_;  // nullptr => identity
   Tensor cached_sum_;             // pre-ReLU sum, for the output ReLU

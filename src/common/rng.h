@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/common/serialize.h"
 
 namespace fms {
 
@@ -101,6 +102,13 @@ class Rng {
     std::istringstream is(state);
     is >> engine_;
     FMS_CHECK_MSG(!is.fail(), "corrupt rng state");
+  }
+  // A checkpoint field: the textual snapshot as one string.
+  void serialize(ByteWriter& w) const { w(save_state()); }
+  void restore(ByteReader& r) {
+    std::string state;
+    r(state);
+    load_state(state);
   }
 
   std::mt19937_64& engine() { return engine_; }

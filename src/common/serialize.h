@@ -3,6 +3,26 @@
 // The paper's efficiency claims hinge on payload sizes (a sub-model is
 // ~1/N of the supernet), so every message in the federated substrate is
 // actually serialized and its size measured rather than estimated.
+//
+// One walk per layout. A persisted type lists its fields once, in a
+// `template <class Io, class Self> static void walk(Io&, Self&)` that
+// writes them when handed a ByteWriter (`Self` is then const) and reads
+// them back, in the same order, when handed a ByteReader. Both classes
+// take the same fields through `operator()`:
+//   * a trivially copyable value, stored as its bytes;
+//   * a std::vector of such values or a std::string, after a u64 length;
+//   * `as<Stored>(field)`, a field stored as another type: a bool as u8,
+//     a size_t as u64, an enum as i32, a vector<int> as vector<int8_t>,
+//     a message as its serialized bytes;
+//   * a part that persists itself through `serialize(ByteWriter&) const`
+//     and `restore(ByteReader&)`.
+// `magic`, `each` and `each_fixed` spell a file tag and u32-counted runs
+// the same way, and `part` a part whose reader takes its owner's shapes
+// to check against. Checks only a read can make sit under
+// `if constexpr (Io::kReading)`. A byte layout is thus one function: a
+// field written but never read, or read out of order, cannot be spelled.
+// The per-direction primitives (write/read and their vector and string
+// forms) stay public for callers that hand-assemble a buffer.
 #pragma once
 
 #include <array>
@@ -16,8 +36,71 @@
 
 namespace fms {
 
+// A field persisted as `Stored`; see as().
+template <class Stored, class Field>
+struct As {
+  Field& field;
+};
+
+template <class Stored, class Field>
+As<Stored, Field> as(Field& field) {
+  return {field};
+}
+
+// Converts a field to or from its stored type: a range element by
+// element, a message through its serialize()/deserialize().
+template <class To, class From>
+To stored_cast(const From& v) {
+  if constexpr (requires { v.serialize(); }) {
+    return v.serialize();  // a message as its own length-prefixed blob
+  } else if constexpr (requires { To::deserialize(v); }) {
+    return To::deserialize(v);
+  } else if constexpr (requires { v.begin(); }) {
+    return To(v.begin(), v.end());
+  } else {
+    return static_cast<To>(v);
+  }
+}
+
 class ByteWriter {
  public:
+  static constexpr bool kReading = false;
+
+  template <class... Fields>
+  void operator()(const Fields&... fields) {
+    (put(fields), ...);
+  }
+
+  // A file tag; the reader fails with `what` when it differs.
+  void magic(std::uint32_t tag, const char* /*what*/) { write(tag); }
+
+  // A u32 count, then each element through `f`; a map entry writes its
+  // key, then its value through `f`.
+  template <class Seq, class F>
+  void each(const Seq& seq, F&& f) {
+    write(static_cast<std::uint32_t>(seq.size()));
+    for (const auto& e : seq) {
+      if constexpr (requires { e.second; }) {
+        put(e.first);
+        f(e.second);
+      } else {
+        f(e);
+      }
+    }
+  }
+
+  // As each(), for a run the reader must find as long as its live `seq`.
+  template <class Seq, class F>
+  void each_fixed(const Seq& seq, const char* /*what*/, F&& f) {
+    each(seq, f);
+  }
+
+  // A part whose reader checks it against its owner's live `shape`.
+  template <class Part, class... Shape>
+  void part(const Part& p, const Shape&... /*shape*/) {
+    p.serialize(*this);
+  }
+
   template <typename T>
   void write(const T& v) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -42,6 +125,24 @@ class ByteWriter {
   std::size_t size() const { return buf_.size(); }
 
  private:
+  template <class T>
+  void put(const T& v) {
+    if constexpr (requires { v.serialize(*this); }) {
+      v.serialize(*this);
+    } else {
+      write(v);
+    }
+  }
+  template <class T>
+  void put(const std::vector<T>& v) {
+    write_vector(v);
+  }
+  void put(const std::string& s) { write_string(s); }
+  template <class Stored, class Field>
+  void put(const As<Stored, Field>& a) {
+    put(stored_cast<Stored>(a.field));
+  }
+
   // Kept out of line: GCC 12 under -fsanitize=thread, with this insert
   // inlined into a caller writing a small scalar, reports a false
   // -Wstringop-overflow (an error under -Werror).
@@ -56,13 +157,53 @@ class ByteReader {
  public:
   explicit ByteReader(const std::vector<std::uint8_t>& buf) : buf_(buf) {}
 
+  static constexpr bool kReading = true;
+
+  template <class... Fields>
+  void operator()(Fields&&... fields) {
+    (get(fields), ...);
+  }
+
+  void magic(std::uint32_t tag, const char* what) {
+    FMS_CHECK_MSG(read<std::uint32_t>() == tag, what);
+  }
+
+  // Empties `seq`, reads a u32 count and appends that many elements, each
+  // read through `f` (a map entry: its key, then its value). Elements
+  // arrive one at a time, so a corrupt count runs out of bytes rather
+  // than allocating.
+  template <class Seq, class F>
+  void each(Seq& seq, F&& f) {
+    seq.clear();
+    const auto n = read<std::uint32_t>();
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if constexpr (requires { seq.begin()->second; }) {
+        f(seq[read<typename Seq::key_type>()]);
+      } else {
+        f(seq.emplace_back());
+      }
+    }
+  }
+
+  // Reads a u32 count that must equal the live `seq`'s size (`what`
+  // names its elements), then each element in place through `f`.
+  template <class Seq, class F>
+  void each_fixed(Seq& seq, const char* what, F&& f) {
+    const auto n = read<std::uint32_t>();
+    FMS_CHECK_MSG(n == seq.size(), "checkpoint has " << n << " " << what
+                                       << ", live state has " << seq.size());
+    for (auto& e : seq) f(e);
+  }
+
+  template <class Part, class... Shape>
+  void part(Part& p, const Shape&... shape) {
+    p.restore(*this, shape...);
+  }
+
   template <typename T>
   T read() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    FMS_CHECK_MSG(pos_ + sizeof(T) <= buf_.size(), "ByteReader underflow");
     T v;
-    std::memcpy(&v, buf_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
+    get(v);
     return v;
   }
 
@@ -94,6 +235,29 @@ class ByteReader {
   std::size_t position() const { return pos_; }
 
  private:
+  template <class T>
+  void get(T& v) {
+    if constexpr (requires { v.restore(*this); }) {
+      v.restore(*this);
+    } else {
+      static_assert(std::is_trivially_copyable_v<T>);
+      FMS_CHECK_MSG(pos_ + sizeof(T) <= buf_.size(), "ByteReader underflow");
+      std::memcpy(&v, buf_.data() + pos_, sizeof(T));
+      pos_ += sizeof(T);
+    }
+  }
+  template <class T>
+  void get(std::vector<T>& v) {
+    v = read_vector<T>();
+  }
+  void get(std::string& s) { s = read_string(); }
+  template <class Stored, class Field>
+  void get(As<Stored, Field>& a) {
+    Stored stored{};
+    get(stored);
+    a.field = stored_cast<Field>(stored);
+  }
+
   const std::vector<std::uint8_t>& buf_;
   std::size_t pos_ = 0;
 };

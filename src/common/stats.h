@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/common/serialize.h"
 
 namespace fms {
 
@@ -76,22 +77,22 @@ class WindowAverage {
     return values_.empty() ? 0.0 : sum_ / static_cast<double>(values_.size());
   }
 
-  // Exact state snapshot/restore for crash-recovery: the rolling sum and
-  // the rebuild phase both carry floating-point state that a resumed run
-  // must reproduce bit-for-bit.
-  std::size_t window() const { return window_; }
-  const std::deque<double>& values() const { return values_; }
-  double raw_sum() const { return sum_; }
-  std::size_t rebuild_counter() const { return updates_since_rebuild_; }
-  void restore(std::deque<double> values, double sum,
-               std::size_t rebuild_counter) {
-    FMS_CHECK_MSG(values.size() <= window_, "window state too large");
-    values_ = std::move(values);
-    sum_ = sum;
-    updates_since_rebuild_ = rebuild_counter;
-  }
+  // Exact state persistence for crash-recovery: the rolling sum and the
+  // rebuild phase both carry floating-point state that a resumed run must
+  // reproduce bit-for-bit, so both are stored verbatim.
+  void serialize(ByteWriter& w) const { walk(w, *this); }
+  void restore(ByteReader& r) { walk(r, *this); }
 
  private:
+  template <class Io, class Self>
+  static void walk(Io& io, Self& a) {
+    io(as<std::vector<double>>(a.values_), a.sum_,
+       as<std::uint64_t>(a.updates_since_rebuild_));
+    if constexpr (Io::kReading) {
+      FMS_CHECK_MSG(a.values_.size() <= a.window_, "window state too large");
+    }
+  }
+
   std::size_t window_;
   std::deque<double> values_;
   double sum_ = 0.0;

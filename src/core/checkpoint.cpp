@@ -59,8 +59,7 @@ void write_durable_file(const std::string& path,
                         const FaultInjector* faults, DiskOp op,
                         std::uint64_t op_id) {
   ByteWriter trailer;
-  trailer.write(kTrailerMagic);
-  trailer.write(crc32(bytes));
+  trailer(kTrailerMagic, crc32(bytes));
   const auto& t = trailer.bytes();
   bytes.insert(bytes.end(), t.begin(), t.end());
 
@@ -107,23 +106,56 @@ void write_durable_file(const std::string& path,
   FMS_CHECK_MSG(!ec, "rename into place failed for " << path);
 }
 
+template <class Io, class G>
+void walk_genotype(Io& io, G& g) {
+  io.magic(kGenotypeMagic, "not a genotype file");
+  io(g.nodes);
+  for (auto* edges : {&g.normal, &g.reduce}) {
+    io.each(*edges, [&io](auto& e) {
+      io(e.input, as<int>(e.op));
+      if constexpr (Io::kReading) {
+        FMS_CHECK_MSG(static_cast<int>(e.op) >= 0 &&
+                          static_cast<int>(e.op) < kNumOps,
+                      "corrupt genotype op");
+      }
+    });
+  }
+}
+
 }  // namespace
+
+template <class Io, class Self>
+void SearchCheckpoint::walk(Io& io, Self& c) {
+  io.magic(kCheckpointMagic, "not a checkpoint file");
+  io(c.version);
+  if constexpr (Io::kReading) {
+    FMS_CHECK_MSG(c.version >= 1 && c.version <= kCheckpointVersion,
+                  "unsupported checkpoint version " << c.version);
+  }
+  io(c.num_edges, c.num_nodes, c.round, c.baseline);
+  if constexpr (Io::kReading) {
+    FMS_CHECK_MSG(c.num_edges >= 0 && c.num_nodes >= 0,
+                  "corrupt checkpoint shape: " << c.num_edges << " edges, "
+                                               << c.num_nodes << " nodes");
+  }
+  std::vector<float> alpha = c.alpha.flatten();  // empty when reading
+  io(c.theta, alpha);
+  if constexpr (Io::kReading) {
+    c.alpha = AlphaPair::unflatten(alpha, c.num_edges);
+  }
+  if (c.version >= 2) {
+    io(as<std::uint8_t>(c.baseline_initialized), c.runtime_state);
+  } else if constexpr (Io::kReading) {
+    // v1 files predate the flag; a non-zero baseline implies it was live.
+    // fms-lint: allow(float-eq) -- 0.0 is the exact serialized default
+    c.baseline_initialized = c.baseline != 0.0;
+  }
+}
 
 std::vector<std::uint8_t> SearchCheckpoint::serialize() const {
   FMS_OP("ckpt.serialize", {});
   ByteWriter w;
-  w.write(kCheckpointMagic);
-  w.write(version);
-  w.write(num_edges);
-  w.write(num_nodes);
-  w.write(round);
-  w.write(baseline);
-  w.write_vector(theta);
-  w.write_vector(alpha.flatten());
-  if (version >= 2) {
-    w.write(static_cast<std::uint8_t>(baseline_initialized ? 1 : 0));
-    w.write_vector(runtime_state);
-  }
+  walk(w, *this);
   return w.take();
 }
 
@@ -131,29 +163,8 @@ SearchCheckpoint SearchCheckpoint::deserialize(
     const std::vector<std::uint8_t>& bytes) {
   FMS_OP("ckpt.restore", {});
   ByteReader r(bytes);
-  FMS_CHECK_MSG(r.read<std::uint32_t>() == kCheckpointMagic,
-                "not a checkpoint file");
   SearchCheckpoint ckpt;
-  ckpt.version = r.read<std::uint32_t>();
-  FMS_CHECK_MSG(ckpt.version >= 1 && ckpt.version <= kCheckpointVersion,
-                "unsupported checkpoint version " << ckpt.version);
-  ckpt.num_edges = r.read<int>();
-  ckpt.num_nodes = r.read<int>();
-  ckpt.round = r.read<int>();
-  ckpt.baseline = r.read<double>();
-  FMS_CHECK_MSG(ckpt.num_edges >= 0 && ckpt.num_nodes >= 0,
-                "corrupt checkpoint shape: " << ckpt.num_edges << " edges, "
-                                             << ckpt.num_nodes << " nodes");
-  ckpt.theta = r.read_vector<float>();
-  ckpt.alpha = AlphaPair::unflatten(r.read_vector<float>(), ckpt.num_edges);
-  if (ckpt.version >= 2) {
-    ckpt.baseline_initialized = r.read<std::uint8_t>() != 0;
-    ckpt.runtime_state = r.read_vector<std::uint8_t>();
-  } else {
-    // v1 files predate the flag; a non-zero baseline implies it was live.
-    // fms-lint: allow(float-eq) -- 0.0 is the exact serialized default
-    ckpt.baseline_initialized = ckpt.baseline != 0.0;
-  }
+  walk(r, ckpt);
   FMS_CHECK_MSG(r.exhausted(), "trailing bytes in checkpoint");
   return ckpt;
 }
@@ -208,39 +219,14 @@ CheckpointLoad read_checkpoint_file_with_fallback(const std::string& path) {
 
 std::vector<std::uint8_t> serialize_genotype(const Genotype& g) {
   ByteWriter w;
-  w.write(kGenotypeMagic);
-  w.write(g.nodes);
-  auto write_edges = [&](const std::vector<GenotypeEdge>& edges) {
-    w.write(static_cast<std::uint32_t>(edges.size()));
-    for (const auto& e : edges) {
-      w.write(e.input);
-      w.write(static_cast<int>(e.op));
-    }
-  };
-  write_edges(g.normal);
-  write_edges(g.reduce);
+  walk_genotype(w, g);
   return w.take();
 }
 
 Genotype deserialize_genotype(const std::vector<std::uint8_t>& bytes) {
   ByteReader r(bytes);
-  FMS_CHECK_MSG(r.read<std::uint32_t>() == kGenotypeMagic,
-                "not a genotype file");
   Genotype g;
-  g.nodes = r.read<int>();
-  auto read_edges = [&](std::vector<GenotypeEdge>& edges) {
-    const auto n = r.read<std::uint32_t>();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      GenotypeEdge e;
-      e.input = r.read<int>();
-      const int op = r.read<int>();
-      FMS_CHECK_MSG(op >= 0 && op < kNumOps, "corrupt genotype op");
-      e.op = static_cast<OpType>(op);
-      edges.push_back(e);
-    }
-  };
-  read_edges(g.normal);
-  read_edges(g.reduce);
+  walk_genotype(r, g);
   FMS_CHECK_MSG(r.exhausted(), "trailing bytes in genotype");
   FMS_CHECK_MSG(g.normal.size() == static_cast<std::size_t>(2 * g.nodes) &&
                     g.reduce.size() == g.normal.size(),

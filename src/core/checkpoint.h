@@ -45,6 +45,10 @@ struct SearchCheckpoint {
 
   std::vector<std::uint8_t> serialize() const;
   static SearchCheckpoint deserialize(const std::vector<std::uint8_t>& bytes);
+
+ private:
+  template <class Io, class Self>
+  static void walk(Io& io, Self& c);
 };
 
 SearchCheckpoint make_checkpoint(Supernet& supernet, const ArchPolicy& policy,

@@ -66,12 +66,12 @@ double DeadlineEstimator::deadline(const AdaptiveTimeoutConfig& cfg) const {
   return d;
 }
 
-void DeadlineEstimator::serialize(ByteWriter& w) const {
-  w.write_vector(window_);
+template <class Io, class Self>
+void DeadlineEstimator::walk(Io& io, Self& e) {
+  io(e.window_);
 }
 
-void DeadlineEstimator::restore(ByteReader& r) {
-  window_ = r.read_vector<double>();
-}
+void DeadlineEstimator::serialize(ByteWriter& w) const { walk(w, *this); }
+void DeadlineEstimator::restore(ByteReader& r) { walk(r, *this); }
 
 }  // namespace fms

@@ -60,6 +60,9 @@ class DeadlineEstimator {
   void restore(ByteReader& r);
 
  private:
+  template <class Io, class Self>
+  static void walk(Io& io, Self& e);
+
   std::vector<double> window_;  // insertion-ordered, oldest first
 };
 

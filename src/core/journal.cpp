@@ -21,28 +21,22 @@ std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
 
 }  // namespace
 
+template <class Io, class Self>
+void JournalFrame::walk(Io& io, Self& f) {
+  io(f.phase, f.round, f.record, f.rng_cursor, f.staleness_cursor,
+     f.degrade_mode, f.degrade_transitions);
+}
+
 std::vector<std::uint8_t> JournalFrame::serialize() const {
   ByteWriter w;
-  w.write(phase);
-  w.write(round);
-  record.serialize(w);
-  w.write_string(rng_cursor);
-  w.write_string(staleness_cursor);
-  w.write(degrade_mode);
-  w.write(degrade_transitions);
+  walk(w, *this);
   return w.take();
 }
 
 JournalFrame JournalFrame::deserialize(const std::vector<std::uint8_t>& bytes) {
   ByteReader r(bytes);
   JournalFrame f;
-  f.phase = r.read<std::uint8_t>();
-  f.round = r.read<int>();
-  f.record.restore(r);
-  f.rng_cursor = r.read_string();
-  f.staleness_cursor = r.read_string();
-  f.degrade_mode = r.read<int>();
-  f.degrade_transitions = r.read<int>();
+  walk(r, f);
   FMS_CHECK_MSG(r.exhausted(), "journal frame has trailing bytes");
   return f;
 }

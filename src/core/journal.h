@@ -43,10 +43,13 @@ struct JournalFrame {
   int degrade_mode = 0;          // ladder mode after the round
   int degrade_transitions = 0;   // cumulative ladder transitions
 
-  // Frame persistence; the pair is byte-exact and symmetric (enforced by
-  // fms_analyze checkpoint-symmetry).
+  // Frame persistence, both directions from one walk over the fields.
   std::vector<std::uint8_t> serialize() const;
   static JournalFrame deserialize(const std::vector<std::uint8_t>& bytes);
+
+ private:
+  template <class Io, class Self>
+  static void walk(Io& io, Self& f);
 };
 
 // Writer-side ledger, surfaced in the CLI exit summary and as

@@ -2,85 +2,21 @@
 
 namespace fms {
 
-void RoundRecord::serialize(ByteWriter& w) const {
-  w.write(round);
-  w.write(mean_reward);
-  w.write(moving_avg);
-  w.write(arrived);
-  w.write(dropped);
-  w.write(max_latency_s);
-  w.write(mean_latency_s);
-  w.write(static_cast<std::uint64_t>(bytes_down));
-  w.write(static_cast<std::uint64_t>(bytes_up));
-  w.write(stale_arrived);
-  w.write(compensated);
-  w.write(mean_tau);
-  w.write(max_tau);
-  w.write(alpha_entropy);
-  w.write(baseline);
-  w.write(offline);
-  w.write(rejected);
-  w.write(late);
-  w.write(retransmits);
-  w.write(static_cast<std::uint8_t>(partial_quorum ? 1 : 0));
-  w.write(commit_latency_s);
-  w.write(agg_clipped);
-  w.write(agg_clipped_mass);
-  w.write(static_cast<std::int64_t>(agg_trimmed));
-  w.write(agg_rejected);
-  w.write(winsorized);
-  w.write(screen_bound);
-  w.write(health);
-  w.write_string(health_trips);
-  w.write(live);
-  w.write(joined);
-  w.write(left);
-  w.write(cohort);
-  w.write(shed);
-  w.write(deadline_s);
-  w.write(degrade_mode);
-  w.write_string(degrade_transition);
+template <class Io, class Self>
+void RoundRecord::walk(Io& io, Self& r) {
+  io(r.round, r.mean_reward, r.moving_avg, r.arrived, r.dropped,
+     r.max_latency_s, r.mean_latency_s, as<std::uint64_t>(r.bytes_down),
+     as<std::uint64_t>(r.bytes_up), r.stale_arrived, r.compensated,
+     r.mean_tau, r.max_tau, r.alpha_entropy, r.baseline, r.offline,
+     r.rejected, r.late, r.retransmits, as<std::uint8_t>(r.partial_quorum),
+     r.commit_latency_s, r.agg_clipped, r.agg_clipped_mass,
+     as<std::int64_t>(r.agg_trimmed), r.agg_rejected, r.winsorized,
+     r.screen_bound, r.health, r.health_trips, r.live, r.joined, r.left,
+     r.cohort, r.shed, r.deadline_s, r.degrade_mode, r.degrade_transition);
 }
 
-void RoundRecord::restore(ByteReader& r) {
-  round = r.read<int>();
-  mean_reward = r.read<double>();
-  moving_avg = r.read<double>();
-  arrived = r.read<int>();
-  dropped = r.read<int>();
-  max_latency_s = r.read<double>();
-  mean_latency_s = r.read<double>();
-  bytes_down = static_cast<std::size_t>(r.read<std::uint64_t>());
-  bytes_up = static_cast<std::size_t>(r.read<std::uint64_t>());
-  stale_arrived = r.read<int>();
-  compensated = r.read<int>();
-  mean_tau = r.read<double>();
-  max_tau = r.read<int>();
-  alpha_entropy = r.read<double>();
-  baseline = r.read<double>();
-  offline = r.read<int>();
-  rejected = r.read<int>();
-  late = r.read<int>();
-  retransmits = r.read<int>();
-  partial_quorum = r.read<std::uint8_t>() != 0;
-  commit_latency_s = r.read<double>();
-  agg_clipped = r.read<int>();
-  agg_clipped_mass = r.read<double>();
-  agg_trimmed = static_cast<long>(r.read<std::int64_t>());
-  agg_rejected = r.read<int>();
-  winsorized = r.read<int>();
-  screen_bound = r.read<double>();
-  health = r.read<int>();
-  health_trips = r.read_string();
-  live = r.read<int>();
-  joined = r.read<int>();
-  left = r.read<int>();
-  cohort = r.read<int>();
-  shed = r.read<int>();
-  deadline_s = r.read<double>();
-  degrade_mode = r.read<int>();
-  degrade_transition = r.read_string();
-}
+void RoundRecord::serialize(ByteWriter& w) const { walk(w, *this); }
+void RoundRecord::restore(ByteReader& r) { walk(r, *this); }
 
 RoundRecord RoundRecord::canonical() const {
   RoundRecord c = *this;

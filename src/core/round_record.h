@@ -67,10 +67,9 @@ struct RoundRecord {
   // "from->to" when the controller moved at the end of this round.
   std::string degrade_transition;
 
-  // Journal-frame persistence. The pair is byte-exact and symmetric
-  // (enforced by fms_analyze checkpoint-symmetry); the journal compares
-  // serialized records to prove replay determinism, so every field above
-  // must round-trip here.
+  // Journal-frame persistence, both directions from one walk over the
+  // fields; the journal compares serialized records to prove replay
+  // determinism, so every field above must round-trip here.
   void serialize(ByteWriter& w) const;
   void restore(ByteReader& r);
 
@@ -78,6 +77,10 @@ struct RoundRecord {
   // carry, so a replayed round cannot reproduce them; zero them before a
   // byte comparison. Purely a copy — the live record is untouched.
   RoundRecord canonical() const;
+
+ private:
+  template <class Io, class Self>
+  static void walk(Io& io, Self& r);
 };
 
 }  // namespace fms

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <filesystem>
 #include <limits>
 #include <optional>
@@ -1205,8 +1204,8 @@ FederatedSearch::RecoveryReport FederatedSearch::recover(
                                           << t << ": phase mismatch");
       ByteWriter replayed;
       ByteWriter journaled;
-      rec.canonical().serialize(replayed);
-      f.record.serialize(journaled);
+      replayed(rec.canonical());
+      journaled(f.record);
       FMS_CHECK_MSG(replayed.bytes() == journaled.bytes(),
                     "journal replay diverged at round "
                         << t << ": round record mismatch");
@@ -1239,148 +1238,48 @@ FederatedSearch::RecoveryReport FederatedSearch::recover(
   return report;
 }
 
-std::vector<std::uint8_t> FederatedSearch::serialize_runtime_state() const {
-  ByteWriter w;
-  w.write(kRuntimeMagic);
-  w.write(round_counter_);
-  w.write(static_cast<std::uint64_t>(total_bytes_down_));
-  w.write(static_cast<std::uint64_t>(total_bytes_up_));
-  w.write(static_cast<std::uint64_t>(submodel_bytes_sum_));
-  w.write(static_cast<std::uint64_t>(submodel_count_));
-  // Fault ledger, so resumed campaigns keep the accounting invariant exact.
-  w.write(fault_stats_);
-  // Robustness ledger, so a resumed run's CLI summary matches an
-  // uninterrupted one.
-  w.write(robust_stats_);
-  // Every RNG stream: the server's two, each participant's, each trace's.
-  w.write_string(rng_.save_state());
-  w.write_string(staleness_rng_.save_state());
-  w.write(static_cast<std::uint32_t>(participants_.size()));
-  for (const auto& p : participants_) {
-    w.write_string(p->rng_state());
-    // Mid-epoch batch iteration state.
-    w.write_vector(p->shard().epoch_order());
-    w.write(static_cast<std::uint64_t>(p->shard().epoch_cursor()));
-  }
-  w.write(static_cast<std::uint32_t>(traces_.size()));
-  for (const auto& tr : traces_) {
-    w.write_string(tr.rng_state());
-    w.write(tr.state_mbps());  // AR(1) filter state
-  }
-  // Optimizer momentum (empty means no step has been taken yet).
-  const auto& vel = theta_opt_.velocity();
-  w.write(static_cast<std::uint32_t>(vel.size()));
-  for (const auto& v : vel) w.write_vector(v);
-  // Moving-average window. The rolling sum and rebuild phase carry
-  // float-rounding state, so they are persisted verbatim rather than
-  // recomputed — recomputation would diverge from an uninterrupted run.
-  const std::deque<double>& mv = moving_.values();
-  w.write_vector(std::vector<double>(mv.begin(), mv.end()));
-  w.write(moving_.raw_sum());
-  w.write(static_cast<std::uint64_t>(moving_.rebuild_counter()));
-  // Delay-compensation memory pool snapshots.
-  w.write(static_cast<std::uint32_t>(pool_.snapshots().size()));
-  for (const auto& [round, snap] : pool_.snapshots()) {
-    w.write(round);
-    w.write_vector(snap.theta);
-    w.write_vector(snap.alpha.flatten());
-    w.write(static_cast<std::uint32_t>(snap.masks.size()));
-    for (const Mask& m : snap.masks) {
-      w.write_vector(m.normal);
-      w.write_vector(m.reduce);
-    }
-  }
-  // In-flight (not yet arrived) updates.
-  w.write(static_cast<std::uint32_t>(arrivals_.size()));
-  for (const auto& [round, updates] : arrivals_) {
-    w.write(round);
-    w.write(static_cast<std::uint32_t>(updates.size()));
-    for (const UpdateMsg& u : updates) w.write_vector(u.serialize());
-  }
+template <class Io, class Self>
+void FederatedSearch::walk(Io& io, Self& s) {
+  io.magic(kRuntimeMagic, "corrupt runtime state (bad magic)");
+  io(s.round_counter_, as<std::uint64_t>(s.total_bytes_down_),
+     as<std::uint64_t>(s.total_bytes_up_),
+     as<std::uint64_t>(s.submodel_bytes_sum_),
+     as<std::uint64_t>(s.submodel_count_),
+     // Fault ledger, so resumed campaigns keep the accounting invariant
+     // exact; robustness ledger, so a resumed run's CLI summary matches
+     // an uninterrupted one.
+     s.fault_stats_, s.robust_stats_,
+     // Every RNG stream: the server's two, then each participant's (with
+     // its mid-epoch batch order) and each trace's (with its AR(1) state).
+     s.rng_, s.staleness_rng_);
+  io.each_fixed(s.participants_, "participants", [&io](auto& p) { io(*p); });
+  io.each_fixed(s.traces_, "traces", [&io](auto& tr) { io(tr); });
+  // Optimizer momentum, the moving-average window and the delay-
+  // compensation memory pool, each checked against this search's shapes.
+  io.part(s.theta_opt_, s.supernet_->params().size());
+  io(s.moving_);
+  io.part(s.pool_, s.supernet_->param_count(), s.policy_.num_edges());
+  // In-flight (not yet arrived) updates, each its own length-prefixed
+  // message.
+  io.each(s.arrivals_, [&io](auto& updates) {
+    io.each(updates, [&io](auto& u) { io(as<std::vector<std::uint8_t>>(u)); });
+  });
   // Churn layer (FMS4): membership history, the adaptive-deadline window,
   // and the degradation ladder — so a resumed search replays the exact
   // membership deltas, deadlines, and mode transitions.
-  registry_.serialize(w);
-  deadline_est_.serialize(w);
-  degrade_.serialize(w);
+  io(s.registry_, s.deadline_est_, s.degrade_);
+}
+
+std::vector<std::uint8_t> FederatedSearch::serialize_runtime_state() const {
+  ByteWriter w;
+  walk(w, *this);
   return w.take();
 }
 
 void FederatedSearch::restore_runtime_state(
     const std::vector<std::uint8_t>& bytes) {
   ByteReader r(bytes);
-  FMS_CHECK_MSG(r.read<std::uint32_t>() == kRuntimeMagic,
-                "corrupt runtime state (bad magic)");
-  round_counter_ = r.read<int>();
-  total_bytes_down_ = static_cast<std::size_t>(r.read<std::uint64_t>());
-  total_bytes_up_ = static_cast<std::size_t>(r.read<std::uint64_t>());
-  submodel_bytes_sum_ = static_cast<std::size_t>(r.read<std::uint64_t>());
-  submodel_count_ = static_cast<std::size_t>(r.read<std::uint64_t>());
-  fault_stats_ = r.read<FaultStats>();
-  robust_stats_ = r.read<RobustStats>();
-  rng_.load_state(r.read_string());
-  staleness_rng_.load_state(r.read_string());
-  const auto np = r.read<std::uint32_t>();
-  FMS_CHECK_MSG(np == participants_.size(),
-                "checkpoint has " << np << " participants, search has "
-                                  << participants_.size());
-  for (auto& p : participants_) {
-    p->set_rng_state(r.read_string());
-    std::vector<int> order = r.read_vector<int>();
-    const auto cursor = r.read<std::uint64_t>();
-    p->shard().restore_epoch(std::move(order),
-                             static_cast<std::size_t>(cursor));
-  }
-  const auto nt = r.read<std::uint32_t>();
-  FMS_CHECK_MSG(nt == traces_.size(), "checkpoint trace count mismatch");
-  for (auto& tr : traces_) {
-    tr.set_rng_state(r.read_string());
-    tr.set_state_mbps(r.read<double>());
-  }
-  const auto nv = r.read<std::uint32_t>();
-  std::vector<std::vector<float>> vel(nv);
-  for (auto& v : vel) v = r.read_vector<float>();
-  FMS_CHECK_MSG(vel.empty() || vel.size() == supernet_->params().size(),
-                "optimizer state tensor count mismatch");
-  theta_opt_.set_velocity(std::move(vel));
-  const std::vector<double> window_vals = r.read_vector<double>();
-  const double window_sum = r.read<double>();
-  const auto window_rebuild = r.read<std::uint64_t>();
-  moving_.restore(std::deque<double>(window_vals.begin(), window_vals.end()),
-                  window_sum, static_cast<std::size_t>(window_rebuild));
-  std::map<int, RoundSnapshot> snaps;
-  const auto ns = r.read<std::uint32_t>();
-  for (std::uint32_t s = 0; s < ns; ++s) {
-    const int round = r.read<int>();
-    RoundSnapshot snap;
-    snap.theta = r.read_vector<float>();
-    FMS_CHECK_MSG(snap.theta.size() == supernet_->param_count(),
-                  "pool snapshot theta shape mismatch");
-    snap.alpha =
-        AlphaPair::unflatten(r.read_vector<float>(), policy_.num_edges());
-    const auto nm = r.read<std::uint32_t>();
-    for (std::uint32_t j = 0; j < nm; ++j) {
-      Mask m;
-      m.normal = r.read_vector<int>();
-      m.reduce = r.read_vector<int>();
-      snap.masks.push_back(std::move(m));
-    }
-    snaps.emplace(round, std::move(snap));
-  }
-  pool_.restore(std::move(snaps));
-  arrivals_.clear();
-  const auto na = r.read<std::uint32_t>();
-  for (std::uint32_t a = 0; a < na; ++a) {
-    const int round = r.read<int>();
-    const auto nu = r.read<std::uint32_t>();
-    auto& updates = arrivals_[round];
-    for (std::uint32_t u = 0; u < nu; ++u) {
-      updates.push_back(UpdateMsg::deserialize(r.read_vector<std::uint8_t>()));
-    }
-  }
-  registry_.restore(r);
-  deadline_est_.restore(r);
-  degrade_.restore(r);
+  walk(r, *this);
   FMS_CHECK_MSG(r.exhausted(), "trailing bytes in runtime state");
 }
 

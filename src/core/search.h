@@ -255,8 +255,11 @@ class FederatedSearch {
                    std::string_view reason);
   void record_round_telemetry(const RoundRecord& rec, const SearchOptions& opts,
                               const FaultStats& before);
+  // The runtime blob a v2 checkpoint carries, written and read by walk().
   std::vector<std::uint8_t> serialize_runtime_state() const;
   void restore_runtime_state(const std::vector<std::uint8_t>& bytes);
+  template <class Io, class Self>
+  static void walk(Io& io, Self& s);
   // The fixed warm-up options (P1): uniform alpha, theta-only updates.
   // Shared between run_warmup and recovery replay so both phases execute
   // the identical configuration.

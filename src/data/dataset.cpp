@@ -97,6 +97,19 @@ Dataset::Batch Shard::next_batch(int batch_size, const AugmentConfig* aug,
   return data_->make_batch(chosen, aug, &rng);
 }
 
+template <class Io, class Self>
+void Shard::walk(Io& io, Self& s) {
+  io(s.order_, as<std::uint64_t>(s.cursor_));
+  if constexpr (Io::kReading) {
+    FMS_CHECK_MSG(s.cursor_ <= s.order_.size(), "shard cursor past epoch end");
+    FMS_CHECK_MSG(s.order_.empty() || s.order_.size() == s.indices_.size(),
+                  "shard epoch order size mismatch");
+  }
+}
+
+void Shard::serialize(ByteWriter& w) const { walk(w, *this); }
+void Shard::restore(ByteReader& r) { walk(r, *this); }
+
 std::vector<int> Shard::label_histogram() const {
   std::vector<int> hist(static_cast<std::size_t>(data_->num_classes()), 0);
   for (int idx : indices_) {

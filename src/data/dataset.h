@@ -79,19 +79,15 @@ class Shard {
   // Label histogram — used by tests to verify non-i.i.d. skew.
   std::vector<int> label_histogram() const;
 
-  // Epoch-iteration state (shuffled order + cursor) snapshot/restore, so a
+  // Epoch-iteration state (shuffled order + cursor) persistence, so a
   // resumed federated search continues mid-epoch exactly where it stopped.
-  const std::vector<int>& epoch_order() const { return order_; }
-  std::size_t epoch_cursor() const { return cursor_; }
-  void restore_epoch(std::vector<int> order, std::size_t cursor) {
-    FMS_CHECK_MSG(cursor <= order.size(), "shard cursor past epoch end");
-    FMS_CHECK_MSG(order.empty() || order.size() == indices_.size(),
-                  "shard epoch order size mismatch");
-    order_ = std::move(order);
-    cursor_ = cursor;
-  }
+  void serialize(ByteWriter& w) const;
+  void restore(ByteReader& r);
 
  private:
+  template <class Io, class Self>
+  static void walk(Io& io, Self& s);
+
   const Dataset* data_ = nullptr;
   std::vector<int> indices_;
   std::vector<int> order_;

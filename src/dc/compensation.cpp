@@ -77,4 +77,25 @@ void MemoryPool::evict(int current_round) {
   }
 }
 
+template <class Io, class Self>
+void MemoryPool::walk(Io& io, Self& pool, std::size_t theta_size,
+                      int num_edges) {
+  io.each(pool.snapshots_, [&](auto& snap) {
+    std::vector<float> alpha = snap.alpha.flatten();  // empty when reading
+    io(snap.theta, alpha);
+    if constexpr (Io::kReading) {
+      FMS_CHECK_MSG(snap.theta.size() == theta_size,
+                    "pool snapshot theta shape mismatch");
+      snap.alpha = AlphaPair::unflatten(alpha, num_edges);
+    }
+    io.each(snap.masks, [&io](auto& m) { io(m.normal, m.reduce); });
+  });
+}
+
+void MemoryPool::serialize(ByteWriter& w) const { walk(w, *this, 0, 0); }
+void MemoryPool::restore(ByteReader& r, std::size_t theta_size,
+                         int num_edges) {
+  walk(r, *this, theta_size, num_edges);
+}
+
 }  // namespace fms

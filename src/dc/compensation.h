@@ -63,14 +63,17 @@ class MemoryPool {
   int threshold() const { return threshold_; }
   std::size_t size() const { return snapshots_.size(); }
 
-  // Full-pool snapshot/restore for crash-recovery: in-flight stale updates
+  // Full-pool persistence for crash-recovery: in-flight stale updates
   // reference these rounds, so a resumed search needs the identical pool.
-  const std::map<int, RoundSnapshot>& snapshots() const { return snapshots_; }
-  void restore(std::map<int, RoundSnapshot> snapshots) {
-    snapshots_ = std::move(snapshots);
-  }
+  // Every restored snapshot must hold `theta_size` weights and an alpha
+  // over `num_edges` edges.
+  void serialize(ByteWriter& w) const;
+  void restore(ByteReader& r, std::size_t theta_size, int num_edges);
 
  private:
+  template <class Io, class Self>
+  static void walk(Io& io, Self& pool, std::size_t theta_size, int num_edges);
+
   int threshold_;
   std::map<int, RoundSnapshot> snapshots_;
 };

@@ -51,21 +51,17 @@ DegradationController::Transition DegradationController::observe(
   return tr;
 }
 
-void DegradationController::serialize(ByteWriter& w) const {
-  w.write(static_cast<std::int32_t>(mode_));
-  w.write(bad_streak_);
-  w.write(good_streak_);
-  w.write(transitions_);
-  for (const int e : entered_) w.write(e);
+template <class Io, class Self>
+void DegradationController::walk(Io& io, Self& d) {
+  io(as<std::int32_t>(d.mode_), d.bad_streak_, d.good_streak_,
+     d.transitions_, d.entered_);
+  if constexpr (Io::kReading) {
+    d.mode_ = static_cast<DegradeMode>(
+        std::clamp(static_cast<int>(d.mode_), 0, 3));
+  }
 }
 
-void DegradationController::restore(ByteReader& r) {
-  const auto m = r.read<std::int32_t>();
-  mode_ = static_cast<DegradeMode>(std::min(3, std::max(0, static_cast<int>(m))));
-  bad_streak_ = r.read<int>();
-  good_streak_ = r.read<int>();
-  transitions_ = r.read<int>();
-  for (int& e : entered_) e = r.read<int>();
-}
+void DegradationController::serialize(ByteWriter& w) const { walk(w, *this); }
+void DegradationController::restore(ByteReader& r) { walk(r, *this); }
 
 }  // namespace fms

@@ -74,6 +74,9 @@ class DegradationController {
   void restore(ByteReader& r);
 
  private:
+  template <class Io, class Self>
+  static void walk(Io& io, Self& d);
+
   DegradeMode mode_ = DegradeMode::kNormal;
   int bad_streak_ = 0;
   int good_streak_ = 0;

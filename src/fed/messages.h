@@ -22,7 +22,10 @@ struct SubmodelMsg {
 
   std::vector<std::uint8_t> serialize() const;
   static SubmodelMsg deserialize(const std::vector<std::uint8_t>& bytes);
-  std::size_t byte_size() const;
+
+ private:
+  template <class Io, class Self>
+  static void walk(Io& io, Self& m);
 };
 
 // Participant -> server: reward and sub-model weight gradients
@@ -37,7 +40,10 @@ struct UpdateMsg {
 
   std::vector<std::uint8_t> serialize() const;
   static UpdateMsg deserialize(const std::vector<std::uint8_t>& bytes);
-  std::size_t byte_size() const;
+
+ private:
+  template <class Io, class Self>
+  static void walk(Io& io, Self& m);
 };
 
 }  // namespace fms

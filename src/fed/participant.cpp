@@ -43,4 +43,12 @@ UpdateMsg SearchParticipant::train_step(const SubmodelMsg& msg) {
   return out;
 }
 
+template <class Io, class Self>
+void SearchParticipant::walk(Io& io, Self& p) {
+  io(p.rng_, p.shard_);
+}
+
+void SearchParticipant::serialize(ByteWriter& w) const { walk(w, *this); }
+void SearchParticipant::restore(ByteReader& r) { walk(r, *this); }
+
 }  // namespace fms

@@ -32,12 +32,13 @@ class SearchParticipant {
   // and the shard's epoch cursor. Replica weights need no persistence —
   // every masked parameter is re-shipped each round and BatchNorm trains
   // on batch statistics.
-  std::string rng_state() const { return rng_.save_state(); }
-  void set_rng_state(const std::string& state) { rng_.load_state(state); }
-  const Shard& shard() const { return shard_; }
-  Shard& shard() { return shard_; }
+  void serialize(ByteWriter& w) const;
+  void restore(ByteReader& r);
 
  private:
+  template <class Io, class Self>
+  static void walk(Io& io, Self& p);
+
   int id_;
   Shard shard_;
   AugmentConfig augment_;

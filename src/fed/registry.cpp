@@ -105,51 +105,19 @@ std::uint64_t ClientRegistry::total_leaves() const {
   return n;
 }
 
-void ClientRegistry::serialize(ByteWriter& w) const {
-  w.write(static_cast<std::uint8_t>(initialized_ ? 1 : 0));
-  w.write(static_cast<std::uint32_t>(clients_.size()));
-  for (const ClientInfo& c : clients_) {
-    w.write(static_cast<std::uint8_t>(c.live ? 1 : 0));
-    w.write(static_cast<std::uint8_t>(c.ever_seen ? 1 : 0));
-    w.write(c.first_live_round);
-    w.write(c.last_live_round);
-    w.write(c.joins);
-    w.write(c.leaves);
-    w.write(c.rounds_live);
-    w.write(c.rounds_absent);
-    w.write(c.dispatched);
-    w.write(c.updates_applied);
-    w.write(c.stale_updates);
-    w.write(c.tau_sum);
-    w.write(c.max_tau);
-    w.write(c.latency_ema);
-    w.write(static_cast<std::uint8_t>(c.latency_ema_set ? 1 : 0));
-  }
+template <class Io, class Self>
+void ClientRegistry::walk(Io& io, Self& reg) {
+  io(as<std::uint8_t>(reg.initialized_));
+  io.each_fixed(reg.clients_, "registry clients", [&io](auto& c) {
+    io(as<std::uint8_t>(c.live), as<std::uint8_t>(c.ever_seen),
+       c.first_live_round, c.last_live_round, c.joins, c.leaves,
+       c.rounds_live, c.rounds_absent, c.dispatched, c.updates_applied,
+       c.stale_updates, c.tau_sum, c.max_tau, c.latency_ema,
+       as<std::uint8_t>(c.latency_ema_set));
+  });
 }
 
-void ClientRegistry::restore(ByteReader& r) {
-  initialized_ = r.read<std::uint8_t>() != 0;
-  const auto n = r.read<std::uint32_t>();
-  FMS_CHECK_MSG(n == clients_.size(),
-                "checkpoint registry has " << n << " clients, search has "
-                                           << clients_.size());
-  for (ClientInfo& c : clients_) {
-    c.live = r.read<std::uint8_t>() != 0;
-    c.ever_seen = r.read<std::uint8_t>() != 0;
-    c.first_live_round = r.read<int>();
-    c.last_live_round = r.read<int>();
-    c.joins = r.read<int>();
-    c.leaves = r.read<int>();
-    c.rounds_live = r.read<int>();
-    c.rounds_absent = r.read<int>();
-    c.dispatched = r.read<std::uint64_t>();
-    c.updates_applied = r.read<std::uint64_t>();
-    c.stale_updates = r.read<std::uint64_t>();
-    c.tau_sum = r.read<std::uint64_t>();
-    c.max_tau = r.read<int>();
-    c.latency_ema = r.read<double>();
-    c.latency_ema_set = r.read<std::uint8_t>() != 0;
-  }
-}
+void ClientRegistry::serialize(ByteWriter& w) const { walk(w, *this); }
+void ClientRegistry::restore(ByteReader& r) { walk(r, *this); }
 
 }  // namespace fms

@@ -88,6 +88,9 @@ class ClientRegistry {
   void restore(ByteReader& r);
 
  private:
+  template <class Io, class Self>
+  static void walk(Io& io, Self& reg);
+
   std::vector<ClientInfo> clients_;
   bool initialized_ = false;  // first begin_round seeds the baseline
 };

@@ -32,9 +32,6 @@ class ZeroOp : public Module {
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
-  std::unique_ptr<Module> clone() const override {
-    return std::make_unique<ZeroOp>(stride_);
-  }
 
  private:
   int stride_;

@@ -46,6 +46,14 @@ BandwidthTrace::BandwidthTrace(NetEnvironment env, Rng rng)
       params_.mean_mbps + rng_.normal(0.0F, static_cast<float>(params_.stddev_mbps)));
 }
 
+template <class Io, class Self>
+void BandwidthTrace::walk(Io& io, Self& t) {
+  io(t.rng_, t.state_mbps_);
+}
+
+void BandwidthTrace::serialize(ByteWriter& w) const { walk(w, *this); }
+void BandwidthTrace::restore(ByteReader& r) { walk(r, *this); }
+
 double BandwidthTrace::next_bps() {
   // AR(1) with stationary variance stddev^2: innovations scaled by
   // sqrt(1 - rho^2).

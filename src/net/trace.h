@@ -42,13 +42,14 @@ class BandwidthTrace {
   // Bandwidth for the next round, in bits per second.
   double next_bps();
 
-  // AR(1) process state snapshot/restore for crash-recovery.
-  double state_mbps() const { return state_mbps_; }
-  void set_state_mbps(double mbps) { state_mbps_ = mbps; }
-  std::string rng_state() const { return rng_.save_state(); }
-  void set_rng_state(const std::string& state) { rng_.load_state(state); }
+  // Crash-recovery persistence: the RNG stream and the AR(1) filter state.
+  void serialize(ByteWriter& w) const;
+  void restore(ByteReader& r);
 
  private:
+  template <class Io, class Self>
+  static void walk(Io& io, Self& t);
+
   NetEnvironment env_;
   TraceParams params_;
   Rng rng_;

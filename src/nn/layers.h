@@ -20,9 +20,6 @@ class Conv2d : public Module {
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
   void collect_params(std::vector<Param*>& out) override { out.push_back(&w_); }
-  std::unique_ptr<Module> clone() const override {
-    return std::make_unique<Conv2d>(*this);
-  }
 
   const Conv2dSpec& spec() const { return spec_; }
 
@@ -42,9 +39,6 @@ class BatchNorm2d : public Module {
   void collect_params(std::vector<Param*>& out) override {
     out.push_back(&gamma_);
     out.push_back(&beta_);
-  }
-  std::unique_ptr<Module> clone() const override {
-    return std::make_unique<BatchNorm2d>(*this);
   }
 
  private:
@@ -67,9 +61,6 @@ class ReLU : public Module {
  public:
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
-  std::unique_ptr<Module> clone() const override {
-    return std::make_unique<ReLU>(*this);
-  }
 
  private:
   // x > 0 per element of the last train-mode input, and its shape.
@@ -85,9 +76,6 @@ class MaxPool2d : public Module {
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
-  std::unique_ptr<Module> clone() const override {
-    return std::make_unique<MaxPool2d>(kernel_, stride_, padding_);
-  }
 
  private:
   int kernel_, stride_, padding_;
@@ -103,9 +91,6 @@ class AvgPool2d : public Module {
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
-  std::unique_ptr<Module> clone() const override {
-    return std::make_unique<AvgPool2d>(kernel_, stride_, padding_);
-  }
 
  private:
   int kernel_, stride_, padding_;
@@ -117,18 +102,12 @@ class Identity : public Module {
  public:
   Tensor forward(const Tensor& x, bool /*train*/) override { return x; }
   Tensor backward(const Tensor& grad_out) override { return grad_out; }
-  std::unique_ptr<Module> clone() const override {
-    return std::make_unique<Identity>();
-  }
 };
 
 class GlobalAvgPool : public Module {
  public:
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
-  std::unique_ptr<Module> clone() const override {
-    return std::make_unique<GlobalAvgPool>(*this);
-  }
 
  private:
   std::vector<int> in_shape_;
@@ -144,9 +123,6 @@ class Linear : public Module {
   void collect_params(std::vector<Param*>& out) override {
     out.push_back(&w_);
     out.push_back(&b_);
-  }
-  std::unique_ptr<Module> clone() const override {
-    return std::make_unique<Linear>(*this);
   }
 
  private:

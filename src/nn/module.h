@@ -2,8 +2,7 @@
 //
 // Modules cache whatever the backward pass needs during forward(train=true);
 // calling backward() after an eval-mode forward is a programming error and
-// is checked. clone() performs a deep copy, which is how sub-models are
-// materialized from supernet operations.
+// is checked.
 #pragma once
 
 #include <memory>
@@ -37,8 +36,6 @@ class Module {
   virtual void collect_params(std::vector<Param*>& out) {
     (void)out;  // parameter-free modules
   }
-
-  virtual std::unique_ptr<Module> clone() const = 0;
 
   std::vector<Param*> params() {
     std::vector<Param*> out;
@@ -92,12 +89,6 @@ class Sequential : public Module {
 
   void collect_params(std::vector<Param*>& out) override {
     for (auto& m : children_) m->collect_params(out);
-  }
-
-  std::unique_ptr<Module> clone() const override {
-    auto copy = std::make_unique<Sequential>();
-    for (const auto& m : children_) copy->add(m->clone());
-    return copy;
   }
 
   std::size_t size() const { return children_.size(); }

@@ -55,4 +55,18 @@ void SGD::step(const std::vector<Param*>& params) {
   }
 }
 
+template <class Io, class Self>
+void SGD::walk(Io& io, Self& opt, std::size_t num_params) {
+  io.each(opt.velocity_, [&io](auto& v) { io(v); });
+  if constexpr (Io::kReading) {
+    FMS_CHECK_MSG(opt.velocity_.empty() || opt.velocity_.size() == num_params,
+                  "optimizer state tensor count mismatch");
+  }
+}
+
+void SGD::serialize(ByteWriter& w) const { walk(w, *this, 0); }
+void SGD::restore(ByteReader& r, std::size_t num_params) {
+  walk(r, *this, num_params);
+}
+
 }  // namespace fms

@@ -32,14 +32,16 @@ class SGD {
   float lr() const { return opts_.lr; }
   const Options& options() const { return opts_; }
 
-  // Momentum-buffer snapshot/restore for crash-recovery; empty means "no
-  // step taken yet" and step() re-allocates lazily as usual.
-  const std::vector<std::vector<float>>& velocity() const { return velocity_; }
-  void set_velocity(std::vector<std::vector<float>> v) {
-    velocity_ = std::move(v);
-  }
+  // Momentum-buffer persistence for crash-recovery; empty means "no step
+  // taken yet" and step() re-allocates lazily as usual. A restored
+  // non-empty state must hold one buffer for each of `num_params` params.
+  void serialize(ByteWriter& w) const;
+  void restore(ByteReader& r, std::size_t num_params);
 
  private:
+  template <class Io, class Self>
+  static void walk(Io& io, Self& opt, std::size_t num_params);
+
   Options opts_;
   std::vector<std::vector<float>> velocity_;
 };

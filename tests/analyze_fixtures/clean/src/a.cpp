@@ -1,20 +1,8 @@
-// Fully consistent mini-tree: registry, checkpoint pair, and the
-// documented metric/detector tables all agree.
+// Fully consistent mini-tree: registry and the documented
+// metric/detector tables all agree.
 #include <cstdint>
 
 constexpr std::uint64_t kSaltClean = 0x99;
-
-void Foo::serialize(ByteWriter& w) const {
-  w.write(magic_);
-  w.write_string(name_);
-  nested_.serialize(w);
-}
-
-void Foo::deserialize(ByteReader& r) {
-  magic_ = r.read<int>();
-  name_ = r.read_string();
-  nested_.restore(r);
-}
 
 void emit(Registry& reg) {
   reg.counter("fms.clean.count").add(1);

@@ -6,16 +6,6 @@ constexpr std::uint64_t kSaltOne = 0x21;
 // fms-analyze: allow(salt-collision) -- intentional shared stream
 constexpr std::uint64_t kSaltTwo = 0x21;  // fms-analyze: allow(salt-unregistered)
 
-// fms-analyze: allow(checkpoint-asymmetry) -- schema migration in flight
-void Foo::serialize(ByteWriter& w) const {
-  w.write(a_);
-  w.write(b_);
-}
-
-void Foo::deserialize(ByteReader& r) {
-  a_ = r.read<int>();
-}
-
 void emit(Registry& reg) {
   // fms-analyze: allow(metric-undocumented) -- experiment-local key
   reg.counter("fms.tmp.count").add(1);

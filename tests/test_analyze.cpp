@@ -93,14 +93,6 @@ TEST(FmsAnalyze, SaltStaleFiresAtTheDeadRegistryRow) {
             (PCL{{"registry.txt", "salt-stale", 2}}));
 }
 
-TEST(FmsAnalyze, CheckpointAsymmetryFiresOnKindAndCountMismatch) {
-  // Foo: op 2 written as vector but read as string (reported at the
-  // read site); Bar: two writes, one read (reported at the unread op).
-  EXPECT_EQ(check_lines(run_case("ckpt_asymmetry")),
-            (PCL{{"src/state.cpp", "checkpoint-asymmetry", 12},
-                 {"src/state.cpp", "checkpoint-asymmetry", 17}}));
-}
-
 TEST(FmsAnalyze, DocAuditFiresInBothDirections) {
   EXPECT_EQ(check_lines(run_case("doc_audit")),
             (PCL{{"design.md", "metric-stale", 3},
@@ -136,31 +128,6 @@ TEST(FmsAnalyze, DigitSeparatedSaltReadsAsOneValue) {
   ASSERT_EQ(unregistered.size(), 1U);
   EXPECT_EQ(unregistered[0].message.rfind("kSaltA = 0x9E3779B9 is not in", 0),
             0U);
-}
-
-TEST(FmsAnalyze, QualifiedDefinitionsPairAndMemberCallsDoNotDefine) {
-  // Lines 2-3 call serialize/restore as members; a brace after the call
-  // must not make either a definition. Lines 5 and 9 define the pair.
-  const std::string src =
-      "void helper(A& obj, A* p, ByteWriter& w, ByteReader& r) {\n"
-      "  obj.serialize(w), [&] { w.write_string(s); }();\n"
-      "  p->restore(r), [&] { r.read_vector<float>(); }();\n"
-      "}\n"
-      "void A::B::serialize(ByteWriter& w) const {\n"
-      "  w.write(n_);\n"
-      "  obj.serialize(w);\n"
-      "}\n"
-      "void A::B::restore(ByteReader& r) {\n"
-      "  s_ = r.read_string();\n"
-      "  obj.restore(r);\n"
-      "}\n";
-  const std::vector<Finding> found = analyze_sources(
-      {{"src/state.cpp", src}}, "", "registry.txt", "", "design.md");
-  ASSERT_EQ(check_lines(found),
-            (PCL{{"src/state.cpp", "checkpoint-asymmetry", 10}}));
-  EXPECT_EQ(found[0].message,
-            "A::B::serialize writes op 1 as [scalar] (line 6) but "
-            "A::B::restore reads [string]");
 }
 
 TEST(FmsAnalyze, DesignRowCarriesSeveralBacktickKeys) {
@@ -227,9 +194,8 @@ TEST(FmsAnalyze, CheckListIsStable) {
   for (const auto& c : fms::analyze::checks()) ids.emplace_back(c.id);
   EXPECT_EQ(ids, (std::vector<std::string>{
                      "salt-collision", "salt-unregistered", "salt-stale",
-                     "checkpoint-asymmetry", "metric-undocumented",
-                     "metric-stale", "detector-undocumented",
-                     "detector-stale"}));
+                     "metric-undocumented", "metric-stale",
+                     "detector-undocumented", "detector-stale"}));
 }
 
 }  // namespace

@@ -64,7 +64,6 @@ TEST(Messages, SubmodelMsgRoundTrip) {
   EXPECT_EQ(back.mask.normal, msg.mask.normal);
   EXPECT_EQ(back.mask.reduce, msg.mask.reduce);
   EXPECT_EQ(back.values, msg.values);
-  EXPECT_EQ(msg.byte_size(), bytes.size());
 }
 
 TEST(Messages, UpdateMsgRoundTrip) {

@@ -184,19 +184,6 @@ TEST(Layers, FactorizedReduceHalvesSpatial) {
   EXPECT_EQ(y.dim(2), 4);
 }
 
-TEST(Layers, SequentialCloneIsDeep) {
-  Rng rng(11);
-  auto op = make_sep_conv(2, 3, 1, rng);
-  auto copy = op->clone();
-  auto p1 = op->params();
-  auto p2 = copy->params();
-  ASSERT_EQ(p1.size(), p2.size());
-  // Same values, different storage.
-  EXPECT_EQ(p1[0]->value.vec(), p2[0]->value.vec());
-  p2[0]->value[0] += 1.0F;
-  EXPECT_NE(p1[0]->value[0], p2[0]->value[0]);
-}
-
 TEST(Layers, SepConvGradCheck) {
   Rng rng(12);
   auto op = make_sep_conv(2, 3, 1, rng);

@@ -25,7 +25,6 @@ using source_scan::source_files;
 constexpr const char* kCheckSaltCollision = "salt-collision";
 constexpr const char* kCheckSaltUnregistered = "salt-unregistered";
 constexpr const char* kCheckSaltStale = "salt-stale";
-constexpr const char* kCheckCkptAsymmetry = "checkpoint-asymmetry";
 constexpr const char* kCheckMetricUndoc = "metric-undocumented";
 constexpr const char* kCheckMetricStale = "metric-stale";
 constexpr const char* kCheckDetectorUndoc = "detector-undocumented";
@@ -41,7 +40,7 @@ bool allowed(const ScannedFile& file, int line, const char* check) {
   return idx < file.lines.size() && file.lines[idx].allowed.count(check) != 0;
 }
 
-// src/-scoped checks (metric emission, checkpoint pairs) apply to paths
+// The src/-scoped check (metric emission) applies to paths
 // with a src/ component — the library proper, not tests or tools.
 bool under_src(const std::string& path) {
   return path.rfind("src/", 0) == 0 || path.find("/src/") != std::string::npos;
@@ -212,267 +211,7 @@ void check_salts(const std::vector<ScannedFile>& files,
 }
 
 // ---------------------------------------------------------------------------
-// Check 2: checkpoint symmetry.
-
-struct OpRec {
-  std::string kind;  // "scalar" | "vector" | "string" | "nested <obj>"
-  int line = 0;
-};
-
-struct FuncDef {
-  std::string qual;  // "Class::" or ""
-  std::string name;
-  int line = 0;  // definition line
-  bool suppressed = false;
-  std::vector<OpRec> write_ops;
-  std::vector<OpRec> read_ops;
-};
-
-// Identifier immediately before `pos` (which points at '.'), for nested
-// serialize/restore receiver names.
-std::string ident_before(const std::string& code, std::size_t pos) {
-  std::size_t e = pos;
-  std::size_t b = e;
-  while (b > 0 && is_ident_char(code[b - 1])) --b;
-  return code.substr(b, e - b);
-}
-
-void extract_ops(const ScannedFile& file, int lineno, FuncDef* fn) {
-  if (allowed(file, lineno, kCheckCkptAsymmetry)) return;
-  const std::string& code = file.lines[static_cast<std::size_t>(lineno - 1)].code;
-  struct Pat {
-    const char* text;
-    const char* kind;
-    bool write;
-    bool nested;
-  };
-  static const Pat kPats[] = {
-      {".write_string(", "string", true, false},
-      {".write_vector(", "vector", true, false},
-      {".write(", "scalar", true, false},
-      {".read_string(", "string", false, false},
-      {".read_vector<", "vector", false, false},
-      {".read<", "scalar", false, false},
-      {".serialize(", "nested", true, true},
-      {".deserialize(", "nested", false, true},
-      {".restore(", "nested", false, true},
-  };
-  // Left-to-right merge of every pattern occurrence on the line.
-  std::vector<std::pair<std::size_t, const Pat*>> hits;
-  for (const Pat& p : kPats) {
-    const std::string pat(p.text);
-    std::size_t pos = code.find(pat);
-    while (pos != std::string::npos) {
-      hits.emplace_back(pos, &p);
-      pos = code.find(pat, pos + 1);
-    }
-  }
-  std::sort(hits.begin(), hits.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [pos, p] : hits) {
-    OpRec op;
-    op.line = lineno;
-    if (p->nested) {
-      const std::string obj = ident_before(code, pos);
-      if (obj.empty()) continue;  // ctor-style or expression; skip
-      // Only `obj.serialize(w)` / `obj.restore(r)` — a single bare
-      // identifier argument (the writer/reader handle) — is a nested
-      // checkpoint op. `moving_.restore(vals, sum)` and `u.serialize()`
-      // are ordinary member calls.
-      std::size_t a = code.find('(', pos) + 1;
-      std::size_t b = a;
-      while (b < code.size() && is_ident_char(code[b])) ++b;
-      if (b == a || b >= code.size() || code[b] != ')') continue;
-      op.kind = std::string("nested ") + obj;
-    } else {
-      op.kind = p->kind;
-    }
-    if (p->write) {
-      fn->write_ops.push_back(std::move(op));
-    } else {
-      fn->read_ops.push_back(std::move(op));
-    }
-  }
-}
-
-bool checkpoint_name(const std::string& name) {
-  return name.rfind("serialize", 0) == 0 ||
-         name.rfind("deserialize", 0) == 0 ||
-         name.rfind("restore", 0) == 0 || name == "checkpoint";
-}
-
-// Finds serialize/deserialize/restore/checkpoint function *definitions*
-// and their body op sequences. Returns defs in file order.
-std::vector<FuncDef> extract_functions(const ScannedFile& file) {
-  std::vector<FuncDef> out;
-  const std::size_t n = file.lines.size();
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    const std::string& code = file.lines[idx].code;
-    for (std::size_t b = 0; b < code.size(); ++b) {
-      if (!is_ident_char(code[b])) continue;
-      const std::size_t name_end = ident_end(code, b);
-      const std::string name = code.substr(b, name_end - b);
-      const std::size_t name_pos = b;
-      b = name_end;
-      const std::size_t open = skip_space(code, name_end);
-      if (!checkpoint_name(name) || open >= code.size() || code[open] != '(') {
-        continue;
-      }
-      // Qualifier: the `A::B::` chain right before the name.
-      std::size_t start = name_pos;
-      while (start >= 2 && code[start - 1] == ':' && code[start - 2] == ':') {
-        std::size_t scope = start - 2;
-        while (scope > 0 && is_ident_char(code[scope - 1])) --scope;
-        if (scope == start - 2 ||
-            std::isdigit(static_cast<unsigned char>(code[scope])) != 0) {
-          break;
-        }
-        start = scope;
-      }
-      // A definition is not preceded by an identifier char (that would be
-      // a longer name), '.', ':' or '->' (member calls).
-      if (start > 0) {
-        const char before = code[start - 1];
-        if (is_ident_char(before) || before == '.' || before == ':') continue;
-        if (before == '>' && start > 1 && code[start - 2] == '-') continue;
-      }
-      // Walk from the opening paren across lines: balance parens, then
-      // the next '{' starts a body, a ';' means declaration/call — skip.
-      std::size_t l = idx;
-      std::size_t c = open;
-      int paren = 0;
-      bool is_def = false;
-      std::size_t body_line = 0, body_col = 0;
-      for (std::size_t steps = 0; l < n && steps < 4000; ++steps) {
-        const std::string& lc = file.lines[l].code;
-        if (c >= lc.size()) {
-          ++l;
-          c = 0;
-          continue;
-        }
-        const char ch = lc[c];
-        if (ch == '(') {
-          ++paren;
-        } else if (ch == ')') {
-          --paren;
-        } else if (paren == 0 && ch == '{') {
-          is_def = true;
-          body_line = l;
-          body_col = c;
-          break;
-        } else if (paren == 0 && (ch == ';' || ch == '=')) {
-          break;
-        }
-        ++c;
-      }
-      if (!is_def) continue;
-
-      FuncDef fn;
-      fn.qual = code.substr(start, name_pos - start);
-      fn.name = name;
-      fn.line = static_cast<int>(idx) + 1;
-      fn.suppressed = allowed(file, fn.line, kCheckCkptAsymmetry);
-
-      // Body: from the '{' to its matching '}'.
-      int depth = 0;
-      std::size_t bl = body_line, bc = body_col;
-      std::size_t end_line = n - 1;
-      std::set<std::size_t> body_lines;
-      bool closed = false;
-      while (bl < n && !closed) {
-        const std::string& lc = file.lines[bl].code;
-        for (; bc < lc.size(); ++bc) {
-          const char ch = lc[bc];
-          if (ch == '{') {
-            ++depth;
-          } else if (ch == '}') {
-            --depth;
-            if (depth == 0) {
-              end_line = bl;
-              closed = true;
-              break;
-            }
-          }
-        }
-        body_lines.insert(bl);
-        if (!closed) {
-          ++bl;
-          bc = 0;
-        }
-      }
-      for (const std::size_t body : body_lines) {
-        extract_ops(file, static_cast<int>(body) + 1, &fn);
-      }
-      out.push_back(std::move(fn));
-      // Resume scanning after the body (nested candidates inside the
-      // body were already consumed as ops, not definitions).
-      idx = end_line;
-      break;
-    }
-  }
-  return out;
-}
-
-std::string partner_name(const std::string& name, int variant) {
-  if (name == "checkpoint") {
-    return variant == 0 ? "restore" : "";
-  }
-  if (name.rfind("serialize", 0) == 0) {
-    const std::string tail = name.substr(std::string("serialize").size());
-    return (variant == 0 ? "deserialize" : "restore") + tail;
-  }
-  return "";
-}
-
-void check_checkpoints(const std::vector<ScannedFile>& files,
-                       std::vector<Finding>* out) {
-  for (const ScannedFile& file : files) {
-    if (!under_src(file.path)) continue;
-    const std::vector<FuncDef> fns = extract_functions(file);
-    std::map<std::string, const FuncDef*> by_name;
-    for (const FuncDef& fn : fns) by_name.emplace(fn.qual + fn.name, &fn);
-    for (const FuncDef& fn : fns) {
-      const FuncDef* partner = nullptr;
-      for (int variant = 0; variant < 2 && partner == nullptr; ++variant) {
-        const std::string pname = partner_name(fn.name, variant);
-        if (pname.empty()) continue;
-        const auto it = by_name.find(fn.qual + pname);
-        if (it != by_name.end()) partner = it->second;
-      }
-      if (partner == nullptr) continue;
-      if (fn.suppressed || partner->suppressed) continue;
-      const std::vector<OpRec>& w = fn.write_ops;
-      const std::vector<OpRec>& r = partner->read_ops;
-      const std::size_t common = std::min(w.size(), r.size());
-      std::size_t diverge = common;
-      for (std::size_t i = 0; i < common; ++i) {
-        if (w[i].kind != r[i].kind) {
-          diverge = i;
-          break;
-        }
-      }
-      if (diverge < common) {
-        add(out, file.path, r[diverge].line, kCheckCkptAsymmetry,
-            fn.qual + fn.name + " writes op " + std::to_string(diverge + 1) +
-                " as [" + w[diverge].kind + "] (line " +
-                std::to_string(w[diverge].line) + ") but " + partner->qual +
-                partner->name + " reads [" + r[diverge].kind + "]");
-      } else if (w.size() != r.size()) {
-        const bool extra_writes = w.size() > r.size();
-        const OpRec& odd = extra_writes ? w[common] : r[common];
-        add(out, file.path, odd.line, kCheckCkptAsymmetry,
-            fn.qual + fn.name + " issues " + std::to_string(w.size()) +
-                " write op(s) but " + partner->qual + partner->name +
-                " issues " + std::to_string(r.size()) + " read op(s); " +
-                (extra_writes ? "unread [" : "unwritten [") + odd.kind +
-                "] at line " + std::to_string(odd.line));
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Check 3: metric & detector key audit.
+// Check 2: metric & detector key audit.
 
 struct KeyUse {
   std::string key;  // exact key, or prefix (ends with '.') when wildcard
@@ -695,9 +434,6 @@ const std::vector<CheckInfo>& checks() {
        "disagrees"},
       {kCheckSaltStale,
        "salt registry row whose constant no longer exists in code"},
-      {kCheckCkptAsymmetry,
-       "serialize/deserialize (checkpoint/restore) pair with mismatched "
-       "write/read op sequences"},
       {kCheckMetricUndoc,
        "fms.* metric key emitted in src/ but absent from the DESIGN.md "
        "metric table"},
@@ -727,7 +463,6 @@ std::vector<Finding> analyze_sources(
   }
   std::vector<Finding> out;
   check_salts(scanned, registry_text, registry_path, &out);
-  check_checkpoints(scanned, &out);
   check_metrics(scanned, design_text, design_path, &out);
   std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
     return std::tie(a.path, a.line, a.check, a.message) <

@@ -8,11 +8,6 @@
 //     Two subsystems silently sharing a salt correlates streams the
 //     paper's delay-compensation analysis assumes independent; the
 //     committed registry makes adding a stream an explicit, reviewed act.
-//   * Checkpoint symmetry — paired serialize/deserialize (and
-//     checkpoint/restore) bodies must issue the same ordered sequence of
-//     ByteWriter/ByteReader operation kinds (scalar / vector / string /
-//     nested object), catching a field written but never read — or read
-//     out of order — before the blob drifts.
 //   * Metric & detector key audit — every `fms.*` metric name and every
 //     health-detector id emitted under src/ must appear in the documented
 //     tables in DESIGN.md (between the fms-analyze table markers), and
@@ -22,9 +17,7 @@
 // shared scanner in tools/source_scan; no build needed) and suppressible
 // in place:
 //   // fms-analyze: allow(<check>[,<check>...])  -- reason
-// on the offending line, on a comment line directly above it, or — for
-// checkpoint-asymmetry — on the function's definition line to waive the
-// whole pair.
+// on the offending line or on a comment line directly above it.
 //
 // Check identifiers:
 //   salt-collision         two salt constants share a value (in code or
@@ -32,8 +25,6 @@
 //   salt-unregistered      a code salt missing from the registry, or
 //                          whose registered value disagrees
 //   salt-stale             a registry entry with no matching constant
-//   checkpoint-asymmetry   write/read op sequences of a serialize/
-//                          deserialize (checkpoint/restore) pair diverge
 //   metric-undocumented    an fms.* key emitted in src/ but absent from
 //                          the DESIGN.md metric table
 //   metric-stale           a documented key no code emits

@@ -4,8 +4,8 @@
 // Exit status: 0 clean, 1 findings, 2 usage or IO error.
 //
 // Registered as the `analyze` ctest over src/, tests/, bench/, examples/
-// and tools/, so a plain `ctest` run fails on a salt collision, an
-// asymmetric checkpoint pair, or an undocumented metric key.
+// and tools/, so a plain `ctest` run fails on a salt collision or an
+// undocumented metric key.
 #include <cstdio>
 #include <string>
 #include <vector>

@@ -12,8 +12,14 @@
 #
 #   tools/round_parity.sh <parent fms_search_cli> <change fms_search_cli>
 #
+# A fifth configuration checks that each build reads the other's files:
+# the parent writes ck.bin and wal.bin part-way through configuration 2,
+# then both CLIs continue from those files, once with --resume and once
+# with --recover on the journal cut mid-frame, and their durable outputs
+# must again be byte-identical.
+#
 # Exits 1 at the first difference (work dir kept for inspection), 0 when
-# all four configurations match. Between them the configurations reach
+# all configurations match. Between them the configurations reach
 # every lifecycle drop reason except snapshot_evicted and divergent
 # (tests/test_determinism.cpp covers those), plus screen and estimator
 # rejections; the per-config reason tally is printed from the change's
@@ -52,6 +58,21 @@ CONFIGS=(
 OUTPUTS=(g.bin ck.bin ck.bin.prev wal.bin wal.bin.prev chrome.json flight.jsonl
   health.json)
 
+fail() {  # fail <message>: report, keep the work dir, exit 1
+  echo "$1"
+  trap - EXIT
+  exit 1
+}
+
+same_outputs() {  # same_outputs <label> <dir a> <dir b>
+  local f
+  for f in "${OUTPUTS[@]}"; do
+    if [[ -e "$2/$f" || -e "$3/$f" ]] && ! cmp -s "$2/$f" "$3/$f"; then
+      fail "$1: FAIL — $f differs (work dir kept: $WORK)"
+    fi
+  done
+}
+
 run() {  # run <cli> <dir> <config words...>
   local cli="$1" dir="$2"
   shift 2
@@ -69,26 +90,16 @@ for c in "${!CONFIGS[@]}"; do
   # shellcheck disable=SC2206
   args=(${CONFIGS[$c]})
   run "$PARENT" "$WORK/$n/parent" "${args[@]}" || {
-    echo "config $n: FAIL — parent run exited non-zero"
-    tail -5 "$WORK/$n/parent/log"; trap - EXIT; exit 1; }
+    tail -5 "$WORK/$n/parent/log"; fail "config $n: FAIL — parent run exited non-zero"; }
   run "$CHANGE" "$WORK/$n/change" "${args[@]}" || {
-    echo "config $n: FAIL — change run exited non-zero"
-    tail -5 "$WORK/$n/change/log"; trap - EXIT; exit 1; }
-  for f in "${OUTPUTS[@]}"; do
-    a="$WORK/$n/parent/$f"
-    b="$WORK/$n/change/$f"
-    if [[ -e "$a" || -e "$b" ]] && ! cmp -s "$a" "$b"; then
-      echo "config $n: FAIL — $f differs (work dir kept: $WORK)"
-      trap - EXIT
-      exit 1
-    fi
-  done
+    tail -5 "$WORK/$n/change/log"; fail "config $n: FAIL — change run exited non-zero"; }
+  same_outputs "config $n" "$WORK/$n/parent" "$WORK/$n/change"
   # Identical over at least one round: an empty trace proves nothing.
   "$REPORT" --compare "$WORK/$n/parent/trace.jsonl" \
       "$WORK/$n/change/trace.jsonl" > "$WORK/$n/compare" 2>&1 &&
     grep -q "runs identical across [1-9]" "$WORK/$n/compare" || {
-    echo "config $n: FAIL — JSONL traces differ (work dir kept: $WORK)"
-    cat "$WORK/$n/compare"; trap - EXIT; exit 1; }
+    cat "$WORK/$n/compare"
+    fail "config $n: FAIL — JSONL traces differ (work dir kept: $WORK)"; }
   reasons="$(grep -o '"name":"drop".*"detail":"[^"]*"' \
       "$WORK/$n/change/chrome.json" 2>/dev/null |
     sed 's/.*"detail":"\([^"]*\)"/\1/' | sort | uniq -c |
@@ -99,4 +110,43 @@ for c in "${!CONFIGS[@]}"; do
     awk '{printf "%s%s=%s", sep, $2, $1; sep=" "}')"
   echo "config $n: OK (drops: ${reasons:-none}; rejections: ${rejections:-none})"
 done
-echo "== round parity passed (${#CONFIGS[@]} configurations) =="
+# 5. Cross-build resume. The parent stops configuration 2 after 7 rounds
+# (2 warm-up + 5 search): its final checkpoint seeds --resume, and its
+# last auto checkpoint (round 4, now ck.bin.prev) with the 3 frames
+# journaled since seeds --recover, as if killed before the final write
+# with the last frame half on disk. Each CLI then runs the full schedule
+# from those files.
+n=$((${#CONFIGS[@]} + 1))
+# shellcheck disable=SC2206
+args=(${CONFIGS[1]})
+SEED="$WORK/$n/seed"
+run "$PARENT" "$SEED" "${args[@]}" --rounds 5 ||
+  fail "config $n: FAIL — parent seed run exited non-zero"
+for mode in resume recover; do
+  for side in parent change; do
+    cli="$PARENT"
+    [[ $side == change ]] && cli="$CHANGE"
+    d="$WORK/$n/$mode/$side"
+    mkdir -p "$d"
+    if [[ $mode == resume ]]; then
+      cp "$SEED/ck.bin" "$d/base.bin"
+      extra=(--resume base.bin)
+    else
+      cp "$SEED/ck.bin.prev" "$d/ck.bin"
+      cp "$SEED/wal.bin" "$d/wal.bin"
+      truncate -s -3 "$d/wal.bin"
+      extra=(--recover)
+    fi
+    run "$cli" "$d" "${args[@]}" "${extra[@]}" || {
+      tail -5 "$d/log"; fail "config $n ($mode): FAIL — $side run exited non-zero"; }
+  done
+  same_outputs "config $n ($mode)" "$WORK/$n/$mode/parent" \
+    "$WORK/$n/$mode/change"
+  # The recovery must have replayed frames and cut the torn one.
+  [[ $mode == resume ]] || grep -q "replayed [1-9].*, [1-9][0-9]* torn bytes" \
+    "$WORK/$n/$mode/change/log" ||
+    fail "config $n ($mode): FAIL — nothing replayed or no torn tail"
+  echo "config $n ($mode): OK ($(grep -m1 -o 'resumed from.*\|recovered:.*truncated' \
+    "$WORK/$n/$mode/change/log"))"
+done
+echo "== round parity passed ($n configurations) =="
