@@ -11,7 +11,9 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <type_traits>
 
+#include "src/common/spec.h"
 #include "src/core/checkpoint.h"
 #include "src/core/retrain.h"
 #include "src/core/search.h"
@@ -161,6 +163,19 @@ int main(int argc, char** argv) {
   bool adaptive_timeout = false;
   int max_degrade_mode = 0;
 
+  // A numeric flag goes through the run-spec value check with the flag as
+  // its key: a malformed or out-of-range value is an error, never a silent
+  // 0, a truncation or a wrap.
+  auto number = [](auto& field, const char* flag, const char* text,
+                   Bound bound = {}) {
+    try {
+      field = spec_value<std::remove_reference_t<decltype(field)>>(
+          "argument", flag, text, bound);
+    } catch (const CheckError& e) {
+      std::fprintf(stderr, "%s\n%s", e.what(), kUsage);
+      std::exit(2);
+    }
+  };
   for (int i = 1; i < argc; ++i) {
     auto need_value = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
@@ -179,11 +194,12 @@ int main(int argc, char** argv) {
       return nullptr;
     };
     if (!std::strcmp(argv[i], "--participants")) {
-      participants = std::atoi(need_value("--participants"));
+      number(participants, "--participants", need_value("--participants"),
+             Bound{1});
     } else if (!std::strcmp(argv[i], "--rounds")) {
-      rounds = std::atoi(need_value("--rounds"));
+      number(rounds, "--rounds", need_value("--rounds"), Bound{0});
     } else if (!std::strcmp(argv[i], "--warmup")) {
-      warmup = std::atoi(need_value("--warmup"));
+      number(warmup, "--warmup", need_value("--warmup"), Bound{0});
     } else if (!std::strcmp(argv[i], "--noniid")) {
       noniid = true;
     } else if (!std::strcmp(argv[i], "--staleness")) {
@@ -201,7 +217,8 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--metrics-csv")) {
       metrics_csv = need_value("--metrics-csv");
     } else if (!std::strcmp(argv[i], "--progress-every")) {
-      progress_every = std::atoi(need_value("--progress-every"));
+      number(progress_every, "--progress-every",
+             need_value("--progress-every"));
     } else if (!std::strcmp(argv[i], "--profile")) {
       profile = true;
     } else if (!std::strcmp(argv[i], "--trace-chrome")) {
@@ -213,9 +230,10 @@ int main(int argc, char** argv) {
     } else if (const char* v2 = eq_value("--health-report")) {
       health_report = v2;
     } else if (!std::strcmp(argv[i], "--flight-recorder")) {
-      flight_recorder = std::atoi(need_value("--flight-recorder"));
+      number(flight_recorder, "--flight-recorder",
+             need_value("--flight-recorder"), Bound{0});
     } else if (const char* v3 = eq_value("--flight-recorder")) {
-      flight_recorder = std::atoi(v3);
+      number(flight_recorder, "--flight-recorder", v3, Bound{0});
     } else if (!std::strcmp(argv[i], "--flight-dump")) {
       flight_dump = need_value("--flight-dump");
     } else if (const char* v4 = eq_value("--flight-dump")) {
@@ -229,17 +247,18 @@ int main(int argc, char** argv) {
     } else if (const char* v9 = eq_value("--peak-cache")) {
       peak_cache = v9;
     } else if (!std::strcmp(argv[i], "--seed")) {
-      seed = static_cast<std::uint64_t>(std::atoll(need_value("--seed")));
+      number(seed, "--seed", need_value("--seed"));
     } else if (!std::strcmp(argv[i], "--threads")) {
-      threads = std::atoi(need_value("--threads"));
+      number(threads, "--threads", need_value("--threads"), Bound{0});
     } else if (!std::strcmp(argv[i], "--fault-plan")) {
       fault_plan_spec = need_value("--fault-plan");
     } else if (!std::strcmp(argv[i], "--quorum")) {
-      quorum = std::atof(need_value("--quorum"));
+      number(quorum, "--quorum", need_value("--quorum"), Bound{0, 1, true});
     } else if (!std::strcmp(argv[i], "--timeout")) {
-      timeout_s = std::atof(need_value("--timeout"));
+      number(timeout_s, "--timeout", need_value("--timeout"), Bound{0});
     } else if (!std::strcmp(argv[i], "--checkpoint-every")) {
-      checkpoint_every = std::atoi(need_value("--checkpoint-every"));
+      number(checkpoint_every, "--checkpoint-every",
+             need_value("--checkpoint-every"), Bound{0});
     } else if (!std::strcmp(argv[i], "--resume")) {
       resume_path = need_value("--resume");
     } else if (!std::strcmp(argv[i], "--journal")) {
@@ -251,11 +270,13 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--aggregator")) {
       aggregator_spec = need_value("--aggregator");
     } else if (!std::strcmp(argv[i], "--winsorize-rewards")) {
-      winsorize_k = std::atof(need_value("--winsorize-rewards"));
+      number(winsorize_k, "--winsorize-rewards",
+             need_value("--winsorize-rewards"), Bound{0});
     } else if (!std::strcmp(argv[i], "--baseline-mode")) {
       baseline_mode = need_value("--baseline-mode");
     } else if (!std::strcmp(argv[i], "--adaptive-screen")) {
-      adaptive_screen_k = std::atof(need_value("--adaptive-screen"));
+      number(adaptive_screen_k, "--adaptive-screen",
+             need_value("--adaptive-screen"), Bound{0});
     } else if (!std::strcmp(argv[i], "--churn-plan")) {
       churn_plan_spec = need_value("--churn-plan");
     } else if (const char* v5 = eq_value("--churn-plan")) {
@@ -263,9 +284,10 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--adaptive-timeout")) {
       adaptive_timeout = true;
     } else if (!std::strcmp(argv[i], "--max-degrade-mode")) {
-      max_degrade_mode = std::atoi(need_value("--max-degrade-mode"));
+      number(max_degrade_mode, "--max-degrade-mode",
+             need_value("--max-degrade-mode"), Bound{0, 3});
     } else if (const char* v6 = eq_value("--max-degrade-mode")) {
-      max_degrade_mode = std::atoi(v6);
+      number(max_degrade_mode, "--max-degrade-mode", v6, Bound{0, 3});
     } else if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
       std::printf("%s", kUsage);
       return 0;
@@ -274,12 +296,9 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (participants < 1 || rounds < 0 || warmup < 0 || quorum <= 0.0 ||
-      quorum > 1.0 || timeout_s < 0.0 || checkpoint_every < 0 ||
-      winsorize_k < 0.0 || adaptive_screen_k < 0.0 || flight_recorder < 0 ||
-      max_degrade_mode < 0 || max_degrade_mode > 3 || threads < 0 ||
-      (baseline_mode != "mean" && baseline_mode != "median")) {
-    std::fprintf(stderr, "invalid arguments\n%s", kUsage);
+  if (baseline_mode != "mean" && baseline_mode != "median") {
+    std::fprintf(stderr, "unknown baseline mode '%s'\n%s",
+                 baseline_mode.c_str(), kUsage);
     return 2;
   }
   if (checkpoint_every > 0 && checkpoint_path.empty()) {
@@ -364,13 +383,21 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!fault_plan_spec.empty()) {
-    opts.fault_plan = fault_plan_spec == "severe"
-                          ? FaultPlan::severe()
-                          : FaultPlan::parse(fault_plan_spec);
-  }
-  if (!aggregator_spec.empty()) {
-    opts.aggregator = agg::AggregatorConfig::parse(aggregator_spec);
+  try {
+    if (!fault_plan_spec.empty()) {
+      opts.fault_plan = fault_plan_spec == "severe"
+                            ? FaultPlan::severe()
+                            : FaultPlan::parse(fault_plan_spec);
+    }
+    if (!churn_plan_spec.empty()) {
+      opts.churn_plan = ChurnPlan::parse(churn_plan_spec);
+    }
+    if (!aggregator_spec.empty()) {
+      opts.aggregator = agg::AggregatorConfig::parse(aggregator_spec);
+    }
+  } catch (const CheckError& e) {
+    std::fprintf(stderr, "%s\n%s", e.what(), kUsage);
+    return 2;
   }
   opts.winsorize_rewards_k = winsorize_k;
   if (baseline_mode == "median") {
@@ -379,9 +406,6 @@ int main(int argc, char** argv) {
   if (adaptive_screen_k > 0.0) {
     opts.adaptive_screen = true;
     opts.adaptive_screen_k = adaptive_screen_k;
-  }
-  if (!churn_plan_spec.empty()) {
-    opts.churn_plan = ChurnPlan::parse(churn_plan_spec);
   }
   opts.adaptive_timeout.enabled = adaptive_timeout;
   opts.degrade.max_mode = max_degrade_mode;

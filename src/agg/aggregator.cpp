@@ -7,6 +7,7 @@
 #include <span>
 
 #include "src/common/check.h"
+#include "src/common/spec.h"
 #include "src/obs/work.h"
 
 namespace fms::agg {
@@ -462,26 +463,15 @@ AggregatorConfig AggregatorConfig::parse(const std::string& spec) {
     throw CheckError("unknown aggregator '" + name + "'");
   }
   if (suffix.empty()) return cfg;
-  try {
-    std::size_t used = 0;
-    if (cfg.kind == AggregatorKind::kClippedMean) {
-      const double k = std::stod(suffix, &used);
-      FMS_CHECK_MSG(used == suffix.size() && std::isfinite(k) && k > 0.0,
-                    "bad clipped_mean multiplier '" << suffix << "'");
-      cfg.clip_multiplier = static_cast<float>(k);
-    } else {
-      const long f = std::stol(suffix, &used);
-      FMS_CHECK_MSG(used == suffix.size() && f >= 0,
-                    "bad aggregator f '" << suffix << "'");
-      FMS_CHECK_MSG(cfg.kind != AggregatorKind::kMean &&
-                        cfg.kind != AggregatorKind::kCoordinateMedian,
-                    "aggregator '" << name << "' takes no parameter");
-      cfg.f = static_cast<int>(f);
-    }
-  } catch (const CheckError&) {
-    throw;
-  } catch (...) {
-    throw CheckError("bad aggregator suffix '" + suffix + "'");
+  if (cfg.kind == AggregatorKind::kClippedMean) {
+    cfg.clip_multiplier = static_cast<float>(spec_value<double>(
+        "aggregator", name, suffix,
+        Bound{0.0, std::numeric_limits<float>::max(), true}));
+  } else {
+    FMS_CHECK_MSG(cfg.kind != AggregatorKind::kMean &&
+                      cfg.kind != AggregatorKind::kCoordinateMedian,
+                  "aggregator '" << name << "' takes no parameter");
+    cfg.f = spec_value<int>("aggregator", name, suffix, Bound{0});
   }
   return cfg;
 }

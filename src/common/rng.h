@@ -18,6 +18,28 @@
 
 namespace fms {
 
+// Stateless keyed hashing for the fault, churn and trace-id schedules:
+// every draw is a pure function of its key, so a resumed run re-derives it
+// without a stream to checkpoint. Adjacent keys give unrelated outputs.
+inline std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+// One decision stream per salt; (a, b) name the decision within it.
+inline std::uint64_t keyed_hash(std::uint64_t seed, std::uint64_t salt,
+                                std::uint64_t a, std::uint64_t b) {
+  return splitmix64(splitmix64(splitmix64(seed ^ salt) ^ a) ^ b);
+}
+
+// keyed_hash as a uniform double in [0, 1), from its top 53 bits.
+inline double keyed_u01(std::uint64_t seed, std::uint64_t salt,
+                        std::uint64_t a, std::uint64_t b) {
+  return static_cast<double>(keyed_hash(seed, salt, a, b) >> 11) * 0x1.0p-53;
+}
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x5eed) : engine_(seed) {}

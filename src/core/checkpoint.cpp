@@ -244,17 +244,4 @@ Genotype read_genotype_file(const std::string& path) {
   return deserialize_genotype(read_durable_file(path));
 }
 
-GenotypeLoad read_genotype_file_with_fallback(const std::string& path) {
-  GenotypeLoad load;
-  try {
-    load.genotype = read_genotype_file(path);
-    return load;
-  } catch (const CheckError& e) {
-    load.primary_error = e.what();
-  }
-  load.genotype = read_genotype_file(path + ".prev");
-  load.used_prev = true;
-  return load;
-}
-
 }  // namespace fms

@@ -80,20 +80,13 @@ struct CheckpointLoad {
 };
 CheckpointLoad read_checkpoint_file_with_fallback(const std::string& path);
 
-// Genotype persistence (binary, versioned). Same atomic-write + fallback
-// contract as checkpoints.
+// Genotype persistence (binary, versioned). Same atomic write as
+// checkpoints; the previous generation stays at `<path>.prev`.
 std::vector<std::uint8_t> serialize_genotype(const Genotype& g);
 Genotype deserialize_genotype(const std::vector<std::uint8_t>& bytes);
 void write_genotype_file(const std::string& path, const Genotype& g,
                          const FaultInjector* faults = nullptr,
                          std::uint64_t op_id = 0);
 Genotype read_genotype_file(const std::string& path);
-
-struct GenotypeLoad {
-  Genotype genotype;
-  bool used_prev = false;
-  std::string primary_error;
-};
-GenotypeLoad read_genotype_file_with_fallback(const std::string& path);
 
 }  // namespace fms

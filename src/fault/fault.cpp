@@ -4,10 +4,10 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <sstream>
 
 #include "src/common/check.h"
 #include "src/common/rng.h"
+#include "src/common/spec.h"
 #include "src/obs/trace_ctx.h"
 
 namespace fms {
@@ -38,46 +38,6 @@ constexpr std::uint64_t kSaltDiskEio = 0xE0;
 constexpr std::uint64_t kSaltDiskShort = 0xE1;
 constexpr std::uint64_t kSaltDiskTear = 0xE2;
 constexpr std::uint64_t kSaltDiskCorrupt = 0xE3;
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t mix(std::uint64_t seed, std::uint64_t salt, std::uint64_t a,
-                  std::uint64_t b) {
-  std::uint64_t h = splitmix64(seed ^ salt);
-  h = splitmix64(h ^ a);
-  h = splitmix64(h ^ b);
-  return h;
-}
-
-double to_u01(std::uint64_t h) {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
-double parse_double(const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(value, &used);
-    FMS_CHECK_MSG(used == value.size() && std::isfinite(v),
-                  "bad fault-plan value for " << key << ": '" << value << "'");
-    return v;
-  } catch (const CheckError&) {
-    throw;
-  } catch (...) {
-    throw CheckError("bad fault-plan value for " + key + ": '" + value + "'");
-  }
-}
-
-double parse_prob(const std::string& key, const std::string& value) {
-  const double v = parse_double(key, value);
-  FMS_CHECK_MSG(v >= 0.0 && v <= 1.0,
-                "fault-plan " << key << " must be in [0, 1], got " << v);
-  return v;
-}
 
 }  // namespace
 
@@ -125,123 +85,51 @@ FaultPlan FaultPlan::severe(std::uint64_t seed) {
   return plan;
 }
 
-FaultPlan FaultPlan::parse(const std::string& spec) {
-  FaultPlan plan;
-  std::stringstream ss(spec);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
-    const std::size_t eq = item.find('=');
-    FMS_CHECK_MSG(eq != std::string::npos && eq > 0,
-                  "fault-plan entry '" << item << "' is not key=value");
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
-    if (key == "crash") {
-      plan.crash_fraction = parse_prob(key, value);
-    } else if (key == "crash_round") {
-      plan.crash_round = static_cast<int>(parse_double(key, value));
-    } else if (key == "crash_spread") {
-      plan.crash_spread = static_cast<int>(parse_double(key, value));
-      FMS_CHECK_MSG(plan.crash_spread >= 0, "crash_spread must be >= 0");
-    } else if (key == "dropout") {
-      plan.dropout_p = parse_prob(key, value);
-    } else if (key == "dropout_rounds") {
-      plan.dropout_rounds = static_cast<int>(parse_double(key, value));
-      FMS_CHECK_MSG(plan.dropout_rounds >= 1, "dropout_rounds must be >= 1");
-    } else if (key == "link") {
-      plan.link_failure_p = parse_prob(key, value);
-    } else if (key == "uplink") {
-      plan.uplink_failure_p = parse_prob(key, value);
-    } else if (key == "backoff_jitter") {
-      plan.backoff_jitter = parse_prob(key, value);
-    } else if (key == "collapse") {
-      plan.collapse_p = parse_prob(key, value);
-    } else if (key == "collapse_factor") {
-      plan.collapse_factor = parse_double(key, value);
-      FMS_CHECK_MSG(plan.collapse_factor > 0.0 && plan.collapse_factor <= 1.0,
-                    "collapse_factor must be in (0, 1]");
-    } else if (key == "corrupt") {
-      plan.corrupt_p = parse_prob(key, value);
-    } else if (key == "corrupt_bits") {
-      plan.corrupt_bits = static_cast<int>(parse_double(key, value));
-      FMS_CHECK_MSG(plan.corrupt_bits >= 1, "corrupt_bits must be >= 1");
-    } else if (key == "divergent") {
-      plan.divergent_fraction = parse_prob(key, value);
-    } else if (key == "divergent_p") {
-      plan.divergent_p = parse_prob(key, value);
-    } else if (key == "sign_flip") {
-      plan.sign_flip_fraction = parse_prob(key, value);
-    } else if (key == "sign_flip_lambda") {
-      plan.sign_flip_lambda = parse_double(key, value);
-      FMS_CHECK_MSG(plan.sign_flip_lambda > 0.0,
-                    "sign_flip_lambda must be > 0");
-    } else if (key == "grad_scale") {
-      plan.grad_scale_fraction = parse_prob(key, value);
-    } else if (key == "grad_scale_lambda") {
-      plan.grad_scale_lambda = parse_double(key, value);
-      FMS_CHECK_MSG(plan.grad_scale_lambda > 0.0,
-                    "grad_scale_lambda must be > 0");
-    } else if (key == "collude") {
-      plan.collude_fraction = parse_prob(key, value);
-    } else if (key == "collude_scale") {
-      plan.collude_scale = parse_double(key, value);
-      FMS_CHECK_MSG(plan.collude_scale > 0.0, "collude_scale must be > 0");
-    } else if (key == "reward_attack") {
-      plan.reward_attack_fraction = parse_prob(key, value);
-    } else if (key == "reward_attack_delta") {
-      plan.reward_attack_delta = parse_double(key, value);
-      FMS_CHECK_MSG(plan.reward_attack_delta >= -1.0 &&
-                        plan.reward_attack_delta <= 1.0,
-                    "reward_attack_delta must be in [-1, 1]");
-    } else if (key == "disk_eio") {
-      plan.disk_eio_p = parse_prob(key, value);
-    } else if (key == "disk_short") {
-      plan.disk_short_p = parse_prob(key, value);
-    } else if (key == "disk_corrupt") {
-      plan.disk_corrupt_p = parse_prob(key, value);
-    } else if (key == "disk_corrupt_bits") {
-      plan.disk_corrupt_bits = static_cast<int>(parse_double(key, value));
-      FMS_CHECK_MSG(plan.disk_corrupt_bits >= 1,
-                    "disk_corrupt_bits must be >= 1");
-    } else if (key == "seed") {
-      plan.seed = static_cast<std::uint64_t>(parse_double(key, value));
-    } else {
-      throw CheckError("unknown fault-plan key '" + key + "'");
-    }
-  }
-  return plan;
+template <class Io, class Self>
+void FaultPlan::keys(Io& io, Self& p) {
+  io("crash", p.crash_fraction, kUnit);
+  io("crash_round", p.crash_round);
+  io("crash_spread", p.crash_spread, Bound{0});
+  io("dropout", p.dropout_p, kUnit);
+  io("dropout_rounds", p.dropout_rounds, Bound{1});
+  io("link", p.link_failure_p, kUnit);
+  io("uplink", p.uplink_failure_p, kUnit);
+  io("backoff_jitter", p.backoff_jitter, kUnit);
+  io("collapse", p.collapse_p, kUnit);
+  io("collapse_factor", p.collapse_factor, Bound{0, 1, true});
+  io("corrupt", p.corrupt_p, kUnit);
+  io("corrupt_bits", p.corrupt_bits, Bound{1});
+  io("divergent", p.divergent_fraction, kUnit);
+  io("divergent_p", p.divergent_p, kUnit);
+  io("sign_flip", p.sign_flip_fraction, kUnit);
+  io("sign_flip_lambda", p.sign_flip_lambda, kPositive);
+  io("grad_scale", p.grad_scale_fraction, kUnit);
+  io("grad_scale_lambda", p.grad_scale_lambda, kPositive);
+  io("collude", p.collude_fraction, kUnit);
+  io("collude_scale", p.collude_scale, kPositive);
+  io("reward_attack", p.reward_attack_fraction, kUnit);
+  io("reward_attack_delta", p.reward_attack_delta, Bound{-1, 1});
+  io("disk_eio", p.disk_eio_p, kUnit);
+  io("disk_short", p.disk_short_p, kUnit);
+  io("disk_corrupt", p.disk_corrupt_p, kUnit);
+  io("disk_corrupt_bits", p.disk_corrupt_bits, Bound{1});
+  io("seed", p.seed);
 }
 
-std::string FaultPlan::to_string() const {
-  std::ostringstream os;
-  os << "crash=" << crash_fraction << ",crash_round=" << crash_round
-     << ",crash_spread=" << crash_spread << ",dropout=" << dropout_p
-     << ",dropout_rounds=" << dropout_rounds << ",link=" << link_failure_p
-     << ",uplink=" << uplink_failure_p << ",backoff_jitter=" << backoff_jitter
-     << ",collapse=" << collapse_p << ",collapse_factor=" << collapse_factor
-     << ",corrupt=" << corrupt_p << ",corrupt_bits=" << corrupt_bits
-     << ",divergent=" << divergent_fraction << ",divergent_p=" << divergent_p
-     << ",sign_flip=" << sign_flip_fraction
-     << ",sign_flip_lambda=" << sign_flip_lambda
-     << ",grad_scale=" << grad_scale_fraction
-     << ",grad_scale_lambda=" << grad_scale_lambda
-     << ",collude=" << collude_fraction << ",collude_scale=" << collude_scale
-     << ",reward_attack=" << reward_attack_fraction
-     << ",reward_attack_delta=" << reward_attack_delta
-     << ",disk_eio=" << disk_eio_p << ",disk_short=" << disk_short_p
-     << ",disk_corrupt=" << disk_corrupt_p
-     << ",disk_corrupt_bits=" << disk_corrupt_bits << ",seed=" << seed;
-  return os.str();
+FaultPlan FaultPlan::parse(const std::string& spec) {
+  return parse_spec<FaultPlan>("fault-plan", spec);
 }
+
+std::string FaultPlan::to_string() const { return spec_string(*this); }
 
 FaultInjector::FaultInjector(const FaultPlan& plan, int num_participants)
-    : plan_(plan), num_participants_(num_participants) {
+    : plan_(plan) {
   FMS_CHECK_MSG(num_participants > 0, "injector needs participants");
 }
 
 double FaultInjector::u01(std::uint64_t salt, std::uint64_t a,
                           std::uint64_t b) const {
-  return to_u01(mix(plan_.seed, salt, a, b));
+  return keyed_u01(plan_.seed, salt, a, b);
 }
 
 bool FaultInjector::is_crashed(int participant, int round) const {
@@ -395,8 +283,8 @@ void FaultInjector::attack(UpdateMsg& upd, FaultKind kind, int /*participant*/,
       // Every colluder in a round replays the same pseudo-gradient stream
       // (keyed by round only), so the clones sit arbitrarily close to one
       // another — the schedule that stresses distance-based defenses.
-      Rng rng(mix(plan_.seed, kSaltColludeStream,
-                  static_cast<std::uint64_t>(round), 0));
+      Rng rng(keyed_hash(plan_.seed, kSaltColludeStream,
+                         static_cast<std::uint64_t>(round), 0));
       const auto scale = static_cast<float>(plan_.collude_scale);
       for (float& g : upd.grads) g = scale * rng.uniform(-1.0F, 1.0F);
       break;
@@ -416,9 +304,9 @@ void FaultInjector::attack(UpdateMsg& upd, FaultKind kind, int /*participant*/,
 void FaultInjector::corrupt(std::vector<float>& values, int participant,
                             int round) const {
   if (values.empty()) return;
-  Rng rng(mix(plan_.seed, kSaltCorruptBits,
-              static_cast<std::uint64_t>(participant),
-              static_cast<std::uint64_t>(round)));
+  Rng rng(keyed_hash(plan_.seed, kSaltCorruptBits,
+                     static_cast<std::uint64_t>(participant),
+                     static_cast<std::uint64_t>(round)));
   for (int i = 0; i < plan_.corrupt_bits; ++i) {
     const auto idx = static_cast<std::size_t>(
         rng.randint(0, static_cast<int>(values.size()) - 1));
@@ -452,7 +340,7 @@ DiskOutcome FaultInjector::disk_outcome(DiskOp op, std::uint64_t op_id) const {
 void FaultInjector::corrupt_bytes(std::vector<std::uint8_t>& bytes,
                                   std::uint64_t op_id) const {
   if (bytes.empty()) return;
-  Rng rng(mix(plan_.seed, kSaltDiskCorrupt, op_id, 1));
+  Rng rng(keyed_hash(plan_.seed, kSaltDiskCorrupt, op_id, 1));
   for (int i = 0; i < plan_.disk_corrupt_bits; ++i) {
     const auto idx = static_cast<std::size_t>(
         rng.randint(0, static_cast<int>(bytes.size()) - 1));
@@ -461,10 +349,11 @@ void FaultInjector::corrupt_bytes(std::vector<std::uint8_t>& bytes,
 }
 
 void FaultInjector::poison(UpdateMsg& upd, int participant, int round) const {
-  const std::uint64_t mode = mix(plan_.seed, kSaltPoisonMode,
-                                 static_cast<std::uint64_t>(participant),
-                                 static_cast<std::uint64_t>(round)) %
-                             3;
+  const std::uint64_t mode =
+      keyed_hash(plan_.seed, kSaltPoisonMode,
+                 static_cast<std::uint64_t>(participant),
+                 static_cast<std::uint64_t>(round)) %
+      3;
   switch (mode) {
     case 0:  // NaN gradients, NaN reward
       for (std::size_t i = 0; i < upd.grads.size(); i += 3) {

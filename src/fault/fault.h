@@ -112,10 +112,13 @@ struct FaultPlan {
   // corrupt_bits, divergent, divergent_p, sign_flip, sign_flip_lambda,
   // grad_scale, grad_scale_lambda, collude, collude_scale, reward_attack,
   // reward_attack_delta, disk_eio, disk_short, disk_corrupt,
-  // disk_corrupt_bits, seed. Throws CheckError on unknown keys or bad
-  // values.
+  // disk_corrupt_bits, seed. Integer keys take integer literals and every
+  // value must lie in its key's bound; throws CheckError otherwise or on an
+  // unknown key. to_string() is exact: parse(to_string()) == *this.
   static FaultPlan parse(const std::string& spec);
   std::string to_string() const;
+  template <class Io, class Self>  // each key once (src/common/spec.h)
+  static void keys(Io& io, Self& plan);
 };
 
 // Durable-write operations the disk-fault channel can strike. The enum
@@ -253,7 +256,6 @@ class FaultInjector {
   double u01(std::uint64_t salt, std::uint64_t a, std::uint64_t b) const;
 
   FaultPlan plan_;
-  int num_participants_;
 };
 
 // Server-side update screening (defense): accepts only updates whose

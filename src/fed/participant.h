@@ -23,7 +23,6 @@ class SearchParticipant {
                     Rng rng);
 
   int id() const { return id_; }
-  int local_data_size() const { return shard_.size(); }
 
   // Algorithm 1, lines 37-42.
   UpdateMsg train_step(const SubmodelMsg& msg);

@@ -12,15 +12,6 @@
 
 namespace fms {
 
-const char* assign_strategy_name(AssignStrategy s) {
-  switch (s) {
-    case AssignStrategy::kAdaptive: return "adaptive";
-    case AssignStrategy::kAverageSize: return "average";
-    case AssignStrategy::kRandom: return "random";
-  }
-  return "unknown";
-}
-
 std::vector<int> assign_models(const std::vector<std::size_t>& model_bytes,
                                const std::vector<double>& bandwidth_bps,
                                AssignStrategy strategy, Rng& rng) {

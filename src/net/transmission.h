@@ -17,8 +17,6 @@ namespace fms {
 
 enum class AssignStrategy { kAdaptive, kAverageSize, kRandom };
 
-const char* assign_strategy_name(AssignStrategy s);
-
 // assignment[k] = index of the model sent to participant k.
 std::vector<int> assign_models(const std::vector<std::size_t>& model_bytes,
                                const std::vector<double>& bandwidth_bps,

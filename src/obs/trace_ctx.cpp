@@ -7,21 +7,13 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/rng.h"
 #include "src/obs/flight.h"
 #include "src/obs/json.h"
 #include "src/obs/telemetry.h"
 
 namespace fms::obs {
 namespace {
-
-// Same mixer family the fault injector uses: full-avalanche, so adjacent
-// (seed, round) pairs produce unrelated ids.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 // Sim seconds -> integer microsecond ticks (Chrome trace "ts"/"dur").
 long long sim_us(double seconds) {

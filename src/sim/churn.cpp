@@ -1,9 +1,11 @@
 #include "src/sim/churn.h"
 
+#include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "src/common/check.h"
+#include "src/common/rng.h"
+#include "src/common/spec.h"
 
 namespace fms {
 namespace {
@@ -16,114 +18,38 @@ constexpr std::uint64_t kSaltBurstSelect = 0x32;
 constexpr std::uint64_t kSaltLeave = 0x33;
 constexpr std::uint64_t kSaltAwayDur = 0x34;
 
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t mix(std::uint64_t seed, std::uint64_t salt, std::uint64_t a,
-                  std::uint64_t b) {
-  std::uint64_t h = splitmix64(seed ^ salt);
-  h = splitmix64(h ^ a);
-  h = splitmix64(h ^ b);
-  return h;
-}
-
-double to_u01(std::uint64_t h) {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
-double parse_double(const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(value, &used);
-    FMS_CHECK_MSG(used == value.size() && std::isfinite(v),
-                  "bad churn-plan value for " << key << ": '" << value << "'");
-    return v;
-  } catch (const CheckError&) {
-    throw;
-  } catch (...) {
-    throw CheckError("bad churn-plan value for " + key + ": '" + value + "'");
-  }
-}
-
-double parse_prob(const std::string& key, const std::string& value) {
-  const double v = parse_double(key, value);
-  FMS_CHECK_MSG(v >= 0.0 && v <= 1.0,
-                "churn-plan " << key << " must be in [0, 1], got " << v);
-  return v;
-}
-
 }  // namespace
 
 bool ChurnPlan::empty() const {
   return leave_p <= 0.0 && late_join_fraction <= 0.0 && burst_fraction <= 0.0;
 }
 
+template <class Io, class Self>
+void ChurnPlan::keys(Io& io, Self& p) {
+  io("leave", p.leave_p, kUnit);
+  io("away_min", p.away_min, Bound{1});
+  io("away_max", p.away_max, Bound{1});
+  io("late_join", p.late_join_fraction, kUnit);
+  io("join_spread", p.join_spread, Bound{1});
+  io("burst", p.burst_fraction, kUnit);
+  io("burst_round", p.burst_round, Bound{0});
+  io("burst_away", p.burst_away, Bound{1});
+  io("diurnal", p.diurnal_amplitude, Bound{0});
+  io("diurnal_period", p.diurnal_period, Bound{2});
+  io("seed", p.seed);
+}
+
 ChurnPlan ChurnPlan::parse(const std::string& spec) {
-  ChurnPlan plan;
-  std::stringstream ss(spec);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
-    const std::size_t eq = item.find('=');
-    FMS_CHECK_MSG(eq != std::string::npos && eq > 0,
-                  "churn-plan entry '" << item << "' is not key=value");
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
-    if (key == "leave") {
-      plan.leave_p = parse_prob(key, value);
-    } else if (key == "away_min") {
-      plan.away_min = static_cast<int>(parse_double(key, value));
-      FMS_CHECK_MSG(plan.away_min >= 1, "away_min must be >= 1");
-    } else if (key == "away_max") {
-      plan.away_max = static_cast<int>(parse_double(key, value));
-      FMS_CHECK_MSG(plan.away_max >= 1, "away_max must be >= 1");
-    } else if (key == "late_join") {
-      plan.late_join_fraction = parse_prob(key, value);
-    } else if (key == "join_spread") {
-      plan.join_spread = static_cast<int>(parse_double(key, value));
-      FMS_CHECK_MSG(plan.join_spread >= 1, "join_spread must be >= 1");
-    } else if (key == "burst") {
-      plan.burst_fraction = parse_prob(key, value);
-    } else if (key == "burst_round") {
-      plan.burst_round = static_cast<int>(parse_double(key, value));
-      FMS_CHECK_MSG(plan.burst_round >= 0, "burst_round must be >= 0");
-    } else if (key == "burst_away") {
-      plan.burst_away = static_cast<int>(parse_double(key, value));
-      FMS_CHECK_MSG(plan.burst_away >= 1, "burst_away must be >= 1");
-    } else if (key == "diurnal") {
-      plan.diurnal_amplitude = parse_double(key, value);
-      FMS_CHECK_MSG(plan.diurnal_amplitude >= 0.0, "diurnal must be >= 0");
-    } else if (key == "diurnal_period") {
-      plan.diurnal_period = static_cast<int>(parse_double(key, value));
-      FMS_CHECK_MSG(plan.diurnal_period >= 2, "diurnal_period must be >= 2");
-    } else if (key == "seed") {
-      plan.seed = static_cast<std::uint64_t>(parse_double(key, value));
-    } else {
-      throw CheckError("unknown churn-plan key '" + key + "'");
-    }
-  }
+  const auto plan = parse_spec<ChurnPlan>("churn-plan", spec);
   FMS_CHECK_MSG(plan.away_max >= plan.away_min,
                 "churn-plan away_max must be >= away_min");
   return plan;
 }
 
-std::string ChurnPlan::to_string() const {
-  std::ostringstream os;
-  os << "leave=" << leave_p << ",away_min=" << away_min
-     << ",away_max=" << away_max << ",late_join=" << late_join_fraction
-     << ",join_spread=" << join_spread << ",burst=" << burst_fraction
-     << ",burst_round=" << burst_round << ",burst_away=" << burst_away
-     << ",diurnal=" << diurnal_amplitude
-     << ",diurnal_period=" << diurnal_period << ",seed=" << seed;
-  return os.str();
-}
+std::string ChurnPlan::to_string() const { return spec_string(*this); }
 
 ChurnModel::ChurnModel(const ChurnPlan& plan, int num_participants)
-    : plan_(plan), num_participants_(num_participants) {
+    : plan_(plan) {
   FMS_CHECK_MSG(num_participants > 0, "churn model needs participants");
   FMS_CHECK_MSG(plan_.away_max >= plan_.away_min && plan_.away_min >= 1,
                 "churn plan needs 1 <= away_min <= away_max");
@@ -131,7 +57,7 @@ ChurnModel::ChurnModel(const ChurnPlan& plan, int num_participants)
 
 double ChurnModel::u01(std::uint64_t salt, std::uint64_t a,
                        std::uint64_t b) const {
-  return to_u01(mix(plan_.seed, salt, a, b));
+  return keyed_u01(plan_.seed, salt, a, b);
 }
 
 int ChurnModel::join_round(int participant) const {

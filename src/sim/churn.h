@@ -52,10 +52,14 @@ struct ChurnPlan {
   // Parses "key=value" pairs separated by commas, e.g.
   //   "leave=0.06,away_min=2,away_max=6,burst=0.5,burst_round=20"
   // Keys: leave, away_min, away_max, late_join, join_spread, burst,
-  // burst_round, burst_away, diurnal, diurnal_period, seed. Throws
-  // CheckError on unknown keys or bad values.
+  // burst_round, burst_away, diurnal, diurnal_period, seed. Integer keys
+  // take integer literals, every value must lie in its key's bound and
+  // away_max >= away_min; throws CheckError otherwise or on an unknown key.
+  // to_string() is exact: parse(to_string()) == *this.
   static ChurnPlan parse(const std::string& spec);
   std::string to_string() const;
+  template <class Io, class Self>  // each key once (src/common/spec.h)
+  static void keys(Io& io, Self& plan);
 };
 
 class ChurnModel {
@@ -79,7 +83,6 @@ class ChurnModel {
   double u01(std::uint64_t salt, std::uint64_t a, std::uint64_t b) const;
 
   ChurnPlan plan_;
-  int num_participants_;
 };
 
 }  // namespace fms

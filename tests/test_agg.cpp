@@ -218,6 +218,11 @@ TEST(Aggregators, ConfigParseRoundTrips) {
   EXPECT_THROW(AggregatorConfig::parse("geometric_median"), CheckError);
   EXPECT_THROW(AggregatorConfig::parse("trimmed_mean:x"), CheckError);
   EXPECT_THROW(AggregatorConfig::parse("mean:2"), CheckError);
+  // The suffix is an integer literal in int's range, or a finite float.
+  EXPECT_THROW(AggregatorConfig::parse("trimmed_mean:4294967297"),
+               CheckError);
+  EXPECT_THROW(AggregatorConfig::parse("krum:1.5"), CheckError);
+  EXPECT_THROW(AggregatorConfig::parse("clipped_mean:1e39"), CheckError);
 }
 
 // --- robust scalar statistics ---

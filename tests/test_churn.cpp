@@ -66,6 +66,11 @@ TEST(ChurnPlan, BadSpecsAreRejected) {
   EXPECT_THROW(ChurnPlan::parse("away_min=5,away_max=2"), CheckError);
   EXPECT_THROW(ChurnPlan::parse("diurnal_period=1"), CheckError);
   EXPECT_THROW(ChurnPlan::parse("burst_round=-1"), CheckError);
+  // Integer keys take integer literals: both of these used to read as 1.
+  EXPECT_THROW(ChurnPlan::parse("away_min=1.5"), CheckError);
+  EXPECT_THROW(ChurnPlan::parse("away_min=1.5,away_max=1.2"), CheckError);
+  EXPECT_THROW(ChurnPlan::parse("seed=1e3"), CheckError);
+  EXPECT_THROW(ChurnPlan::parse("diurnal=inf"), CheckError);
 }
 
 // --- ChurnModel: schedule semantics ---

@@ -277,6 +277,19 @@ TEST(FaultPlan, RejectsUnknownKeysAndBadValues) {
   EXPECT_THROW(FaultPlan::parse("crash=-0.1"), CheckError);
   EXPECT_THROW(FaultPlan::parse("crash=abc"), CheckError);
   EXPECT_THROW(FaultPlan::parse("crash"), CheckError);       // missing '='
+  EXPECT_THROW(FaultPlan::parse("=0.5"), CheckError);
+  EXPECT_THROW(FaultPlan::parse("crash="), CheckError);
+  EXPECT_THROW(FaultPlan::parse("crash=0.5x"), CheckError);
+  // Integer keys take integer literals inside the field's range.
+  EXPECT_THROW(FaultPlan::parse("crash_round=1e10"), CheckError);
+  EXPECT_THROW(FaultPlan::parse("crash_round=4294967296"), CheckError);
+  EXPECT_THROW(FaultPlan::parse("crash_spread=2.7"), CheckError);
+  // Seeds are exact unsigned 64-bit literals.
+  EXPECT_THROW(FaultPlan::parse("seed=-1"), CheckError);
+  EXPECT_THROW(FaultPlan::parse("seed=18446744073709551616"), CheckError);
+  EXPECT_THROW(FaultPlan::parse("seed=1e3"), CheckError);
+  EXPECT_THROW(FaultPlan::parse("collapse_factor=0"), CheckError);
+  EXPECT_THROW(FaultPlan::parse("collude_scale=0"), CheckError);
   EXPECT_TRUE(FaultPlan::parse("").empty());
 }
 
